@@ -37,6 +37,7 @@ from .simulator import (
     evolve_density,
     measure_all,
     qubit_subspace_unitary,
+    run_basis,
     simulate,
 )
 from .transpile import LoweringStrategy, cost_profile, decompose_toffoli_qutrit, lower_toffolis

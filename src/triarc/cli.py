@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arith, circuits, noise, pricing, resources, simulator, transpile
+from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
 from .transpile import LoweringStrategy
 
 _STRATEGIES = {
@@ -156,73 +156,9 @@ def _cmd_bounds(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _verify_checks() -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = []
-
-    base = circuits.Circuit((circuits.WireSpec(2),) * 3, (circuits.toffoli(0, 1, 2),))
-    ideal = simulator.circuit_unitary(base)
-    for name, strategy in (("qutrit", LoweringStrategy.QUTRIT),
-                           ("cliffordt", LoweringStrategy.CLIFFORD_T_FUNCTIONAL)):
-        lowered = transpile.lower_toffolis(base, strategy)
-        restricted = simulator.qubit_subspace_unitary(lowered)
-        checks.append((f"toffoli-equivalence-{name}", bool(np.allclose(restricted, ideal, atol=1e-10))))
-
-    for n in (2, 3, 4):
-        circuit, layout = arith.build_adder(n)
-        ok = _adder_exhaustive(circuit, layout, n)
-        checks.append((f"adder-{n}bit-exhaustive", ok))
-    circuit, layout = arith.build_adder(3)
-    lowered_adder = transpile.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
-    checks.append(("adder-3bit-qutrit-exhaustive", _adder_exhaustive(lowered_adder, layout, 3)))
-
-    circuit, layout = arith.build_multiplier(3, 2)
-    checks.append(("multiplier-3x2-exhaustive", _multiplier_exhaustive(circuit, layout, 3, 2)))
-    lowered_mul = transpile.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
-    checks.append(("multiplier-3x2-qutrit-exhaustive",
-                   _multiplier_exhaustive(lowered_mul, layout, 3, 2)))
-
-    demo, demo_layout = arith.build_demo_multiplier()
-    for name, c in (("demo-multiplier-5x3", demo),
-                    ("demo-multiplier-5x3-qutrit",
-                     transpile.lower_toffolis(demo, LoweringStrategy.QUTRIT))):
-        label = simulator.dominant_basis_label(simulator.simulate(c, "0" * 13))
-        checks.append((name, arith.register_value(label, demo_layout.result_wires) == 15))
-    return checks
-
-
-def _adder_exhaustive(circuit: circuits.Circuit, layout: arith.RegisterLayout, n: int) -> bool:
-    for a in range(2 ** n):
-        for b in range(2 ** n):
-            label = arith.operand_label(circuit, layout, a, b)
-            out = simulator.dominant_basis_label(simulator.simulate(circuit, label))
-            total = a + b
-            if arith.register_value(out, layout.result_wires) != total % 2 ** n:
-                return False
-            if int(out[layout.carry_wire]) != total >> n:
-                return False
-            if arith.register_value(out, layout.a_wires) != a:
-                return False
-            if any(out[w] != "0" for w in layout.ancilla_wires):
-                return False
-    return True
-
-
-def _multiplier_exhaustive(circuit: circuits.Circuit, layout: arith.RegisterLayout,
-                           na: int, nb: int) -> bool:
-    for a in range(2 ** na):
-        for b in range(2 ** nb):
-            label = arith.operand_label(circuit, layout, a, b)
-            out = simulator.dominant_basis_label(simulator.simulate(circuit, label))
-            if arith.register_value(out, layout.result_wires) != a * b:
-                return False
-            if any(out[w] != "0" for w in layout.ancilla_wires):
-                return False
-    return True
-
-
 def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
     failures = 0
-    for name, ok in _verify_checks():
+    for name, ok in verify.checks():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi, prod, sqrt
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 
 UNITARY_DIM_GUARD = 2 ** 12      # largest full-space dimension for unitary extraction
 DENSITY_WIRE_GUARD = 6           # largest wire count for density-matrix evolution
+MAX_STATE_DIM = 2 ** 26          # largest state-vector dimension for dense simulation
 
 _T_PHASE = np.exp(1j * pi / 4)
 _QUBIT_MATRICES = {
@@ -220,8 +221,15 @@ def apply_gate(state: StateVector, gate: GateInstance) -> StateVector:
 
 def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     """Run all gates on the given basis-state label. MEASURE gates are
-    skipped; sampling lives in measure_all."""
+    skipped; sampling lives in measure_all.
+
+    Raises ValueError before allocating when the state dimension exceeds
+    MAX_STATE_DIM.
+    """
     dims = circuit.dims
+    size = prod(dims)
+    if size > MAX_STATE_DIM:
+        raise ValueError(f"state dimension {size} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}")
     tensor = basis_state(dims, input).amplitudes.reshape(dims)
     for gate in circuit.gates:
         if gate.kind is GateKind.MEASURE:
@@ -230,10 +238,59 @@ def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     return StateVector(dims, tensor.reshape(-1))
 
 
+# Digit maps of the basis-permuting kinds: new digit = table[old digit].
+# X and TOFFOLI swap 0 and 1 and leave 2 alone, as kind_matrix embeds them.
+_BASIS_TABLES = {
+    GateKind.X: np.array([1, 0, 2], dtype=np.int8),
+    GateKind.TOFFOLI: np.array([1, 0, 2], dtype=np.int8),
+    GateKind.XPLUS1: np.array([1, 2, 0], dtype=np.int8),
+    GateKind.XMINUS1: np.array([2, 0, 1], dtype=np.int8),
+}
+
+
+def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
+    """Run a batch of basis inputs through a basis-permuting circuit.
+
+    ``digits`` has shape (batch, wires), one basis label per row; the
+    result is a new int8 array of the same shape and the input is left
+    alone. Each gate is one masked update of its target column, so the
+    cost is batch x gates instead of a dense state per input. MEASURE
+    gates are skipped, as in ``simulate``; any gate that does not permute
+    basis states (H, T, S, Z, ...) raises ValueError.
+    """
+    dims = np.array(circuit.dims)
+    digits = np.asarray(digits)
+    if digits.ndim != 2 or digits.shape[1] != len(dims):
+        raise ValueError(f"digits must have shape (batch, {len(dims)}), got {digits.shape}")
+    if not np.issubdtype(digits.dtype, np.integer):
+        raise ValueError(f"digits must be integers, got dtype {digits.dtype}")
+    bad = np.argwhere((digits < 0) | (digits >= dims))
+    if len(bad):
+        row, wire = bad[0]
+        raise ValueError(
+            f"digit {digits[row, wire]} in row {row} invalid on wire {wire} "
+            f"of dimension {dims[wire]}"
+        )
+    state = digits.astype(np.int8)
+    for index, gate in enumerate(circuit.gates):
+        if gate.kind is GateKind.MEASURE:
+            continue
+        table = _BASIS_TABLES.get(gate.kind)
+        if table is None:
+            raise ValueError(f"gate {index} ({gate.kind.value}) does not permute basis states")
+        target = gate.targets[0]
+        column = table[state[:, target]]
+        if gate.controls:
+            active = np.logical_and.reduce([state[:, c.wire] == c.value for c in gate.controls])
+            column = np.where(active, column, state[:, target])
+        state[:, target] = column
+    return state
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary, built by simulating each basis column."""
     dims = circuit.dims
-    size = int(np.prod(dims))
+    size = prod(dims)
     if size > UNITARY_DIM_GUARD:
         raise ValueError(f"unitary extraction guarded at dimension {UNITARY_DIM_GUARD}")
     if any(g.kind is GateKind.MEASURE for g in circuit.gates):

@@ -6,28 +6,9 @@ from triarc import arith as A
 from triarc import circuits as C
 from triarc import simulator as S
 from triarc import transpile as T
+from triarc import verify as V
 from triarc.circuits import GateKind
 from triarc.transpile import LoweringStrategy
-
-
-def run_adder(circuit, layout, a, b):
-    label = A.operand_label(circuit, layout, a, b)
-    out = S.dominant_basis_label(S.simulate(circuit, label))
-    return (
-        A.register_value(out, layout.a_wires),
-        A.register_value(out, layout.result_wires),
-        int(out[layout.carry_wire]),
-        [out[w] for w in layout.ancilla_wires],
-    )
-
-
-def run_multiplier(circuit, layout, a, b):
-    label = A.operand_label(circuit, layout, a, b)
-    out = S.dominant_basis_label(S.simulate(circuit, label))
-    return (
-        A.register_value(out, layout.result_wires),
-        [out[w] for w in layout.ancilla_wires],
-    )
 
 
 # --- adder ------------------------------------------------------------------
@@ -44,45 +25,29 @@ def test_adder_uses_only_x_cx_toffoli():
 
 def test_adder_examples_n4():
     circuit, layout = A.build_adder(4)
-    a_out, s, carry, anc = run_adder(circuit, layout, 3, 5)
-    assert (a_out, s, carry) == (3, 8, 0) and anc == ["0"]
-    _, s, carry, _ = run_adder(circuit, layout, 0, 0)
-    assert (s, carry) == (0, 0)
-    _, s, carry, _ = run_adder(circuit, layout, 15, 1)
-    assert (s, carry) == (0, 1)
+    # 3 + 5 = 8 with carry 0, ancilla 0: A on wires 0-3, sum on 4-7, then c0, carry
+    label = A.operand_label(circuit, layout, 3, 5)
+    assert S.dominant_basis_label(S.simulate(circuit, label)) == "1100" + "0001" + "00"
+    assert V.adder_failure(circuit, layout, 4, [(3, 5), (0, 0), (15, 1)]) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adder_exhaustive(n):
     circuit, layout = A.build_adder(n)
-    for a in range(2 ** n):
-        for b in range(2 ** n):
-            a_out, s, carry, anc = run_adder(circuit, layout, a, b)
-            assert a_out == a
-            assert s == (a + b) % 2 ** n
-            assert carry == (a + b) >> n
-            assert anc == ["0"]
+    assert V.adder_failure(circuit, layout, n) is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_adder_qutrit_lowered_exhaustive(n):
     circuit, layout = A.build_adder(n)
     lowered = T.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
-    for a in range(2 ** n):
-        for b in range(2 ** n):
-            a_out, s, carry, anc = run_adder(lowered, layout, a, b)
-            assert (a_out, s, carry) == (a, (a + b) % 2 ** n, (a + b) >> n)
-            assert anc == ["0"]
+    assert V.adder_failure(lowered, layout, n) is None
 
 
 def test_adder_spot_checks_n8():
-    # sizes beyond the exhaustive guard still build and add correctly
     circuit, layout = A.build_adder(8)
-    rng = np.random.default_rng(5)
-    for a, b in rng.integers(0, 256, size=(5, 2)):
-        a_out, s, carry, anc = run_adder(circuit, layout, int(a), int(b))
-        assert (a_out, s, carry) == (a, (a + b) % 256, (a + b) >> 8)
-        assert anc == ["0"]
+    pairs = np.random.default_rng(5).integers(0, 256, size=(5, 2))
+    assert V.adder_failure(circuit, layout, 8, pairs) is None
 
 
 # --- multiplier ---------------------------------------------------------------
@@ -90,31 +55,35 @@ def test_adder_spot_checks_n8():
 def test_multiplier_rejects_bad_sizes():
     with pytest.raises(ValueError):
         A.build_multiplier(0, 2)
-    with pytest.raises(ValueError):
-        A.build_multiplier(4, 4)  # beyond the simulation guard
+
+
+def test_simulate_refuses_4x4_multiplier_before_allocating(monkeypatch):
+    circuit, layout = A.build_multiplier(4, 4)
+    assert len(circuit.wires) == 33
+
+    def no_allocation(*args):
+        raise AssertionError("simulate allocated a state beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(S, "basis_state", no_allocation)
+    with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+        S.simulate(circuit, A.operand_label(circuit, layout, 3, 5))
 
 
 def test_multiplier_3x2_headline_case():
     circuit, layout = A.build_multiplier(3, 2)
-    product, anc = run_multiplier(circuit, layout, 5, 3)
-    assert product == 15
-    assert all(d == "0" for d in anc)
+    label = S.dominant_basis_label(S.simulate(circuit, A.operand_label(circuit, layout, 5, 3)))
+    assert A.register_value(label, layout.result_wires) == 15
+    assert all(label[w] == "0" for w in layout.ancilla_wires)
 
 
 def test_multiplier_b_zero():
     circuit, layout = A.build_multiplier(3, 2)
-    for a in range(8):
-        product, _ = run_multiplier(circuit, layout, a, 0)
-        assert product == 0
+    assert V.multiplier_failure(circuit, layout, 3, 2, [(a, 0) for a in range(8)]) is None
 
 
 def test_multiplier_exhaustive_3x2():
     circuit, layout = A.build_multiplier(3, 2)
-    for a in range(8):
-        for b in range(4):
-            product, anc = run_multiplier(circuit, layout, a, b)
-            assert product == a * b
-            assert all(d == "0" for d in anc)
+    assert V.multiplier_failure(circuit, layout, 3, 2) is None
 
 
 def test_multiplier_layout_disjoint_and_covering():
@@ -126,11 +95,7 @@ def test_multiplier_layout_disjoint_and_covering():
 
 def test_multiplier_2x2_exhaustive():
     circuit, layout = A.build_multiplier(2, 2)
-    for a in range(4):
-        for b in range(4):
-            product, anc = run_multiplier(circuit, layout, a, b)
-            assert product == a * b
-            assert all(d == "0" for d in anc)
+    assert V.multiplier_failure(circuit, layout, 2, 2) is None
 
 
 # --- showcase 5x3 circuit ------------------------------------------------------

@@ -97,6 +97,8 @@ def test_lowered_toffoli_restricted_unitary_is_permutation():
 def test_unitary_guard():
     with pytest.raises(ValueError):
         S.circuit_unitary(C.new_circuit([2] * 13))
+    with pytest.raises(ValueError):
+        S.circuit_unitary(C.new_circuit([2] * 64))  # 2^64 overflows int64
 
 
 # --- measure_all ----------------------------------------------------------
