@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("noise-curve", help="success probability vs Toffoli count")
-    p.add_argument("--seed", type=int, default=None, help="accepted for uniformity; the curve is deterministic")
     p.add_argument("--strategy", choices=["qutrit", "conventional", "both"], default="both")
     p.add_argument("--max-toffoli", type=int, default=50)
     p.add_argument("--p1", type=float, default=None)
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="run the built-in equivalence suite")
-    p.add_argument("--seed", type=int, default=None, help="accepted for uniformity; the suite is deterministic")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -238,13 +238,11 @@ def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     return StateVector(dims, tensor.reshape(-1))
 
 
-# Digit maps of the basis-permuting kinds: new digit = table[old digit].
-# X and TOFFOLI swap 0 and 1 and leave 2 alone, as kind_matrix embeds them.
+# Digit maps of the basis-permuting kinds: new digit = table[old digit],
+# the row holding the 1 of each column of the kind's qutrit matrix.
 _BASIS_TABLES = {
-    GateKind.X: np.array([1, 0, 2], dtype=np.int8),
-    GateKind.TOFFOLI: np.array([1, 0, 2], dtype=np.int8),
-    GateKind.XPLUS1: np.array([1, 2, 0], dtype=np.int8),
-    GateKind.XMINUS1: np.array([2, 0, 1], dtype=np.int8),
+    kind: np.argmax(kind_matrix(kind, 3) == 1, axis=0).astype(np.int8)
+    for kind in (GateKind.X, GateKind.TOFFOLI, GateKind.XPLUS1, GateKind.XMINUS1)
 }
 
 
@@ -318,10 +316,10 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
     the full space beyond it.
     """
     dims = circuit.dims
-    sub = qubit_subspace_indices(dims)
-    size = len(sub)
+    size = 2 ** len(dims)
     if size > UNITARY_DIM_GUARD:
         raise ValueError(f"subspace extraction guarded at dimension {UNITARY_DIM_GUARD}")
+    sub = qubit_subspace_indices(dims)
     matrix = np.zeros((size, size), dtype=complex)
     for col in range(size):
         label = index_to_label(dims, int(sub[col]))
@@ -363,21 +361,6 @@ def state_to_json(state: StateVector) -> str:
 # density-matrix evolution
 # ---------------------------------------------------------------------------
 
-def _embed_operator(op: np.ndarray, wires: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on ``wires`` (in that order) into the full space."""
-    n = len(dims)
-    rest = [w for w in range(n) if w not in wires]
-    order = list(wires) + rest
-    rest_size = int(np.prod([dims[w] for w in rest])) if rest else 1
-    full = np.kron(op, np.eye(rest_size, dtype=complex))
-    perm_dims = [dims[w] for w in order]
-    tensor = full.reshape(perm_dims + perm_dims)
-    inv = [order.index(w) for w in range(n)]
-    tensor = tensor.transpose(inv + [n + p for p in inv])
-    size = int(np.prod(dims))
-    return tensor.reshape(size, size)
-
-
 def gate_local_unitary(gate: GateInstance, dims: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
     """(wires, unitary) of a gate over only the wires it touches."""
     wires = gate.wires
@@ -395,6 +378,19 @@ def gate_local_unitary(gate: GateInstance, dims: Sequence[int]) -> tuple[tuple[i
     return wires, matrix
 
 
+def _conjugate_local(tensor: np.ndarray, op: np.ndarray, wires: Sequence[int]) -> np.ndarray:
+    """K rho K^dag for rho as a dims + dims tensor and K acting on ``wires``
+    (in that order): K contracts the touched row axes, conj(K) the touched
+    column axes, and no other axis is visited."""
+    n = tensor.ndim // 2
+    k = len(wires)
+    local = op.reshape(tuple(tensor.shape[w] for w in wires) * 2)
+    inner = list(range(k, 2 * k))
+    for axes, matrix in ((list(wires), local), ([n + w for w in wires], local.conj())):
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=(inner, axes)), range(k), axes)
+    return tensor
+
+
 def evolve_density(
     rho: DensityMatrix,
     step: "GateInstance | KrausChannel",
@@ -402,28 +398,31 @@ def evolve_density(
 ) -> DensityMatrix:
     """Evolve by a unitary gate or a Kraus channel on the given wires.
 
+    Each operator is applied by contraction on its own wires only.
     Round-off is symmetrized away so Hermiticity is exact on the output.
     """
-    if len(rho.dims) > DENSITY_WIRE_GUARD:
+    dims = rho.dims
+    if len(dims) > DENSITY_WIRE_GUARD:
         raise ValueError(f"density evolution guarded at {DENSITY_WIRE_GUARD} wires")
     if isinstance(step, GateInstance):
-        validate_gate(step, _wire_specs(rho.dims))
-        gate_wires, local = gate_local_unitary(step, rho.dims)
-        full = _embed_operator(local, gate_wires, rho.dims)
-        out = full @ rho.entries @ full.conj().T
+        validate_gate(step, _wire_specs(dims))
+        wires, local = gate_local_unitary(step, dims)
+        operators: Sequence[np.ndarray] = (local,)
     else:
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")
-        local_dims = tuple(rho.dims[w] for w in wires)
+        wires = tuple(wires)
+        if len(set(wires)) != len(wires) or not all(0 <= w < len(dims) for w in wires):
+            raise ValueError(f"channel wires {wires} must be distinct wires of {len(dims)}")
+        local_dims = tuple(dims[w] for w in wires)
         if tuple(step.dims) != local_dims:
             raise ValueError(f"channel dims {step.dims} do not match wires {local_dims}")
-        size = int(np.prod(local_dims))
         completeness = sum(k.conj().T @ k for k in step.operators)
-        if not np.allclose(completeness, np.eye(size), atol=1e-10):
+        if not np.allclose(completeness, np.eye(prod(local_dims)), atol=1e-10):
             raise ValueError("channel is not trace-preserving within 1e-10")
-        out = np.zeros_like(rho.entries)
-        for k in step.operators:
-            full = _embed_operator(np.asarray(k, dtype=complex), wires, rho.dims)
-            out += full @ rho.entries @ full.conj().T
+        operators = step.operators
+    tensor = rho.entries.reshape(dims * 2)
+    out = sum(_conjugate_local(tensor, np.asarray(k, dtype=complex), wires) for k in operators)
+    out = out.reshape(rho.entries.shape)
     out = (out + out.conj().T) / 2
-    return DensityMatrix(rho.dims, out)
+    return DensityMatrix(dims, out)

@@ -172,6 +172,11 @@ def test_missing_subcommand_usage_error(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("command", ["noise-curve", "verify"])
+def test_deterministic_commands_reject_seed(capsys, command):
+    assert main([command, "--seed", "1"]) == 2
+
+
 # --- determinism ------------------------------------------------------------------------
 
 def test_verify_byte_identical(capsys):

@@ -1,5 +1,6 @@
 """State-vector and density-matrix simulation against independent oracles."""
 import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def test_lowered_toffoli_restricted_unitary_is_permutation():
     assert np.allclose(restricted, S.qubit_subspace_unitary(qutrit_lowered_toffoli()))
 
 
+def test_subspace_guard_checks_size_before_indexing(monkeypatch):
+    def no_indices(*args):
+        raise AssertionError("qubit_subspace_unitary built indices beyond UNITARY_DIM_GUARD")
+
+    monkeypatch.setattr(S, "qubit_subspace_indices", no_indices)
+    with pytest.raises(ValueError, match="guarded"):
+        S.qubit_subspace_unitary(C.new_circuit([2] * 33))
+
+
 def test_unitary_guard():
     with pytest.raises(ValueError):
         S.circuit_unitary(C.new_circuit([2] * 13))
@@ -179,6 +189,14 @@ def test_evolve_density_gate_matches_statevector():
     assert np.allclose(rho.entries, np.outer(state.amplitudes, state.amplitudes.conj()), atol=1e-12)
 
 
+@pytest.mark.parametrize("wires", [(-1,), (2,), (0, 0)])
+def test_evolve_density_rejects_bad_channel_wires(wires):
+    rho = S.basis_density([2, 2], "00")
+    channel = N.depolarizing_channel([2] * len(wires), 0.01)
+    with pytest.raises(ValueError, match="distinct"):
+        S.evolve_density(rho, channel, wires=wires)
+
+
 def test_density_guard():
     with pytest.raises(ValueError):
         S.evolve_density(S.basis_density([2] * 7, "0" * 7), C.x(0))
@@ -227,3 +245,64 @@ def test_channel_evolution_preserves_invariants(dims, p, seed):
     assert abs(np.trace(out.entries) - 1) < 1e-10
     assert np.array_equal(out.entries, out.entries.conj().T)
     assert np.linalg.eigvalsh(out.entries).min() >= -1e-8
+
+
+def embedded_reference(op, wires, dims):
+    """Full-space matrix of ``op`` acting on ``wires`` (in that order): the
+    Kronecker product with the identity on the other wires, then a wire
+    permutation back to wire order."""
+    n = len(dims)
+    rest = [w for w in range(n) if w not in wires]
+    order = list(wires) + rest
+    full = np.kron(op, np.eye(prod(dims[w] for w in rest), dtype=complex))
+    inv = [order.index(w) for w in range(n)]
+    tensor = full.reshape([dims[w] for w in order] * 2).transpose(inv + [n + p for p in inv])
+    return tensor.reshape(prod(dims), prod(dims))
+
+
+@st.composite
+def noisy_runs(draw):
+    """Random mixed 2/3 circuit with channels interleaved after its gates,
+    as (dims, [(step, wires), ...]); wires come in any order."""
+    circ = draw(circuits_strategy(max_wires=4, max_gates=6))
+    dims = circ.dims
+    steps = []
+    for gate in circ.gates:
+        steps.append((gate, gate.wires))
+        if not draw(st.booleans()):
+            continue
+        count = draw(st.integers(1, min(2, len(dims))))
+        wires = tuple(draw(st.permutations(range(len(dims))))[:count])
+        if draw(st.booleans()):
+            channel = N.depolarizing_channel([dims[w] for w in wires], draw(st.floats(0.0, 0.01)))
+        else:
+            wires = wires[:1]
+            lam = st.floats(0.0, 1.0)
+            if dims[wires[0]] == 2:
+                channel = N.amplitude_damping_qubit(draw(lam))
+            else:
+                channel = N.amplitude_damping_qutrit(draw(lam), draw(lam))
+        steps.append((channel, wires))
+    return dims, steps
+
+
+@given(noisy_runs(), st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_evolve_density_matches_kron_reference(run, seed):
+    dims, steps = run
+    rng = np.random.default_rng(seed)
+    size = prod(dims)
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    vec /= np.linalg.norm(vec)
+    rho = S.density_from_state(S.StateVector(dims, vec))
+    expected = rho.entries
+    for step, wires in steps:
+        if isinstance(step, C.GateInstance):
+            rho = S.evolve_density(rho, step)
+            operators = [S.gate_local_unitary(step, dims)[1]]
+        else:
+            rho = S.evolve_density(rho, step, wires=wires)
+            operators = step.operators
+        fulls = [embedded_reference(k, wires, dims) for k in operators]
+        expected = sum(full @ expected @ full.conj().T for full in fulls)
+        assert np.allclose(rho.entries, expected, rtol=0, atol=1e-12)
