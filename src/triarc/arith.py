@@ -26,12 +26,6 @@ class RegisterLayout:
     result_wires: tuple[int, ...]
     carry_wire: int | None = None
 
-    def all_wires(self) -> tuple[int, ...]:
-        extra = (self.carry_wire,) if self.carry_wire is not None else ()
-        return self.a_wires + self.b_wires + self.ancilla_wires + tuple(
-            w for w in self.result_wires if w not in self.b_wires
-        ) + extra
-
 
 def operand_label(circuit: Circuit, layout: RegisterLayout, a: int, b: int) -> str:
     """Basis label preparing integers ``a`` and ``b`` on the input registers."""

@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
 from .transpile import LoweringStrategy
 
@@ -35,11 +33,8 @@ class Config:
     tau: float = 0.0
     format: str = "json"
     seed: int = 0
-    max_state_dim: int = 2 ** 22  # guard for the simulate subcommand
 
     def __post_init__(self) -> None:
-        if self.max_state_dim < 1:
-            raise ValueError("size guards must be positive")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -82,9 +77,6 @@ def _cmd_decompose(args: argparse.Namespace, config: Config) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     circuit = circuits.from_json(Path(args.infile).read_text())
-    size = int(np.prod(circuit.dims))
-    if size > config.max_state_dim:
-        raise ValueError(f"state dimension {size} exceeds the guard {config.max_state_dim}")
     state = simulator.simulate(circuit, args.input)
     if args.shots is None:
         _write(simulator.state_to_json(state) + "\n", args.out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import exp
+from math import exp, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,7 +66,7 @@ class KrausChannel:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = int(np.prod(self.dims))
+        size = prod(self.dims)
         completeness = sum(k.conj().T @ k for k in self.operators)
         if not np.allclose(completeness, np.eye(size), atol=1e-10):
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-10")
@@ -138,7 +138,7 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     d_total = len(ops)
     if (d_total - 1) * p > 1:
         raise ValueError(f"(D-1)p = {(d_total - 1) * p} exceeds 1")
-    size = int(np.prod(wire_dims))
+    size = prod(wire_dims)
     operators = [np.sqrt(1 - (d_total - 1) * p) * np.eye(size, dtype=complex)]
     operators += [np.sqrt(p) * op for op in ops[1:]]
     return KrausChannel(tuple(operators), wire_dims)

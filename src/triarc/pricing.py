@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .simulator import Histogram, StateVector
+from .simulator import Histogram, StateVector, check_state_dim
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ class GaussianSpec:
         return 2.0 * self.w * self.sigma / 2 ** self.n
 
     def grid(self) -> np.ndarray:
+        check_state_dim(2 ** self.n)
         return self.x0 - self.w * self.sigma + self.dx * np.arange(2 ** self.n)
 
 

@@ -336,36 +336,34 @@ def benchmark_report(strategy: LoweringStrategy, baseline: BaselineCosts) -> Res
 # per-operation estimation (CLI surface)
 # ---------------------------------------------------------------------------
 
-_TOFFOLI_FORMULAS = {
-    "add": lambda n, p, ap: toffoli_count_add(n),
-    "sub": lambda n, p, ap: toffoli_count_sub(n),
-    "mul": lambda n, p, ap: toffoli_count_mul(n, p),
-    "div": lambda n, p, ap: toffoli_count_div(n, p),
-    "sqrt": lambda n, p, ap: toffoli_count_sq(n),
-    "exp": lambda n, p, ap: toffoli_count_exp(n, p, ap.k, ap.M, ap.d_value),
-    "arcsine": lambda n, p, ap: toffoli_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
+def _add_record(n: int, p: int, ap: ApproxParams) -> tuple:
+    return toffoli_count_add(n), cnot_count_add(n), t_depth_add(n)
+
+
+def _mul_record(n: int, p: int, ap: ApproxParams) -> tuple:
+    return toffoli_count_mul(n, p), cnot_count_mul(n, p), t_depth_mul(n, ap.z)
+
+
+# op -> f(n, p, approx) = (Toffoli count, ternary-CNOT count, T-depth or None)
+_FORMULAS = {
+    "add": _add_record,
+    "sub": _add_record,
+    "mul": _mul_record,
+    "div": _mul_record,
+    "sqrt": lambda n, p, ap: (toffoli_count_sq(n), cnot_count_sq(n), t_depth_sq(n)),
+    "exp": lambda n, p, ap: (
+        toffoli_count_exp(n, p, ap.k, ap.M, ap.d_value),
+        cnot_count_exp(n, p, ap.k, ap.M, ap.d_value),
+        None,
+    ),
+    "arcsine": lambda n, p, ap: (
+        toffoli_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
+        cnot_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
+        t_depth_arcsq(n, p, ap.z, ap.k, ap.M),
+    ),
 }
 
-_CNOT_FORMULAS = {
-    "add": lambda n, p, ap: cnot_count_add(n),
-    "sub": lambda n, p, ap: cnot_count_sub(n),
-    "mul": lambda n, p, ap: cnot_count_mul(n, p),
-    "div": lambda n, p, ap: cnot_count_div(n, p),
-    "sqrt": lambda n, p, ap: cnot_count_sq(n),
-    "exp": lambda n, p, ap: cnot_count_exp(n, p, ap.k, ap.M, ap.d_value),
-    "arcsine": lambda n, p, ap: cnot_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
-}
-
-_T_DEPTH_FORMULAS = {
-    "add": lambda n, p, ap: t_depth_add(n),
-    "sub": lambda n, p, ap: t_depth_sub(n),
-    "mul": lambda n, p, ap: t_depth_mul(n, ap.z),
-    "div": lambda n, p, ap: t_depth_div(n, ap.z),
-    "sqrt": lambda n, p, ap: t_depth_sq(n),
-    "arcsine": lambda n, p, ap: t_depth_arcsq(n, p, ap.z, ap.k, ap.M),
-}
-
-OPERATIONS = tuple(_TOFFOLI_FORMULAS)
+OPERATIONS = tuple(_FORMULAS)
 
 
 def estimate_operation(
@@ -383,18 +381,11 @@ def estimate_operation(
         notes.append(f"requires 2n+1 = {2 * n + 1} qubits")
     if op == "arcsine":
         notes.append(ARCSQ_CNOT_NOTE)
+    toffolis, cnots, t_depth = _FORMULAS[op](n, p, approx)
     if strategy is LoweringStrategy.QUTRIT:
         return ResourceReport(
-            t_count=0.0,
-            t_depth=0.0,
-            cnot_count_ternary=_CNOT_FORMULAS[op](n, p, approx),
-            notes=tuple(notes),
+            t_count=0.0, t_depth=0.0, cnot_count_ternary=cnots, notes=tuple(notes)
         )
-    t_depth = _T_DEPTH_FORMULAS[op](n, p, approx) if op in _T_DEPTH_FORMULAS else None
     if op == "exp":
         notes.append("no quoted T-depth formula for the exponential")
-    return ResourceReport(
-        toffoli_count=_TOFFOLI_FORMULAS[op](n, p, approx),
-        t_depth=t_depth,
-        notes=tuple(notes),
-    )
+    return ResourceReport(toffoli_count=toffolis, t_depth=t_depth, notes=tuple(notes))

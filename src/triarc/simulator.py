@@ -25,8 +25,20 @@ if TYPE_CHECKING:
     from .noise import KrausChannel
 
 UNITARY_DIM_GUARD = 2 ** 12      # largest full-space dimension for unitary extraction
-DENSITY_WIRE_GUARD = 6           # largest wire count for density-matrix evolution
+DENSITY_WIRE_GUARD = 6           # largest wire count for a density matrix
 MAX_STATE_DIM = 2 ** 26          # largest state-vector dimension for dense simulation
+
+
+def check_state_dim(size: int) -> None:
+    """Refuse a state vector of ``size`` amplitudes above MAX_STATE_DIM."""
+    if size > MAX_STATE_DIM:
+        raise ValueError(f"state dimension {size} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}")
+
+
+def _check_density_wires(dims: Sequence[int]) -> None:
+    if len(dims) > DENSITY_WIRE_GUARD:
+        raise ValueError(f"{len(dims)} wires exceed DENSITY_WIRE_GUARD = {DENSITY_WIRE_GUARD}")
+
 
 _T_PHASE = np.exp(1j * pi / 4)
 _QUBIT_MATRICES = {
@@ -100,7 +112,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        size = int(np.prod(self.dims))
+        size = prod(self.dims)
         if self.amplitudes.shape != (size,):
             raise ValueError(f"amplitude vector must have length {size}")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -116,7 +128,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        size = int(np.prod(self.dims))
+        size = prod(self.dims)
         if self.entries.shape != (size, size):
             raise ValueError(f"density matrix must be {size}x{size}")
         if not np.allclose(self.entries, self.entries.conj().T, atol=1e-10):
@@ -142,16 +154,20 @@ class Histogram:
 
 def basis_state(dims: Sequence[int], label: str | Sequence[int]) -> StateVector:
     dims = tuple(dims)
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    size = prod(dims)
+    check_state_dim(size)
+    amps = np.zeros(size, dtype=complex)
     amps[label_to_index(dims, label)] = 1.0
     return StateVector(dims, amps)
 
 
 def basis_density(dims: Sequence[int], label: str | Sequence[int]) -> DensityMatrix:
+    _check_density_wires(dims)
     return density_from_state(basis_state(dims, label))
 
 
 def density_from_state(state: StateVector) -> DensityMatrix:
+    _check_density_wires(state.dims)
     return DensityMatrix(state.dims, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
@@ -227,9 +243,7 @@ def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     MAX_STATE_DIM.
     """
     dims = circuit.dims
-    size = prod(dims)
-    if size > MAX_STATE_DIM:
-        raise ValueError(f"state dimension {size} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}")
+    check_state_dim(prod(dims))
     tensor = basis_state(dims, input).amplitudes.reshape(dims)
     for gate in circuit.gates:
         if gate.kind is GateKind.MEASURE:
@@ -365,7 +379,7 @@ def gate_local_unitary(gate: GateInstance, dims: Sequence[int]) -> tuple[tuple[i
     """(wires, unitary) of a gate over only the wires it touches."""
     wires = gate.wires
     local_dims = [dims[w] for w in wires]
-    size = int(np.prod(local_dims))
+    size = prod(local_dims)
     target_dim = dims[gate.targets[0]]
     matrix = np.eye(size, dtype=complex)
     # controls come first in `wires`, the target is last (stride 1)
@@ -402,8 +416,7 @@ def evolve_density(
     Round-off is symmetrized away so Hermiticity is exact on the output.
     """
     dims = rho.dims
-    if len(dims) > DENSITY_WIRE_GUARD:
-        raise ValueError(f"density evolution guarded at {DENSITY_WIRE_GUARD} wires")
+    _check_density_wires(dims)
     if isinstance(step, GateInstance):
         validate_gate(step, _wire_specs(dims))
         wires, local = gate_local_unitary(step, dims)

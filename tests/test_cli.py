@@ -4,6 +4,7 @@ import json
 import pytest
 
 from triarc import circuits as C
+from triarc import simulator as S
 from triarc.cli import main
 from triarc.circuits import GateKind
 
@@ -84,6 +85,22 @@ def test_simulate_histogram(tmp_path, capsys):
     assert out == "label,count\n011100,25\n"
 
 
+def test_simulate_refuses_with_the_library_limit(tmp_path, monkeypatch, capsys):
+    # 2^23 amplitudes: a CLI-side cap at or below 2^22 would refuse first, with its own message
+    src = tmp_path / "wide.json"
+    src.write_text(C.to_json(C.new_circuit([2] * 23)))
+
+    def no_allocation(*args):
+        raise AssertionError("simulate allocated a state beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    monkeypatch.setattr(S, "basis_state", no_allocation)
+    code, out, err = run_cli(capsys, "simulate", "--in", str(src), "--input", "0" * 23)
+    assert code == 1
+    assert out == ""
+    assert "MAX_STATE_DIM" in err
+
+
 # --- estimate ---------------------------------------------------------------------
 
 def test_estimate_sqrt_qutrit(capsys):
@@ -162,6 +179,15 @@ def test_config_file_defaults(tmp_path, capsys):
     run_cli(capsys, "noise-curve", "--max-toffoli", "2", "--p2", "0.005",
             "--out", str(out_b))
     assert out_a.read_text() == out_b.read_text()
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_state_dim": 64}))
+    code, out, err = run_cli(capsys, "--config", str(config), "verify")
+    assert code == 1
+    assert out == ""
+    assert "max_state_dim" in err
 
 
 def test_unknown_subcommand_usage_error(capsys):

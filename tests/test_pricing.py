@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from triarc import pricing as P
+from triarc import simulator as S
 from triarc.pricing import GaussianSpec, PricingSetup
 
 
@@ -51,6 +52,12 @@ def test_disc_error_quarters_per_added_qubit():
 
 
 # --- Gaussian target state ----------------------------------------------------------
+
+def test_gaussian_state_checks_state_limit(monkeypatch):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+        P.gaussian_target_state(GaussianSpec(n=5))
+
 
 def test_gaussian_state_is_normalized():
     state = P.gaussian_target_state(GaussianSpec(n=6, sigma=1.0, w=4.0))

@@ -202,6 +202,26 @@ def test_density_guard():
         S.evolve_density(S.basis_density([2] * 7, "0" * 7), C.x(0))
 
 
+def test_basis_state_checks_state_limit(monkeypatch):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+        S.basis_state([2] * 5, "0" * 5)
+
+
+def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
+    state = S.basis_state([2, 2], "00")
+
+    def no_state(*args):
+        raise AssertionError("basis_density built a state beyond DENSITY_WIRE_GUARD")
+
+    monkeypatch.setattr(S, "DENSITY_WIRE_GUARD", 1)
+    monkeypatch.setattr(S, "basis_state", no_state)
+    with pytest.raises(ValueError, match="DENSITY_WIRE_GUARD"):
+        S.basis_density([2, 2], "00")
+    with pytest.raises(ValueError, match="DENSITY_WIRE_GUARD"):
+        S.density_from_state(state)
+
+
 # --- invariants (property tests) ------------------------------------------
 
 @given(circuits_strategy(max_wires=4, max_gates=8), st.integers(0, 10_000))
