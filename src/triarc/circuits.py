@@ -216,13 +216,26 @@ def new_circuit(wires: Sequence[WireSpec | int]) -> Circuit:
     return Circuit(specs)
 
 
+def _grow(circuit: Circuit, gates: tuple[GateInstance, ...]) -> Circuit:
+    """New circuit with ``gates`` appended. Only the new gates are validated,
+    because ``circuit`` was validated when it was built, so a chain of
+    appends costs one validation per gate."""
+    for gate in gates:
+        validate_gate(gate, circuit.wires)
+    grown = object.__new__(Circuit)
+    object.__setattr__(grown, "wires", circuit.wires)
+    object.__setattr__(grown, "gates", circuit.gates + gates)
+    return grown
+
+
 def append(circuit: Circuit, gate: GateInstance) -> Circuit:
-    """New circuit with ``gate`` appended; validation happens on construction."""
-    return Circuit(circuit.wires, circuit.gates + (gate,))
+    """New circuit with ``gate`` appended; only ``gate`` is validated."""
+    return _grow(circuit, (gate,))
 
 
 def extend(circuit: Circuit, gates: Iterable[GateInstance]) -> Circuit:
-    return Circuit(circuit.wires, circuit.gates + tuple(gates))
+    """New circuit with ``gates`` appended; only the new gates are validated."""
+    return _grow(circuit, tuple(gates))
 
 
 def gate_count(circuit: Circuit, kind: GateKind | None = None) -> int:

@@ -17,6 +17,7 @@ from .circuits import (
     Circuit,
     GateInstance,
     GateKind,
+    QUTRIT_ONLY_KINDS,
     WireSpec,
     validate_gate,
 )
@@ -188,40 +189,94 @@ def _wire_specs(dims: Sequence[int]) -> tuple[WireSpec, ...]:
     return tuple(WireSpec(d) for d in dims)
 
 
-def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) -> None:
+@dataclass(frozen=True)
+class _Action:
+    """What a gate kind does to its target on a wire of one dimension.
+
+    ``rows`` lists the non-identity rows of ``kind_matrix`` as
+    (row, ((col, coeff), ...)) with nonzero terms in column order, so sums
+    keep the order of a matrix-vector product; ``sources`` are the columns
+    those rows read. A diagonal action scales each of its rows in place.
+    """
+
+    rows: tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]
+    sources: tuple[int, ...]
+    diagonal: bool
+
+
+def _action(kind: GateKind, dim: int) -> _Action:
+    matrix = kind_matrix(kind, dim)
+    rows = tuple(
+        (r, tuple((c, matrix[r, c]) for c in range(dim) if matrix[r, c] != 0))
+        for r in range(dim)
+        if not (matrix[r, r] == 1 and all(matrix[r, c] == 0 for c in range(dim) if c != r))
+    )
+    sources = tuple(sorted({c for _, terms in rows for c, _ in terms}))
+    diagonal = all(len(terms) == 1 and terms[0][0] == r for r, terms in rows)
+    return _Action(rows, sources, diagonal)
+
+
+_ACTIONS = {
+    (kind, dim): _action(kind, dim)
+    for kind in GateKind
+    if kind is not GateKind.MEASURE
+    for dim in (2, 3)
+    if dim == 3 or kind not in QUTRIT_ONLY_KINDS
+}
+
+
+def _apply_inplace(
+    tensor: np.ndarray, gate: GateInstance, dims: Sequence[int], scratch: np.ndarray
+) -> None:
     """Apply ``gate`` to a dims-shaped amplitude tensor, mutating it.
 
-    The target update is written as per-level slice combinations, skipping
-    zero matrix entries and identity rows; the gate set's matrices are
-    small and mostly sparse, so this beats a generic tensor contraction.
+    Each write goes through a view of one target level, conditioned on the
+    controls. A diagonal gate scales its levels in place; any other gate
+    first copies the levels it reads into ``scratch``, a flat buffer at
+    least as large as the tensor, so no gate allocates. Every product keeps
+    the scalar first (``np.multiply(coeff, a)``, bit-equal to ``coeff * a``
+    but not to ``a *= coeff``), so amplitudes are bit-identical to a plain
+    matrix-vector product that skips zero terms and unit factors.
     """
     target = gate.targets[0]
     dim = dims[target]
-    matrix = kind_matrix(gate.kind, dim)
-    base: list[slice | int] = [slice(None)] * len(dims)
+    action = _ACTIONS[gate.kind, dim]
+    # the trailing Ellipsis keeps a view, not a scalar, when every axis is fixed
+    index: list = [slice(None)] * len(dims) + [Ellipsis]
     for c in gate.controls:
-        base[c.wire] = c.value
+        index[c.wire] = c.value
 
-    def sel(level: int) -> tuple:
-        idx = list(base)
-        idx[target] = level
-        return tuple(idx)
+    def level(value: int) -> np.ndarray:
+        index[target] = value
+        return tensor[tuple(index)]
 
-    rows = [
-        r for r in range(dim)
-        if not (matrix[r, r] == 1 and all(matrix[r, c] == 0 for c in range(dim) if c != r))
-    ]
-    cols = {c for r in rows for c in range(dim) if matrix[r, c] != 0}
-    olds = {c: tensor[sel(c)].copy() for c in cols}
-    for r in rows:
-        acc = None
-        for c in range(dim):
-            coeff = matrix[r, c]
-            if coeff == 0:
-                continue
-            term = olds[c] if coeff == 1 else coeff * olds[c]
-            acc = term if acc is None else acc + term
-        tensor[sel(r)] = acc
+    if action.diagonal:
+        for r, ((_, coeff),) in action.rows:
+            out = level(r)
+            np.multiply(coeff, out, out=out)
+        return
+    shape = level(0).shape
+    block = scratch[: dim * prod(shape)].reshape((dim,) + shape)
+    staged = [block[c, ...] for c in range(dim)]
+    for c in action.sources:
+        np.copyto(staged[c], level(c))
+    rows = action.rows
+    for i, (r, terms) in enumerate(rows):
+        out = level(r)
+        for j, (c, coeff) in enumerate(terms):
+            if j == 0:
+                if coeff == 1:
+                    np.copyto(out, staged[c])
+                else:
+                    np.multiply(coeff, staged[c], out=out)
+            elif coeff == 1:
+                np.add(out, staged[c], out=out)
+            else:
+                # the product lands in the next row's level, not yet written,
+                # or, in the last row, in the staged source of its first
+                # term, which no later term reads
+                spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[terms[0][0]]
+                np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
 
 
 def apply_gate(state: StateVector, gate: GateInstance) -> StateVector:
@@ -231,7 +286,7 @@ def apply_gate(state: StateVector, gate: GateInstance) -> StateVector:
     if gate.kind is GateKind.MEASURE:
         raise ValueError("MEASURE has no unitary action; use measure_all")
     tensor = state.amplitudes.reshape(state.dims).copy()
-    _apply_inplace(tensor, gate, state.dims)
+    _apply_inplace(tensor, gate, state.dims, np.empty(tensor.size, dtype=complex))
     return StateVector(state.dims, tensor.reshape(-1))
 
 
@@ -245,10 +300,11 @@ def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     dims = circuit.dims
     check_state_dim(prod(dims))
     tensor = basis_state(dims, input).amplitudes.reshape(dims)
+    scratch = np.empty(tensor.size, dtype=complex)
     for gate in circuit.gates:
         if gate.kind is GateKind.MEASURE:
             continue
-        _apply_inplace(tensor, gate, dims)
+        _apply_inplace(tensor, gate, dims, scratch)
     return StateVector(dims, tensor.reshape(-1))
 
 
@@ -355,10 +411,16 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     probs = probs / probs.sum()
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     values, counts = np.unique(outcomes, return_counts=True)
-    labels = {
-        index_to_label(state.dims, int(v)): int(c) for v, c in zip(values, counts)
-    }
-    return Histogram(labels, shots)
+    # one row of ASCII digits per outcome, read as one fixed-width string;
+    # peeled one wire at a time so only one index-sized temporary is alive
+    width = len(state.dims)
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    rest = values
+    for wire in reversed(range(width)):
+        rest, digits[:, wire] = np.divmod(rest, state.dims[wire])
+    digits += ord("0")
+    labels = digits.view(f"S{width}").ravel().astype(str).tolist() if width else [""]
+    return Histogram(dict(zip(labels, counts.tolist())), shots)
 
 
 def histogram_to_csv(hist: Histogram) -> str:

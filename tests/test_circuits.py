@@ -1,4 +1,6 @@
 """Circuit IR: construction, validation, metrics, JSON round-trip."""
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,43 @@ def test_measure_rejects_controls():
     circ = C.new_circuit([2, 2])
     with pytest.raises(ValueError):
         C.append(circ, C.controlled(C.measure(0), 1))
+
+
+def test_append_extend_and_from_json_reject_a_bad_gate():
+    circ = C.append(C.new_circuit([2, 3]), C.x(0))
+    for bad in (C.x(2), C.cx(0, 1, value=2), C.xplus1(0), C.cx(1, 1)):
+        with pytest.raises(ValueError):
+            C.append(circ, bad)
+        with pytest.raises(ValueError):
+            C.extend(circ, [C.x(1), bad])
+        data = C.circuit_to_dict(circ)
+        data["gates"].append({
+            "kind": bad.kind.value,
+            "controls": [{"wire": c.wire, "value": c.value} for c in bad.controls],
+            "targets": list(bad.targets),
+        })
+        with pytest.raises(ValueError):
+            C.from_json(json.dumps(data))
+
+
+def test_appends_validate_each_new_gate_once(monkeypatch):
+    calls = []
+    validate = C.validate_gate
+
+    def counting(gate, wires):
+        calls.append(gate)
+        validate(gate, wires)
+
+    monkeypatch.setattr(C, "validate_gate", counting)
+    gates = [C.x(0), C.cx(0, 1), C.xplus1(1), C.cx(1, 0, value=2)] * 25
+    circ = C.new_circuit([2, 3])
+    for gate in gates:
+        circ = C.append(circ, gate)
+    assert calls == gates
+    calls.clear()
+    circ = C.extend(circ, gates)
+    assert calls == gates
+    assert circ == C.Circuit(circ.wires, tuple(gates) * 2)
 
 
 # --- metrics --------------------------------------------------------------

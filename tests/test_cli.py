@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,46 @@ def test_simulate_refuses_with_the_library_limit(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "MAX_STATE_DIM" in err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def build_adder3(tmp_path, capsys, strategy):
+    plain, lowered = tmp_path / "adder3.json", tmp_path / f"adder3_{strategy}.json"
+    run_cli(capsys, "build", "--op", "adder", "--n", "3", "--out", str(plain))
+    run_cli(capsys, "decompose", "--strategy", strategy, "--in", str(plain), "--out", str(lowered))
+    return lowered
+
+
+@pytest.mark.parametrize("strategy", ["cliffordt", "qutrit"])
+def test_simulate_state_dump_matches_golden(tmp_path, capsys, strategy):
+    # the Clifford+T dump holds 0.999999999999999, residues near 1e-16 and
+    # negative zeros, so any change in rounding or sign shows in the bytes
+    lowered = build_adder3(tmp_path, capsys, strategy)
+    code, out, _ = run_cli(capsys, "simulate", "--in", str(lowered), "--input", "11010100")
+    assert code == 0
+    assert out.encode() == (DATA / f"adder3_{strategy}_state.json").read_bytes()
+
+
+def test_simulate_histogram_matches_golden(tmp_path, capsys):
+    lowered = build_adder3(tmp_path, capsys, "cliffordt")
+    code, out, _ = run_cli(capsys, "simulate", "--in", str(lowered), "--input", "11010100",
+                           "--shots", "1000", "--seed", "5")
+    assert code == 0
+    assert out.encode() == (DATA / "adder3_cliffordt_shots.csv").read_bytes()
+
+
+def test_mixed_radix_superposition_matches_golden(capsys):
+    # every unitary kind on wires (2, 3, 2, 3, 2), controls on 1 and 2
+    src = str(DATA / "mixed_radix.json")
+    code, out, _ = run_cli(capsys, "simulate", "--in", src, "--input", "01010")
+    assert code == 0
+    assert out.encode() == (DATA / "mixed_radix_state.json").read_bytes()
+    code, out, _ = run_cli(capsys, "simulate", "--in", src, "--input", "01010",
+                           "--shots", "1000", "--seed", "5")
+    assert code == 0
+    assert out.encode() == (DATA / "mixed_radix_shots.csv").read_bytes()
 
 
 # --- estimate ---------------------------------------------------------------------

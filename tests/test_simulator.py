@@ -54,6 +54,14 @@ def test_apply_gate_rejects_measure():
         S.apply_gate(S.basis_state([2], "0"), C.measure(0))
 
 
+def test_apply_gate_leaves_input_state_alone():
+    state = S.apply_gate(S.basis_state([2, 3], "00"), C.h(0))
+    before = state.amplitudes.copy()
+    for gate in (C.h(0), C.t(0), C.controlled(C.xplus1(1), 0, 1), C.cx(1, 0, value=2)):
+        S.apply_gate(state, gate)
+        assert state.amplitudes.tobytes() == before.tobytes()
+
+
 # --- simulate -------------------------------------------------------------
 
 def qutrit_lowered_toffoli():
@@ -117,6 +125,7 @@ def test_measure_basis_state_single_bucket():
     hist = S.measure_all(S.basis_state([2, 3], "12"), shots=50, seed=1)
     assert hist.counts == {"12": 50}
     assert hist.shots == 50
+    assert S.measure_all(S.basis_state([], ""), shots=3, seed=1).counts == {"": 3}
 
 
 def test_measure_uniform_superposition_within_binomial_bound():
@@ -326,3 +335,105 @@ def test_evolve_density_matches_kron_reference(run, seed):
         fulls = [embedded_reference(k, wires, dims) for k in operators]
         expected = sum(full @ expected @ full.conj().T for full in fulls)
         assert np.allclose(rho.entries, expected, rtol=0, atol=1e-12)
+
+
+# --- bit identity with the slice-copy kernel --------------------------------
+
+def slice_copy_reference(tensor, gate, dims):
+    """The dense kernel the action table replaced: copy each level a
+    non-identity row reads, then assign each row as a sum in column order of
+    ``coeff * old`` terms (``old`` itself for a unit coefficient)."""
+    target = gate.targets[0]
+    dim = dims[target]
+    matrix = S.kind_matrix(gate.kind, dim)
+    base = [slice(None)] * len(dims)
+    for c in gate.controls:
+        base[c.wire] = c.value
+
+    def sel(level):
+        idx = list(base)
+        idx[target] = level
+        return tuple(idx)
+
+    rows = [
+        r for r in range(dim)
+        if not (matrix[r, r] == 1 and all(matrix[r, c] == 0 for c in range(dim) if c != r))
+    ]
+    cols = {c for r in rows for c in range(dim) if matrix[r, c] != 0}
+    olds = {c: tensor[sel(c)].copy() for c in cols}
+    for r in rows:
+        acc = None
+        for c in range(dim):
+            coeff = matrix[r, c]
+            if coeff == 0:
+                continue
+            term = olds[c] if coeff == 1 else coeff * olds[c]
+            acc = term if acc is None else acc + term
+        tensor[sel(r)] = acc
+
+
+def assert_bit_identical(actual, expected):
+    assert np.array_equal(actual, expected)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(actual, part)), np.signbit(getattr(expected, part)))
+
+
+UNITARY_KINDS = [k for k in C.GateKind if k is not C.GateKind.MEASURE]
+
+
+@st.composite
+def any_unitary_gate(draw, dims):
+    """A valid gate of any unitary kind on ``dims``, with up to two controls
+    of any activation value the control wire allows."""
+    n = len(dims)
+    kinds = [
+        k for k in UNITARY_KINDS
+        if (k not in C.QUTRIT_ONLY_KINDS or 3 in dims)
+        and (k is not C.GateKind.TOFFOLI or dims.count(2) >= 3)
+    ]
+    kind = draw(st.sampled_from(kinds))
+    if kind is C.GateKind.TOFFOLI:
+        a, b, target = draw(st.permutations([w for w in range(n) if dims[w] == 2]))[:3]
+        return C.toffoli(a, b, target)
+    allowed = [w for w in range(n) if kind not in C.QUTRIT_ONLY_KINDS or dims[w] == 3]
+    target = draw(st.sampled_from(allowed))
+    others = draw(st.permutations([w for w in range(n) if w != target]))
+    controls = tuple(
+        C.ControlSpec(w, draw(st.integers(1, dims[w] - 1)))
+        for w in others[: draw(st.integers(0, min(2, len(others))))]
+    )
+    return C.GateInstance(kind, controls, (target,))
+
+
+@st.composite
+def mixed_circuits(draw):
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5)))
+    gates = draw(st.lists(any_unitary_gate(dims), max_size=14))
+    return C.extend(C.new_circuit(dims), gates)
+
+
+@given(mixed_circuits(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_simulate_is_bit_identical_to_slice_copy_kernel(circ, data):
+    dims = circ.dims
+    label = "".join(str(data.draw(st.integers(0, d - 1))) for d in dims)
+    expected = S.basis_state(dims, label).amplitudes.reshape(dims)
+    for gate in circ.gates:
+        slice_copy_reference(expected, gate, dims)
+    assert_bit_identical(S.simulate(circ, label).amplitudes, expected.reshape(-1))
+
+
+@given(mixed_circuits(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_apply_gate_is_bit_identical_on_a_superposition(circ, data):
+    dims = circ.dims
+    state = S.basis_state(dims, "0" * len(dims))
+    for w, d in enumerate(dims):
+        state = S.apply_gate(state, C.h(w))
+        if d == 3:
+            state = S.apply_gate(state, C.controlled(C.xplus1(w), 0, 1) if w else C.xplus1(w))
+    for gate in circ.gates + (data.draw(any_unitary_gate(dims)),):
+        expected = state.amplitudes.reshape(dims).copy()
+        slice_copy_reference(expected, gate, dims)
+        state = S.apply_gate(state, gate)
+        assert_bit_identical(state.amplitudes, expected.reshape(-1))
