@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 
 from triarc import circuits as C
+from triarc import resources as R
 from triarc import simulator as S
 from triarc.cli import main
 from triarc.circuits import GateKind
@@ -162,6 +164,18 @@ def test_estimate_csv_format(capsys):
     assert values["toffoli_count"] == "30.0"
 
 
+def test_estimate_matches_golden(capsys):
+    # every operation under both strategies, concatenated in OPERATIONS order
+    outputs = []
+    for op in R.OPERATIONS:
+        for strategy in ("qutrit", "baseline"):
+            code, out, _ = run_cli(capsys, "estimate", "--op", op, "--n", "16", "--p", "4",
+                                   "--k", "2", "--M", "4", "--strategy", strategy)
+            assert code == 0
+            outputs.append(out)
+    assert "".join(outputs).encode() == (DATA / "estimate_n16_p4_k2_M4.txt").read_bytes()
+
+
 # --- noise-curve -------------------------------------------------------------------
 
 def test_noise_curve_endpoint_row(tmp_path, capsys):
@@ -186,6 +200,18 @@ def test_noise_curve_single_strategy(capsys):
                            "--max-toffoli", "3")
     assert code == 0
     assert out.splitlines()[0] == "toffoli_count,p_success_qutrit"
+
+
+def test_noise_curve_default_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "noise-curve")
+    assert code == 0
+    assert out.encode() == (DATA / "noise_curve_default.csv").read_bytes()
+
+
+def test_headline_numbers_script_matches_golden(capsys):
+    script = Path(__file__).parent.parent / "scripts" / "headline_numbers.py"
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.encode() == (DATA / "headline_numbers.txt").read_bytes()
 
 
 # --- bounds ------------------------------------------------------------------------
