@@ -8,7 +8,6 @@ qutrit and conventional Clifford+T compilations.
 from .circuits import (
     Circuit,
     ControlSpec,
-    CostProfile,
     GateInstance,
     GateKind,
     WireSpec,
@@ -40,7 +39,13 @@ from .simulator import (
     run_basis,
     simulate,
 )
-from .transpile import LoweringStrategy, cost_profile, decompose_toffoli_qutrit, lower_toffolis
+from .transpile import (
+    CostProfile,
+    LoweringStrategy,
+    cost_profile,
+    decompose_toffoli_qutrit,
+    lower_toffolis,
+)
 from .arith import RegisterLayout, build_adder, build_demo_multiplier, build_multiplier
 from .noise import (
     GateCensus,

@@ -64,34 +64,6 @@ class GateInstance:
         return tuple(c.wire for c in self.controls) + self.targets
 
 
-@dataclass(frozen=True)
-class CostProfile:
-    """Per-Toffoli cost of a lowering strategy.
-
-    ``table_gate_count`` is the quoted headline gate count, which for the
-    T-depth-1 baseline differs from the sum of the component counts
-    (25 quoted vs 7 + 16); both are kept.
-    """
-
-    one_qubit_gates: int
-    two_qubit_gates: int
-    two_qutrit_gates: int
-    depth_per_toffoli: int
-    t_depth_per_toffoli: int
-    ancilla_wires: int
-    table_gate_count: int | None = None
-
-    def __post_init__(self) -> None:
-        counts = (self.one_qubit_gates, self.two_qubit_gates, self.two_qutrit_gates,
-                  self.depth_per_toffoli, self.t_depth_per_toffoli, self.ancilla_wires)
-        if any(c < 0 for c in counts):
-            raise ValueError("cost profile counts must be non-negative")
-
-    @property
-    def component_gate_count(self) -> int:
-        return self.one_qubit_gates + self.two_qubit_gates + self.two_qutrit_gates
-
-
 def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
     """Raise ValueError unless ``gate`` is well-formed for ``wires``."""
     n = len(wires)

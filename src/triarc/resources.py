@@ -1,12 +1,13 @@
 """Closed-form resource formulas for fixed-point arithmetic circuits.
 
 Toffoli counts and T-depths describe the conventional qubit-only
-constructions; the ternary CNOT counts describe the same operations after
-the three-gate qutrit lowering (each Toffoli becomes three two-qutrit
-CNOTs). Both families are kept exactly as quoted: logarithms of
-non-powers-of-two are evaluated as reals unless ``floor_logs`` is set, and
-the arcsine CNOT formula keeps its quoted -26 constant even though the
-3x rule over its Toffoli counterpart would give -6.
+constructions, kept exactly as quoted: logarithms of non-powers-of-two are
+evaluated as reals unless ``floor_logs`` is set. The ternary CNOT counts
+are derived: the Toffoli count times the two-qutrit gates per Toffoli
+(three) that ``transpile.cost_profile`` measures off the qutrit lowering.
+Each ``cnot_count_*`` docstring keeps its quoted polynomial. The one
+recorded exception is arcsine, whose quoted -26 constant is kept, 20 below
+the derived -6 (``ARCSQ_CNOT_NOTE``).
 
 Subtraction shares the addition counts; division shares multiplication.
 The symbol ``d`` appearing in the exponential/arcsine counts is kept as an
@@ -17,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor, log2
 
-from .transpile import LoweringStrategy
+from .transpile import LoweringStrategy, cost_profile
+
+_QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
+_BASELINE = cost_profile(LoweringStrategy.SELINGER_COST)
 
 
 def ones_count(n: int) -> int:
@@ -228,36 +232,26 @@ t_depth_div = t_depth_mul
 # ---------------------------------------------------------------------------
 
 def cnot_count_add(n: int, floor_logs: bool = False) -> float:
-    """30n - 9w(n) - 9w(n-1) - 9log2(n) - 9log2(n-1) - 21, evaluated as
-    three times the Toffoli count so the exact 3x rule survives the
-    irrational log terms in floating point."""
-    return 3.0 * toffoli_count_add(n, floor_logs)
+    """Quoted as 30n - 9w(n) - 9w(n-1) - 9log2(n) - 9log2(n-1) - 21;
+    evaluated as three times the Toffoli count so the exact 3x rule
+    survives the irrational log terms in floating point."""
+    return _QUTRIT.two_qutrit_gates * toffoli_count_add(n, floor_logs)
 
 
 def cnot_count_mul(n: int, p: int) -> float:
-    _check_np(n, p)
-    return 4.5 * n * n + 9 * n * p + 4.5 * n - 9 * p * p + 9 * p
+    """Quoted as 4.5n^2 + 9np + 4.5n - 9p^2 + 9p."""
+    return _QUTRIT.two_qutrit_gates * toffoli_count_mul(n, p)
 
 
 def cnot_count_sq(n: int) -> float:
-    _check_n(n)
-    return 1.5 * n * n + 9 * n - 12
+    """Quoted as 1.5n^2 + 9n - 12."""
+    return _QUTRIT.two_qutrit_gates * toffoli_count_sq(n)
 
 
 def cnot_count_exp(n: int, p: int, k: int, M: int, d: int | None = None) -> float:
-    d = k if d is None else d
-    _check_np(n, p)
-    _check_approx(k, M, d)
-    return (
-        4.5 * n * n * k
-        + 9 * n * p * k
-        + 10.5 * n * k
-        - 9 * p * p * d
-        + 9 * p * k
-        - 3 * d
-        + 6 * M * d * (4 * ceil(log2(M)) - 8)
-        + 12 * M * n
-    )
+    """Quoted as 4.5n^2k + 9npk + 10.5nk - 9p^2d + 9pk - 3d
+    + 6Md(4ceil(log2 M) - 8) + 12Mn."""
+    return _QUTRIT.two_qutrit_gates * toffoli_count_exp(n, p, k, M, d)
 
 
 ARCSQ_CNOT_NOTE = (
@@ -265,20 +259,14 @@ ARCSQ_CNOT_NOTE = (
     "3x the Toffoli formula's -2 (which would give -6), so the exact 3x rule "
     "does not hold for arcsine"
 )
+ARCSQ_CNOT_OFFSET = 20
 
 
 def cnot_count_arcsq(n: int, p: int, k: int, M: int, d: int | None = None) -> float:
-    d = k if d is None else d
-    _check_np(n, p)
-    _check_approx(k, M, d)
-    return (
-        3 * k * (1.5 * n * n + n * (3 * p + 3.5) - 3 * (p - 1) * p - 1)
-        + 1.5 * n * n
-        + 33 * n
-        + 6 * M * d * (4 * ceil(log2(M)) - 8)
-        + 12 * M * n
-        - 26
-    )
+    """Quoted as 3k(1.5n^2 + n(3p + 3.5) - 3(p - 1)p - 1) + 1.5n^2 + 33n
+    + 6Md(4ceil(log2 M) - 8) + 12Mn - 26, which is the derived count
+    minus ``ARCSQ_CNOT_OFFSET``."""
+    return _QUTRIT.two_qutrit_gates * toffoli_count_arcsq(n, p, k, M, d) - ARCSQ_CNOT_OFFSET
 
 
 cnot_count_sub = cnot_count_add
@@ -312,17 +300,19 @@ def benchmark_report(strategy: LoweringStrategy, baseline: BaselineCosts) -> Res
     """Convert quoted baseline totals to a strategy-level report.
 
     The qutrit strategy zeroes T-cost and T-depth and converts depth by the
-    exact rational 3/7 (per-Toffoli depth 3 versus 7); the baseline strategy
-    echoes its inputs.
+    exact rational 3/7, the per-Toffoli depths of the qutrit and baseline
+    profiles; the baseline strategy echoes its inputs.
     """
     if strategy is LoweringStrategy.QUTRIT:
-        converted = baseline.overall_depth * 3 / 7
+        qutrit, conventional = _QUTRIT.depth_per_toffoli, _BASELINE.depth_per_toffoli
+        converted = baseline.overall_depth * qutrit / conventional
         return ResourceReport(
             t_count=0.0,
             t_depth=0.0,
             cnot_count_ternary=converted,
             overall_depth=converted,
-            notes=("overall depth converted by the exact ratio 3/7", CNOT_COST_NOTE),
+            notes=(f"overall depth converted by the exact ratio {qutrit}/{conventional}",
+                   CNOT_COST_NOTE),
         )
     return ResourceReport(
         t_count=baseline.t_cost,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from triarc import resources as R
 from triarc.resources import ApproxParams, BaselineCosts, FixedPointFormat
-from triarc.transpile import LoweringStrategy
+from triarc.transpile import LoweringStrategy, cost_profile
 
 
 # --- independent second implementations -------------------------------------
@@ -206,6 +206,14 @@ def test_factor_of_three_law(n, data):
     assert R.cnot_count_mul(n, p) == 3 * R.toffoli_count_mul(n, p)
     assert R.cnot_count_sq(n) == 3 * R.toffoli_count_sq(n)
     assert R.cnot_count_exp(n, p, k, M, d) == 3 * R.toffoli_count_exp(n, p, k, M, d)
+
+
+def test_arcsine_cnot_is_derived_count_minus_quoted_offset():
+    per_toffoli = cost_profile(LoweringStrategy.QUTRIT).two_qutrit_gates
+    assert R.ARCSQ_CNOT_OFFSET == 20
+    for n, p, k, M, d, z in random_tuples(100):
+        derived = per_toffoli * R.toffoli_count_arcsq(n, p, k, M, d)
+        assert R.cnot_count_arcsq(n, p, k, M, d) == derived - R.ARCSQ_CNOT_OFFSET
 
 
 def test_aliases_are_identical():

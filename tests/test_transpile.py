@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from triarc import arith as A
 from triarc import circuits as C
+from triarc import noise as N
 from triarc import simulator as S
 from triarc import transpile as T
 from triarc.circuits import GateKind
@@ -184,3 +186,86 @@ def test_clifford_t_profile_measured_from_network():
     profile = T.cost_profile(LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
     assert profile.one_qubit_gates + profile.two_qubit_gates == 15
     assert profile.two_qutrit_gates == 0
+
+
+@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+def test_functional_profile_accounts_for_every_gate_of_the_lowering(strategy):
+    lowered = T.lower_toffolis(single_toffoli_circuit(), strategy)
+    profile = T.cost_profile(strategy)
+    assert profile.component_gate_count == C.gate_count(lowered)
+    assert profile.depth_per_toffoli == C.depth(lowered)
+
+
+def test_profiles_census_and_curve_do_not_lower_per_call(monkeypatch):
+    # the profiles are measured once at import, so no call re-lowers a Toffoli
+    def refuse(*args, **kwargs):
+        raise AssertionError("lower_toffolis called")
+
+    monkeypatch.setattr(T, "lower_toffolis", refuse)
+    assert T.cost_profile(LoweringStrategy.QUTRIT) == T.CostProfile(0, 0, 3, 3, 0, 0, 3)
+    assert T.cost_profile(LoweringStrategy.SELINGER_COST) == T.CostProfile(7, 16, 0, 7, 1, 4, 25)
+    assert T.cost_profile(LoweringStrategy.CLIFFORD_T_FUNCTIONAL) == T.CostProfile(9, 6, 0, 11, 5, 0)
+    assert N.census_for(LoweringStrategy.QUTRIT, 30) == N.GateCensus(0, 0, 90, 90)
+    assert N.census_for(LoweringStrategy.SELINGER_COST, 30) == N.GateCensus(210, 480, 0, 210)
+    assert N.census_for(LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 30) == N.GateCensus(270, 180, 0, 330)
+    params = N.NoiseParams(p1=1e-4, p2=1e-2, T1_level1=100.0, T1_level2=30.0, tau_gate=0.0)
+    qutrit = dict(N.success_curve(LoweringStrategy.QUTRIT, 30, params))
+    conventional = dict(N.success_curve(LoweringStrategy.SELINGER_COST, 30, params))
+    assert qutrit[30] == pytest.approx(0.99 ** 90, rel=1e-12)
+    assert conventional[30] == pytest.approx(0.9999 ** 210 * 0.99 ** 480, rel=1e-12)
+
+
+# --- the per-Toffoli profile on built circuits -----------------------------
+
+def split_lowering(circuit, lowered, per_toffoli):
+    """Walk a circuit and its lowering together. Returns the gates carried
+    over and the blocks that replace each Toffoli; fails unless every
+    non-Toffoli gate is carried over unchanged and in order."""
+    carried, blocks, pos = [], [], 0
+    for gate in circuit.gates:
+        if gate.kind is GateKind.TOFFOLI:
+            blocks.append(lowered.gates[pos:pos + per_toffoli])
+            pos += per_toffoli
+        else:
+            assert lowered.gates[pos] == gate
+            carried.append(gate)
+            pos += 1
+    assert pos == len(lowered.gates)
+    return carried, blocks
+
+
+BUILT_CIRCUITS = [("adder", n) for n in range(1, 33)] + [
+    ("multiplier", shape) for shape in ((3, 2), (4, 4), (8, 8))
+]
+
+
+def build(kind, size):
+    circuit, _ = A.build_adder(size) if kind == "adder" else A.build_multiplier(*size)
+    return circuit
+
+
+@pytest.mark.parametrize("kind,size", BUILT_CIRCUITS)
+def test_qutrit_lowering_of_built_circuit_is_three_ternary_cnots_per_toffoli(kind, size):
+    circuit = build(kind, size)
+    profile = T.cost_profile(LoweringStrategy.QUTRIT)
+    toffolis = C.gate_count(circuit, GateKind.TOFFOLI)
+    lowered = T.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
+    carried, blocks = split_lowering(circuit, lowered, profile.two_qutrit_gates)
+    produced = [g for block in blocks for g in block]
+    assert len(produced) == profile.two_qutrit_gates * toffolis
+    assert all(len(g.wires) == 2 and C.is_qutrit_gate(g, lowered.wires) for g in produced)
+    # carried-over gates on a promoted wire touch a qutrit too; only they add to 3x
+    qutrit_gates = sum(C.is_qutrit_gate(g, lowered.wires) for g in lowered.gates)
+    carried_on_qutrits = sum(C.is_qutrit_gate(g, lowered.wires) for g in carried)
+    assert qutrit_gates == profile.two_qutrit_gates * toffolis + carried_on_qutrits
+
+
+@pytest.mark.parametrize("kind,size", BUILT_CIRCUITS)
+def test_clifford_t_lowering_of_built_circuit_matches_profile(kind, size):
+    circuit = build(kind, size)
+    profile = T.cost_profile(LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
+    toffolis = C.gate_count(circuit, GateKind.TOFFOLI)
+    lowered = T.lower_toffolis(circuit, LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
+    per_toffoli = profile.one_qubit_gates + profile.two_qubit_gates
+    assert C.gate_count(lowered) == C.gate_count(circuit) - toffolis + per_toffoli * toffolis
+    split_lowering(circuit, lowered, per_toffoli)
