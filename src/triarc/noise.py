@@ -18,7 +18,7 @@ relaxation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from math import exp, prod
 from typing import Iterable, Sequence
 
@@ -58,6 +58,13 @@ class NoiseParams:
             raise ValueError("gate duration must be non-negative")
 
 
+def _check_channel_dims(dims: Sequence[int]) -> None:
+    """Refuse channel wires other than 1 or 2 wires of dimension 2 or 3, so a
+    local superoperator has at most 81x81 entries."""
+    if not 1 <= len(dims) <= 2 or any(d not in (2, 3) for d in dims):
+        raise ValueError("a channel acts on 1 or 2 wires of dimension 2 or 3")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Trace-preserving map given by operators with sum K_i^dag K_i = I."""
@@ -66,10 +73,28 @@ class KrausChannel:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self.superoperator  # builds S once and runs every check on it
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """S = sum_i K_i (x) conj(K_i) on the channel's wires, at most 81x81,
+        so that vec(rho') = S vec(rho) with rho flattened row-major.
+
+        Wires, operator shapes and completeness are checked here, before
+        ``S`` is built and on its first read, which also covers a channel
+        made without the constructor.
+        """
+        _check_channel_dims(self.dims)
         size = prod(self.dims)
-        completeness = sum(k.conj().T @ k for k in self.operators)
+        if not self.operators or any(np.shape(k) != (size, size) for k in self.operators):
+            raise ValueError(f"Kraus operators must be a non-empty set of {size}x{size} matrices")
+        ops = np.asarray(self.operators, dtype=complex)
+        s = np.einsum("mik,mjl->ijkl", ops, ops.conj())
+        # tracing the output pair (i = j) leaves sum_m K_m^dag K_m
+        completeness = np.einsum("iikl->lk", s)
         if not np.allclose(completeness, np.eye(size), atol=1e-10):
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-10")
+        return s.reshape(size * size, size * size)
 
 
 @dataclass(frozen=True)
@@ -124,23 +149,22 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     qutrits.
     """
     wire_dims = tuple(wire_dims)
-    if not 1 <= len(wire_dims) <= 2 or any(d not in (2, 3) for d in wire_dims):
-        raise ValueError("depolarizing channel supports 1 or 2 wires of dimension 2 or 3")
+    _check_channel_dims(wire_dims)
     if p < 0:
         raise ValueError("error probability must be non-negative")
-    paulis = [generalized_paulis(d) for d in wire_dims]
-    ops: list[np.ndarray] = []
-    for combo in product(*paulis):
-        full = combo[0]
-        for term in combo[1:]:
-            full = np.kron(full, term)
-        ops.append(full)
-    d_total = len(ops)
+    size = prod(wire_dims)
+    stacks = [np.array(generalized_paulis(d)) for d in wire_dims]
+    paulis = stacks[0]
+    if len(stacks) == 2:
+        # stacked np.kron in itertools.product order: the same single
+        # product per entry, so the operators are bit-identical to it
+        a, b = stacks
+        paulis = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, size, size)
+    d_total = len(paulis)
     if (d_total - 1) * p > 1:
         raise ValueError(f"(D-1)p = {(d_total - 1) * p} exceeds 1")
-    size = prod(wire_dims)
     operators = [np.sqrt(1 - (d_total - 1) * p) * np.eye(size, dtype=complex)]
-    operators += [np.sqrt(p) * op for op in ops[1:]]
+    operators += list(np.sqrt(p) * paulis[1:])
     return KrausChannel(tuple(operators), wire_dims)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor, log2
 
-from .transpile import LoweringStrategy, cost_profile
+from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
 _BASELINE = cost_profile(LoweringStrategy.SELINGER_COST)
@@ -303,6 +303,7 @@ def benchmark_report(strategy: LoweringStrategy, baseline: BaselineCosts) -> Res
     exact rational 3/7, the per-Toffoli depths of the qutrit and baseline
     profiles; the baseline strategy echoes its inputs.
     """
+    check_strategy(strategy)
     if strategy is LoweringStrategy.QUTRIT:
         qutrit, conventional = _QUTRIT.depth_per_toffoli, _BASELINE.depth_per_toffoli
         converted = baseline.overall_depth * qutrit / conventional
@@ -364,6 +365,7 @@ def estimate_operation(
     strategy: LoweringStrategy = LoweringStrategy.SELINGER_COST,
 ) -> ResourceReport:
     """Resource report for one arithmetic operation under a strategy."""
+    check_strategy(strategy)
     if op not in OPERATIONS:
         raise ValueError(f"unknown operation {op!r}; choose from {OPERATIONS}")
     notes: list[str] = []

@@ -389,6 +389,8 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
     size = 2 ** len(dims)
     if size > UNITARY_DIM_GUARD:
         raise ValueError(f"subspace extraction guarded at dimension {UNITARY_DIM_GUARD}")
+    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
+        raise ValueError("qubit_subspace_unitary requires an all-gate circuit")
     sub = qubit_subspace_indices(dims)
     matrix = np.zeros((size, size), dtype=complex)
     for col in range(size):
@@ -454,17 +456,13 @@ def gate_local_unitary(gate: GateInstance, dims: Sequence[int]) -> tuple[tuple[i
     return wires, matrix
 
 
-def _conjugate_local(tensor: np.ndarray, op: np.ndarray, wires: Sequence[int]) -> np.ndarray:
-    """K rho K^dag for rho as a dims + dims tensor and K acting on ``wires``
-    (in that order): K contracts the touched row axes, conj(K) the touched
-    column axes, and no other axis is visited."""
-    n = tensor.ndim // 2
-    k = len(wires)
-    local = op.reshape(tuple(tensor.shape[w] for w in wires) * 2)
-    inner = list(range(k, 2 * k))
-    for axes, matrix in ((list(wires), local), ([n + w for w in wires], local.conj())):
-        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=(inner, axes)), range(k), axes)
-    return tensor
+def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply ``op`` to the given axes of ``tensor`` (in that order): its
+    input indices contract those axes and its output indices take their
+    places, and no other axis is visited."""
+    k = len(axes)
+    local = op.reshape(tuple(tensor.shape[a] for a in axes) * 2)
+    return np.moveaxis(np.tensordot(local, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
 def evolve_density(
@@ -474,30 +472,32 @@ def evolve_density(
 ) -> DensityMatrix:
     """Evolve by a unitary gate or a Kraus channel on the given wires.
 
-    Each operator is applied by contraction on its own wires only.
-    Round-off is symmetrized away so Hermiticity is exact on the output.
+    A gate U runs on its own wires as U on the row axes, then conj(U) on
+    the column axes; a channel runs as one contraction of its local
+    superoperator over its row and column axes together. Round-off is
+    symmetrized away so Hermiticity is exact on the output.
     """
     dims = rho.dims
     _check_density_wires(dims)
+    n = len(dims)
+    tensor = rho.entries.reshape(dims * 2)
     if isinstance(step, GateInstance):
+        if wires is not None:
+            raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
         validate_gate(step, _wire_specs(dims))
         wires, local = gate_local_unitary(step, dims)
-        operators: Sequence[np.ndarray] = (local,)
+        tensor = _contract(tensor, local, wires)
+        tensor = _contract(tensor, local.conj(), [n + w for w in wires])
     else:
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")
         wires = tuple(wires)
-        if len(set(wires)) != len(wires) or not all(0 <= w < len(dims) for w in wires):
-            raise ValueError(f"channel wires {wires} must be distinct wires of {len(dims)}")
+        if len(set(wires)) != len(wires) or not all(0 <= w < n for w in wires):
+            raise ValueError(f"channel wires {wires} must be distinct wires of {n}")
         local_dims = tuple(dims[w] for w in wires)
         if tuple(step.dims) != local_dims:
             raise ValueError(f"channel dims {step.dims} do not match wires {local_dims}")
-        completeness = sum(k.conj().T @ k for k in step.operators)
-        if not np.allclose(completeness, np.eye(prod(local_dims)), atol=1e-10):
-            raise ValueError("channel is not trace-preserving within 1e-10")
-        operators = step.operators
-    tensor = rho.entries.reshape(dims * 2)
-    out = sum(_conjugate_local(tensor, np.asarray(k, dtype=complex), wires) for k in operators)
-    out = out.reshape(rho.entries.shape)
+        tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
+    out = tensor.reshape(rho.entries.shape)
     out = (out + out.conj().T) / 2
     return DensityMatrix(dims, out)

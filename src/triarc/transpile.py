@@ -50,6 +50,13 @@ class LoweringStrategy(Enum):
 FUNCTIONAL_STRATEGIES = (LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
 
 
+def check_strategy(strategy: LoweringStrategy) -> None:
+    """Refuse anything that is not a LoweringStrategy member, such as its
+    string value or None, which would otherwise take the fall-through case."""
+    if not isinstance(strategy, LoweringStrategy):
+        raise ValueError(f"strategy must be a LoweringStrategy member, got {strategy!r}")
+
+
 @dataclass(frozen=True)
 class CostProfile:
     """Per-Toffoli cost of a lowering strategy.
@@ -130,6 +137,7 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     dimension 3 (idempotent when wires are shared); other gates and the
     circuit's action on the qubit subspace are untouched.
     """
+    check_strategy(strategy)
     if strategy is LoweringStrategy.SELINGER_COST:
         raise ValueError("SELINGER_COST is accounting-only and cannot lower circuits")
     new_wires = list(circuit.wires)
@@ -185,6 +193,7 @@ def cost_profile(strategy: LoweringStrategy) -> CostProfile:
     profile reports the quoted T-depth-1 figures: depth 7, four ancilla,
     headline gate count 25 alongside the 7 + 16 component counts.
     """
+    check_strategy(strategy)
     if strategy is LoweringStrategy.QUTRIT:
         return _QUTRIT_PROFILE
     if strategy is LoweringStrategy.SELINGER_COST:

@@ -1,5 +1,6 @@
 """Error channels and the analytic success-probability model."""
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -55,6 +56,74 @@ def test_depolarizing_rejects_excess_probability():
 def test_all_depolarizing_channels_trace_preserving(dims, p):
     channel = N.depolarizing_channel(dims, p)
     assert channel_completeness_defect(channel) < 1e-10
+
+
+def product_kron_operators(wire_dims, p):
+    """The depolarizing construction the stacked broadcast replaced: one
+    np.kron chain per itertools.product combination of per-wire Paulis."""
+    ops = []
+    for combo in product(*[N.generalized_paulis(d) for d in wire_dims]):
+        full = combo[0]
+        for term in combo[1:]:
+            full = np.kron(full, term)
+        ops.append(full)
+    size = math.prod(wire_dims)
+    return [np.sqrt(1 - (len(ops) - 1) * p) * np.eye(size, dtype=complex)] + [
+        np.sqrt(p) * op for op in ops[1:]
+    ]
+
+
+@pytest.mark.parametrize("p", [0, 1e-4, 3e-3])
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_depolarizing_operators_bit_identical_to_product_kron(dims, p):
+    operators = N.depolarizing_channel(dims, p).operators
+    expected = product_kron_operators(dims, p)
+    assert len(operators) == len(expected)
+    assert all(np.array_equal(k, ref) for k, ref in zip(operators, expected))
+
+
+@st.composite
+def channels(draw):
+    if draw(st.booleans()):
+        dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)]))
+        return N.depolarizing_channel(dims, draw(st.floats(0.0, 0.012)))
+    lam = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        return N.amplitude_damping_qubit(draw(lam))
+    return N.amplitude_damping_qutrit(draw(lam), draw(lam))
+
+
+@given(channels())
+@settings(max_examples=40)
+def test_superoperator_is_sum_of_kron_products(channel):
+    expected = sum(np.kron(k, k.conj()) for k in channel.operators)
+    assert channel.superoperator.shape == expected.shape
+    assert np.allclose(channel.superoperator, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "operators, dims",
+    [
+        ((np.eye(8, dtype=complex),), (2, 2, 2)),
+        ((np.eye(4, dtype=complex),), (4,)),
+        ((np.eye(3, dtype=complex),), (2,)),
+        ((np.eye(2, dtype=complex), np.eye(3, dtype=complex)), (2,)),
+        ((np.ones(4, dtype=complex),), (2, 2)),
+        ((), (2,)),
+    ],
+)
+def test_kraus_channel_refuses_bad_wires_and_shapes_before_building(monkeypatch, operators, dims):
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("KrausChannel reached np.einsum before refusing")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    with pytest.raises(ValueError):
+        N.KrausChannel(operators, dims)
+
+
+def test_depolarizing_refuses_three_wires():
+    with pytest.raises(ValueError, match="1 or 2 wires"):
+        N.depolarizing_channel([2, 2, 2], 0.0)
 
 
 # --- amplitude damping --------------------------------------------------------

@@ -304,7 +304,19 @@ def test_benchmark_report_zero_baseline():
     assert report.overall_depth == 0.0
 
 
+@pytest.mark.parametrize("bad", ["qutrit", None])
+def test_benchmark_report_rejects_non_member_strategy(bad):
+    with pytest.raises(ValueError, match="LoweringStrategy member"):
+        R.benchmark_report(bad, BaselineCosts(12e9, 54e6, 378e6))
+
+
 # --- estimate_operation -----------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["qutrit", None])
+def test_estimate_operation_rejects_non_member_strategy(bad):
+    with pytest.raises(ValueError, match="LoweringStrategy member"):
+        R.estimate_operation("add", 8, strategy=bad)
+
 
 def test_estimate_sqrt_qutrit():
     report = R.estimate_operation("sqrt", 4, strategy=LoweringStrategy.QUTRIT)

@@ -112,6 +112,16 @@ def test_subspace_guard_checks_size_before_indexing(monkeypatch):
         S.qubit_subspace_unitary(C.new_circuit([2] * 33))
 
 
+def test_qubit_subspace_unitary_rejects_measure(monkeypatch):
+    def no_indices(*args):
+        raise AssertionError("qubit_subspace_unitary built indices for a MEASURE circuit")
+
+    monkeypatch.setattr(S, "qubit_subspace_indices", no_indices)
+    circ = C.extend(C.new_circuit([2, 2]), [C.x(0), C.measure(1)])
+    with pytest.raises(ValueError, match="requires an all-gate circuit"):
+        S.qubit_subspace_unitary(circ)
+
+
 def test_unitary_guard():
     with pytest.raises(ValueError):
         S.circuit_unitary(C.new_circuit([2] * 13))
@@ -187,6 +197,12 @@ def test_evolve_density_rejects_non_trace_preserving():
     object.__setattr__(bad, "dims", (2,))
     with pytest.raises(ValueError):
         S.evolve_density(rho, bad, wires=(0,))
+
+
+def test_evolve_density_rejects_wires_with_a_gate():
+    rho = S.basis_density([2, 2], "00")
+    with pytest.raises(ValueError, match="own wires"):
+        S.evolve_density(rho, C.x(0), wires=(1,))
 
 
 def test_evolve_density_gate_matches_statevector():
@@ -335,6 +351,27 @@ def test_evolve_density_matches_kron_reference(run, seed):
         fulls = [embedded_reference(k, wires, dims) for k in operators]
         expected = sum(full @ expected @ full.conj().T for full in fulls)
         assert np.allclose(rho.entries, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wires", [(1,), (2, 0), (0, 2)])
+def test_evolve_density_applies_a_complex_channel_as_its_kraus_sum(wires):
+    """Depolarizing and damping channels are unchanged by conjugating their
+    operators, so they cannot tell the row axes of a superoperator from its
+    column axes; random complex Kraus operators can."""
+    rng = np.random.default_rng(11)
+    dims = (2, 3, 3)
+    size = prod(dims[w] for w in wires)
+    count = 3
+    isometry, _ = np.linalg.qr(
+        rng.normal(size=(count * size, size)) + 1j * rng.normal(size=(count * size, size))
+    )
+    channel = N.KrausChannel(tuple(isometry.reshape(count, size, size)), tuple(dims[w] for w in wires))
+    vec = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+    rho = S.density_from_state(S.StateVector(dims, vec / np.linalg.norm(vec)))
+    out = S.evolve_density(rho, channel, wires=wires)
+    fulls = [embedded_reference(k, wires, dims) for k in channel.operators]
+    expected = sum(full @ rho.entries @ full.conj().T for full in fulls)
+    assert np.allclose(out.entries, expected, rtol=0, atol=1e-12)
 
 
 # --- bit identity with the slice-copy kernel --------------------------------

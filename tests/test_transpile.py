@@ -81,6 +81,18 @@ def test_selinger_cost_cannot_lower():
         T.lower_toffolis(single_toffoli_circuit(), LoweringStrategy.SELINGER_COST)
 
 
+@pytest.mark.parametrize("bad", ["qutrit", None])
+def test_lower_toffolis_rejects_non_member_strategy(bad):
+    with pytest.raises(ValueError, match="LoweringStrategy member"):
+        T.lower_toffolis(single_toffoli_circuit(), bad)
+
+
+@pytest.mark.parametrize("bad", ["qutrit", None])
+def test_cost_profile_rejects_non_member_strategy(bad):
+    with pytest.raises(ValueError, match="LoweringStrategy member"):
+        T.cost_profile(bad)
+
+
 def test_shared_second_control_promoted_once():
     circ = C.extend(
         C.new_circuit([2] * 4), [C.toffoli(0, 1, 2), C.toffoli(3, 1, 0)]
