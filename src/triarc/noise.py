@@ -18,7 +18,7 @@ relaxation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import exp, prod
 from typing import Iterable, Sequence
 
@@ -112,7 +112,15 @@ class GateCensus:
 
 
 def census_for(strategy: LoweringStrategy, toffoli_count: int) -> GateCensus:
-    """Per-Toffoli cost profile scaled to a Toffoli count."""
+    """Per-Toffoli cost profile scaled to a Toffoli count.
+
+    This counts the Toffolis' own gates only, so it undercounts the qutrit
+    gates of a whole lowered circuit: there the carried-over gates on a
+    promoted control wire act on a qutrit too. The qutrit-lowered
+    ``build_adder(n)`` has 4 qutrit-touching gates per Toffoli (8, 128 and
+    256 at n = 1, 16, 32) and ``build_multiplier(8, 8)`` has 845 for 240
+    Toffolis, against the 3 per Toffoli charged here.
+    """
     if toffoli_count < 0:
         raise ValueError("toffoli_count must be non-negative")
     profile = cost_profile(strategy)
@@ -141,17 +149,38 @@ def generalized_paulis(dim: int) -> list[np.ndarray]:
     ]
 
 
+# Channels kept per constructor. A run under one NoiseParams touches at most
+# 6 depolarizing keys (p1 on (2,) and (3,), p2 on the four two-wire dims) and
+# one key per damping constructor, so 6 keeps every channel of a run. Each
+# kept two-qutrit channel holds about 210 KiB; 8 raised the noise benchmark's
+# peak RSS above the uncached code, 6 keeps it below.
+_CHANNEL_CACHE_SIZE = 6
+
+
+def _read_only(channel: KrausChannel) -> KrausChannel:
+    """Lock a shared channel's arrays, so a caller's in-place write raises
+    instead of changing the channel for every later caller."""
+    for array in (*channel.operators, channel.superoperator):
+        array.flags.writeable = False
+    return channel
+
+
 def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     """Uniform generalized-Pauli channel on one or two wires.
 
     The identity term keeps weight 1-(D-1)p where D is the number of
     generalized Pauli products: 4 on a qubit, 16 on two qubits, 81 on two
-    qutrits.
+    qutrits. Each (dims, p) is built once and shared, read-only.
     """
     wire_dims = tuple(wire_dims)
     _check_channel_dims(wire_dims)
     if p < 0:
         raise ValueError("error probability must be non-negative")
+    return _depolarizing_channel(tuple(int(d) for d in wire_dims), float(p))
+
+
+@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
+def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
     size = prod(wire_dims)
     stacks = [np.array(generalized_paulis(d)) for d in wire_dims]
     paulis = stacks[0]
@@ -165,29 +194,41 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
         raise ValueError(f"(D-1)p = {(d_total - 1) * p} exceeds 1")
     operators = [np.sqrt(1 - (d_total - 1) * p) * np.eye(size, dtype=complex)]
     operators += list(np.sqrt(p) * paulis[1:])
-    return KrausChannel(tuple(operators), wire_dims)
+    return _read_only(KrausChannel(tuple(operators), wire_dims))
 
 
 def amplitude_damping_qubit(lambda1: float) -> KrausChannel:
-    """Relaxation |1> -> |0> with probability lambda1."""
+    """Relaxation |1> -> |0> with probability lambda1, built once per
+    lambda1 and shared, read-only."""
     if not 0 <= lambda1 <= 1:
         raise ValueError("damping probability must lie in [0, 1]")
+    return _amplitude_damping_qubit(float(lambda1))
+
+
+@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
+def _amplitude_damping_qubit(lambda1: float) -> KrausChannel:
     k0 = np.diag([1, np.sqrt(1 - lambda1)]).astype(complex)
     k1 = np.zeros((2, 2), dtype=complex)
     k1[0, 1] = np.sqrt(lambda1)
-    return KrausChannel((k0, k1), (2,))
+    return _read_only(KrausChannel((k0, k1), (2,)))
 
 
 def amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
-    """Relaxation |1> -> |0> and |2> -> |0> with probabilities lambda1, lambda2."""
+    """Relaxation |1> -> |0> and |2> -> |0> with probabilities lambda1,
+    lambda2, built once per (lambda1, lambda2) and shared, read-only."""
     if not (0 <= lambda1 <= 1 and 0 <= lambda2 <= 1):
         raise ValueError("damping probabilities must lie in [0, 1]")
+    return _amplitude_damping_qutrit(float(lambda1), float(lambda2))
+
+
+@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
+def _amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
     k0 = np.diag([1, np.sqrt(1 - lambda1), np.sqrt(1 - lambda2)]).astype(complex)
     k1 = np.zeros((3, 3), dtype=complex)
     k1[0, 1] = np.sqrt(lambda1)
     k2 = np.zeros((3, 3), dtype=complex)
     k2[0, 2] = np.sqrt(lambda2)
-    return KrausChannel((k0, k1, k2), (3,))
+    return _read_only(KrausChannel((k0, k1, k2), (3,)))
 
 
 def lambda_from_time(t: float, T1: float) -> float:

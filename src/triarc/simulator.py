@@ -130,15 +130,24 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         size = prod(self.dims)
-        if self.entries.shape != (size, size):
+        entries = self.entries
+        if entries.shape != (size, size):
             raise ValueError(f"density matrix must be {size}x{size}")
-        if not np.allclose(self.entries, self.entries.conj().T, atol=1e-10):
+        # exact equality first: evolve_density's outputs are exactly
+        # Hermitian, so only other matrices pay for the tolerance test
+        adjoint = entries.conj().T
+        if not (np.array_equal(entries, adjoint) or np.allclose(entries, adjoint, atol=1e-10)):
             raise ValueError("density matrix must be Hermitian within 1e-10")
-        trace = complex(np.trace(self.entries))
+        trace = complex(np.trace(entries))
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
-        if float(np.linalg.eigvalsh(self.entries).min()) < -1e-8:
-            raise ValueError("density matrix has an eigenvalue below -1e-8")
+        # the eigenvalue bound without an eigensolver: E + 1e-8 I has a
+        # Cholesky factor iff lambda_min(E) > -1e-8 (up to round-off), and
+        # the factorisation reads the lower triangle, as eigvalsh does
+        try:
+            np.linalg.cholesky(entries + 1e-8 * np.eye(size))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has an eigenvalue below -1e-8") from None
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """Error channels and the analytic success-probability model."""
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triarc import arith as A
+from triarc import circuits as C
 from triarc import noise as N
+from triarc.circuits import GateKind
 from triarc.noise import GateCensus, NoiseParams
-from triarc.transpile import LoweringStrategy
+from triarc.transpile import LoweringStrategy, lower_toffolis
 
 REFERENCE_PARAMS = NoiseParams(p1=1e-4, p2=1e-2, T1_level1=100.0, T1_level2=30.0, tau_gate=0.0)
+DATA = Path(__file__).parent / "data"
 
 
 def channel_completeness_defect(channel):
@@ -126,6 +131,80 @@ def test_depolarizing_refuses_three_wires():
         N.depolarizing_channel([2, 2, 2], 0.0)
 
 
+# --- channel cache ---------------------------------------------------------------
+
+def test_depolarizing_cache_returns_one_channel_per_key():
+    channel = N.depolarizing_channel((2, 3), 1e-3)
+    assert N.depolarizing_channel([2, 3], 1e-3) is channel
+    assert N.depolarizing_channel([np.int64(2), np.int64(3)], np.float64(1e-3)) is channel
+    assert N.depolarizing_channel((2, 3), 2e-3) is not channel
+    assert N.depolarizing_channel((3, 2), 1e-3) is not channel
+
+
+def test_damping_cache_returns_one_channel_per_key():
+    assert N.amplitude_damping_qubit(0.25) is N.amplitude_damping_qubit(0.25)
+    assert N.amplitude_damping_qubit(0.25) is not N.amplitude_damping_qubit(0.5)
+    assert N.amplitude_damping_qutrit(0.1, 0.2) is N.amplitude_damping_qutrit(0.1, 0.2)
+    assert N.amplitude_damping_qutrit(0.1, 0.2) is not N.amplitude_damping_qutrit(0.2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: N.depolarizing_channel([3, 3], 1e-3),
+        lambda: N.depolarizing_channel([2], 1e-3),
+        lambda: N.amplitude_damping_qubit(0.3),
+        lambda: N.amplitude_damping_qutrit(0.3, 0.4),
+    ],
+)
+def test_cached_channels_are_read_only(build):
+    channel = build()
+    for i in range(len(channel.operators)):
+        with pytest.raises(ValueError, match="read-only"):
+            channel.operators[i][0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        channel.superoperator[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        channel.superoperator *= 2
+    assert build() is channel
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: N.depolarizing_channel([2], -1e-3), "non-negative"),
+        (lambda: N.depolarizing_channel([4], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([2.5], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([2, 2, 2], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([3, 3], 0.02), "exceeds 1"),
+        (lambda: N.depolarizing_channel([2], float("nan")), "sum K"),
+        (lambda: N.amplitude_damping_qubit(1.5), "damping"),
+        (lambda: N.amplitude_damping_qutrit(0.1, -0.1), "damping"),
+    ],
+)
+def test_invalid_channel_arguments_raise_on_every_call(build, match):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+@pytest.mark.parametrize(
+    "public, builder, args",
+    [
+        (N.depolarizing_channel, N._depolarizing_channel, (dims, p))
+        for dims in [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)]
+        for p in (0.0, 1e-4, 3e-3)
+    ]
+    + [(N.amplitude_damping_qubit, N._amplitude_damping_qubit, (lam,)) for lam in (0.0, 0.3, 1.0)]
+    + [(N.amplitude_damping_qutrit, N._amplitude_damping_qutrit, (0.2, 0.7))],
+)
+def test_cached_channels_equal_uncached_builder(public, builder, args):
+    cached, fresh = public(*args), builder.__wrapped__(*args)
+    assert fresh is not cached and len(cached.operators) == len(fresh.operators)
+    assert all(np.array_equal(k, ref) for k, ref in zip(cached.operators, fresh.operators))
+    assert np.array_equal(cached.superoperator, fresh.superoperator)
+
+
 # --- amplitude damping --------------------------------------------------------
 
 def test_damping_zero_is_identity():
@@ -181,6 +260,25 @@ def test_p_success_conventional_30_toffolis():
     expected = 0.9999 ** 210 * 0.99 ** 480
     assert N.p_success(census, REFERENCE_PARAMS) == pytest.approx(expected)
     assert N.p_success(census, REFERENCE_PARAMS) == pytest.approx(0.00786, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "build, toffolis, qutrit_gates",
+    [
+        (lambda: A.build_adder(1), 2, 8),
+        (lambda: A.build_adder(16), 32, 128),
+        (lambda: A.build_adder(32), 64, 256),
+        (lambda: A.build_multiplier(8, 8), 240, 845),
+    ],
+)
+def test_census_for_undercounts_qutrit_gates_of_lowered_circuits(build, toffolis, qutrit_gates):
+    # census_for charges 3 per Toffoli; carried-over gates on the promoted
+    # control wire touch a qutrit too, which it does not count
+    circuit, _ = build()
+    assert C.gate_count(circuit, GateKind.TOFFOLI) == toffolis
+    lowered = lower_toffolis(circuit, LoweringStrategy.QUTRIT)
+    assert sum(C.is_qutrit_gate(g, lowered.wires) for g in lowered.gates) == qutrit_gates
+    assert N.census_for(LoweringStrategy.QUTRIT, toffolis).two_qutrit_gates == 3 * toffolis
 
 
 def test_p_success_is_one_without_noise():
@@ -275,6 +373,24 @@ def test_fidelity_with_damping_lower_than_without():
         LoweringStrategy.QUTRIT, NoiseParams(p1=0, p2=0.001, tau_gate=1.0)
     )
     assert with_idle < no_idle
+
+
+def fidelity_grid_lines():
+    """One CSV row per (strategy, tau_gate, p2) point, p1 = 1e-4, with the
+    fidelity written as its repr so any change in the last bit shows."""
+    lines = ["strategy,tau_gate,p2,fidelity"]
+    for strategy in (LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL):
+        for tau in (0.0, 0.01):
+            for p2 in [i / 1000 for i in range(13)]:
+                params = NoiseParams(p1=1e-4, p2=p2, tau_gate=tau)
+                fidelity = N.noisy_toffoli_fidelity(strategy, params)
+                lines.append(f"{strategy.value},{tau!r},{p2!r},{fidelity!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_fidelity_grid_byte_identical_to_golden_file():
+    golden = DATA / "noisy_toffoli_fidelity.txt"
+    assert fidelity_grid_lines().encode() == golden.read_bytes()
 
 
 # --- quoted reference figures -------------------------------------------------------

@@ -164,6 +164,75 @@ def test_state_json_dump():
 
 # --- density matrices -----------------------------------------------------
 
+def two_level(a, b, off=0.0, off_lower=None):
+    """2x2 matrix [[a, off], [off_lower, b]], off_lower defaulting to conj(off)."""
+    lower = np.conj(off) if off_lower is None else off_lower
+    return np.array([[a, off], [lower, b]], dtype=complex)
+
+
+def test_density_matrix_hermitian_tolerance_is_allclose_with_rtol():
+    # allclose accepts |E - E^H| <= 1e-10 + 1e-5 |E^H| entrywise: at an
+    # off-diagonal 0.1 the relative part allows about 1e-6
+    S.DensityMatrix((2,), two_level(0.5, 0.5, 0.1 + 5e-7, 0.1))
+    S.DensityMatrix((2,), two_level(0.5, 0.5, 5e-11, 0.0))
+    with pytest.raises(ValueError, match="Hermitian"):
+        S.DensityMatrix((2,), two_level(0.5, 0.5, 0.1 + 2e-6, 0.1))
+    with pytest.raises(ValueError, match="Hermitian"):
+        S.DensityMatrix((2,), two_level(0.5, 0.5, 2e-10, 0.0))
+    with pytest.raises(ValueError, match="Hermitian"):
+        S.DensityMatrix((2,), two_level(0.5, 0.5, np.nan))
+
+
+def test_density_matrix_trace_tolerance():
+    S.DensityMatrix((2,), two_level(0.5, 0.5 + 5e-11))
+    with pytest.raises(ValueError, match="trace"):
+        S.DensityMatrix((2,), two_level(0.5, 0.5 + 2e-10))
+    with pytest.raises(ValueError, match="trace"):
+        S.DensityMatrix((2,), two_level(0.5, 0.5 - 2e-10))
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+def test_density_matrix_rejects_an_eigenvalue_below_minus_1e_8(angle):
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+    def rotated(low):
+        entries = rotation @ np.diag([1 - low, low]).astype(complex) @ rotation.T
+        return (entries + entries.conj().T) / 2
+
+    S.DensityMatrix((2,), rotated(-5e-9))
+    with pytest.raises(ValueError, match="eigenvalue below -1e-8"):
+        S.DensityMatrix((2,), rotated(-2e-8))
+
+
+def eigvalsh_rejects(entries):
+    """The PSD predicate the Cholesky test replaced, kept as its reference."""
+    return float(np.linalg.eigvalsh(entries).min()) < -1e-8
+
+
+@given(
+    st.integers(2, 144),
+    st.floats(1e-12, 1e-9),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_cholesky_psd_verdict_equals_eigvalsh(size, margin, below, seed):
+    rng = np.random.default_rng(seed)
+    gaussian = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    unitary, _ = np.linalg.qr(gaussian)
+    low = -1e-8 - margin if below else -1e-8 + margin
+    rest = rng.uniform(0.1, 1.0, size - 1)
+    spectrum = np.concatenate([[low], rest * (1 - low) / rest.sum()])
+    entries = (unitary * spectrum) @ unitary.conj().T
+    entries = (entries + entries.conj().T) / 2
+    assert eigvalsh_rejects(entries) == below  # round-off stays well inside the margin
+    if eigvalsh_rejects(entries):
+        with pytest.raises(ValueError, match="eigenvalue below -1e-8"):
+            S.DensityMatrix((size,), entries)
+    else:
+        S.DensityMatrix((size,), entries)
+
+
 def test_identity_channel_leaves_rho():
     rho = S.basis_density([2], "1")
     channel = N.KrausChannel((np.eye(2, dtype=complex),), (2,))
