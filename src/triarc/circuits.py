@@ -276,15 +276,32 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
+def _json_int(value: object, field: str) -> int:
+    """``value`` if it is an int and not a bool; otherwise ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def circuit_from_dict(data: dict) -> Circuit:
-    wires = tuple(WireSpec(w["dim"]) for w in data["wires"])
+    """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
+    wire, control value and target must be an int."""
+    wires = tuple(
+        WireSpec(_json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
+    )
     gates = tuple(
         GateInstance(
             GateKind(g["kind"]),
-            tuple(ControlSpec(c["wire"], c["value"]) for c in g.get("controls", [])),
-            tuple(g["targets"]),
+            tuple(
+                ControlSpec(
+                    _json_int(c["wire"], f"gates[{i}].controls[{j}].wire"),
+                    _json_int(c["value"], f"gates[{i}].controls[{j}].value"),
+                )
+                for j, c in enumerate(g.get("controls", []))
+            ),
+            tuple(_json_int(t, f"gates[{i}].targets[{j}]") for j, t in enumerate(g["targets"])),
         )
-        for g in data["gates"]
+        for i, g in enumerate(data["gates"])
     )
     return Circuit(wires, gates)
 

@@ -111,19 +111,19 @@ def _cmd_noise_curve(args: argparse.Namespace, config: Config) -> int:
         T1_level2=args.t1b if args.t1b is not None else config.t1b,
         tau_gate=args.tau if args.tau is not None else config.tau,
     )
-    counts = range(1, args.max_toffoli + 1)
-    conventional = dict(noise.success_curve(LoweringStrategy.SELINGER_COST, counts, params))
-    qutrit = dict(noise.success_curve(LoweringStrategy.QUTRIT, counts, params))
+    # an int count, so success_curve refuses one below 1
+    conventional = noise.success_curve(LoweringStrategy.SELINGER_COST, args.max_toffoli, params)
+    qutrit = noise.success_curve(LoweringStrategy.QUTRIT, args.max_toffoli, params)
     lines = []
     if args.strategy == "both":
         lines.append("toffoli_count,p_success_conventional,p_success_qutrit")
-        for k in counts:
-            lines.append(f"{k},{conventional[k]:.10g},{qutrit[k]:.10g}")
+        for (k, p_conventional), (_, p_qutrit) in zip(conventional, qutrit):
+            lines.append(f"{k},{p_conventional:.10g},{p_qutrit:.10g}")
     else:
         series = qutrit if args.strategy == "qutrit" else conventional
         lines.append(f"toffoli_count,p_success_{args.strategy}")
-        for k in counts:
-            lines.append(f"{k},{series[k]:.10g}")
+        for k, p in series:
+            lines.append(f"{k},{p:.10g}")
     quoted = noise.quoted_error_comparison()
     lines.append(
         f"# quoted error at {quoted['toffoli_count']} Toffolis: "

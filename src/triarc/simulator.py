@@ -234,6 +234,16 @@ _ACTIONS = {
 }
 
 
+def _control_index(gate: GateInstance, axes: int, offset: int = 0) -> list:
+    """Index of the block of a tensor where every control holds its value,
+    with wire ``w`` on axis ``offset + w``. The trailing Ellipsis keeps a
+    view, not a scalar, when every axis is fixed, and spans any later axes."""
+    index: list = [slice(None)] * (offset + axes) + [Ellipsis]
+    for c in gate.controls:
+        index[offset + c.wire] = c.value
+    return index
+
+
 def _apply_inplace(
     tensor: np.ndarray, gate: GateInstance, dims: Sequence[int], scratch: np.ndarray
 ) -> None:
@@ -250,10 +260,7 @@ def _apply_inplace(
     target = gate.targets[0]
     dim = dims[target]
     action = _ACTIONS[gate.kind, dim]
-    # the trailing Ellipsis keeps a view, not a scalar, when every axis is fixed
-    index: list = [slice(None)] * len(dims) + [Ellipsis]
-    for c in gate.controls:
-        index[c.wire] = c.value
+    index = _control_index(gate, len(dims))
 
     def level(value: int) -> np.ndarray:
         index[target] = value
@@ -364,18 +371,23 @@ def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
     return state
 
 
+def _unitary_on(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
+    """Unitary restricted to the given basis indices: simulate each of them
+    as a column and keep its amplitudes on the same indices as rows."""
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, index in enumerate(basis):
+        matrix[:, col] = simulate(circuit, index_to_label(circuit.dims, int(index))).amplitudes[basis]
+    return matrix
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary, built by simulating each basis column."""
-    dims = circuit.dims
-    size = prod(dims)
+    size = prod(circuit.dims)
     if size > UNITARY_DIM_GUARD:
         raise ValueError(f"unitary extraction guarded at dimension {UNITARY_DIM_GUARD}")
     if any(g.kind is GateKind.MEASURE for g in circuit.gates):
         raise ValueError("circuit_unitary requires an all-gate circuit")
-    matrix = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        matrix[:, col] = simulate(circuit, index_to_label(dims, col)).amplitudes
-    return matrix
+    return _unitary_on(circuit, np.arange(size))
 
 
 def qubit_subspace_indices(dims: Sequence[int]) -> np.ndarray:
@@ -394,18 +406,11 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
     Stays within the extraction guard even when promoted qutrit wires push
     the full space beyond it.
     """
-    dims = circuit.dims
-    size = 2 ** len(dims)
-    if size > UNITARY_DIM_GUARD:
+    if 2 ** len(circuit.dims) > UNITARY_DIM_GUARD:
         raise ValueError(f"subspace extraction guarded at dimension {UNITARY_DIM_GUARD}")
     if any(g.kind is GateKind.MEASURE for g in circuit.gates):
         raise ValueError("qubit_subspace_unitary requires an all-gate circuit")
-    sub = qubit_subspace_indices(dims)
-    matrix = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        label = index_to_label(dims, int(sub[col]))
-        matrix[:, col] = simulate(circuit, label).amplitudes[sub]
-    return matrix
+    return _unitary_on(circuit, qubit_subspace_indices(circuit.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +453,6 @@ def state_to_json(state: StateVector) -> str:
 # density-matrix evolution
 # ---------------------------------------------------------------------------
 
-def gate_local_unitary(gate: GateInstance, dims: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """(wires, unitary) of a gate over only the wires it touches."""
-    wires = gate.wires
-    local_dims = [dims[w] for w in wires]
-    size = prod(local_dims)
-    target_dim = dims[gate.targets[0]]
-    matrix = np.eye(size, dtype=complex)
-    # controls come first in `wires`, the target is last (stride 1)
-    offset = 0
-    for c, dim in zip(gate.controls, local_dims):
-        offset = offset * dim + c.value
-    offset *= target_dim
-    block = slice(offset, offset + target_dim)
-    matrix[block, block] = kind_matrix(gate.kind, target_dim)
-    return wires, matrix
-
-
 def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply ``op`` to the given axes of ``tensor`` (in that order): its
     input indices contract those axes and its output indices take their
@@ -481,8 +469,9 @@ def evolve_density(
 ) -> DensityMatrix:
     """Evolve by a unitary gate or a Kraus channel on the given wires.
 
-    A gate U runs on its own wires as U on the row axes, then conj(U) on
-    the column axes; a channel runs as one contraction of its local
+    A gate runs on the block where its controls hold their values: its
+    target unitary U on the target's row axis, then conj(U) on the target's
+    column axis; a channel runs as one contraction of its local
     superoperator over its row and column axes together. Round-off is
     symmetrized away so Hermiticity is exact on the output.
     """
@@ -494,9 +483,14 @@ def evolve_density(
         if wires is not None:
             raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
         validate_gate(step, _wire_specs(dims))
-        wires, local = gate_local_unitary(step, dims)
-        tensor = _contract(tensor, local, wires)
-        tensor = _contract(tensor, local.conj(), [n + w for w in wires])
+        target = step.targets[0]
+        unitary = kind_matrix(step.kind, dims[target])
+        # the target's axis within a block, once the control axes before it are fixed
+        axis = target - sum(c.wire < target for c in step.controls)
+        tensor = tensor.copy()
+        for offset, op in ((0, unitary), (n, unitary.conj())):
+            block = tuple(_control_index(step, n, offset))
+            tensor[block] = _contract(tensor[block], op, [offset + axis])
     else:
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")

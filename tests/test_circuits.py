@@ -1,5 +1,6 @@
 """Circuit IR: construction, validation, metrics, JSON round-trip."""
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,24 @@ def test_append_extend_and_from_json_reject_a_bad_gate():
         })
         with pytest.raises(ValueError):
             C.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["wires"][0].update(dim=2.0), "wires[0].dim"),
+        (lambda d: d["wires"][1].update(dim=True), "wires[1].dim"),
+        (lambda d: d["gates"][0].update(targets=[0.5]), "gates[0].targets[0]"),
+        (lambda d: d["gates"][1]["controls"][0].update(wire=1.0), "gates[1].controls[0].wire"),
+        (lambda d: d["gates"][1]["controls"][0].update(value="1"), "gates[1].controls[0].value"),
+        (lambda d: d["gates"][1].update(targets=[False]), "gates[1].targets[0]"),
+    ],
+)
+def test_from_json_rejects_a_non_integer_index(edit, field):
+    data = C.circuit_to_dict(C.extend(C.new_circuit([2, 3]), [C.x(0), C.cx(1, 0, value=2)]))
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(field) + " must be an integer"):
+        C.from_json(json.dumps(data))
 
 
 def test_appends_validate_each_new_gate_once(monkeypatch):

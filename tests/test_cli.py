@@ -67,6 +67,24 @@ def test_decompose_missing_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        {"kind": "X", "controls": [], "targets": [0.5]},
+        {"kind": "X", "controls": [{"wire": 1.0, "value": 1}], "targets": [0]},
+    ],
+)
+def test_decompose_rejects_a_non_integer_index(tmp_path, capsys, gate):
+    src = tmp_path / "in.json"
+    dst = tmp_path / "out.json"
+    src.write_text(json.dumps({"wires": [{"dim": 2}, {"dim": 2}], "gates": [gate]}))
+    code, _, err = run_cli(capsys, "decompose", "--strategy", "qutrit",
+                           "--in", str(src), "--out", str(dst))
+    assert code == 1
+    assert "must be an integer" in err
+    assert not dst.exists()
+
+
 # --- simulate -------------------------------------------------------------------
 
 def test_simulate_state_dump(tmp_path, capsys):
@@ -200,6 +218,14 @@ def test_noise_curve_single_strategy(capsys):
                            "--max-toffoli", "3")
     assert code == 0
     assert out.splitlines()[0] == "toffoli_count,p_success_qutrit"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_noise_curve_rejects_a_count_below_1(capsys, count):
+    code, out, err = run_cli(capsys, "noise-curve", "--max-toffoli", count)
+    assert code == 1
+    assert out == ""
+    assert "the count range needs at least one entry" in err
 
 
 def test_noise_curve_default_matches_golden(capsys):

@@ -374,6 +374,23 @@ def embedded_reference(op, wires, dims):
     return tensor.reshape(prod(dims), prod(dims))
 
 
+def gate_local_unitary(gate, dims):
+    """(wires, unitary) of a gate over only the wires it touches."""
+    wires = gate.wires
+    local_dims = [dims[w] for w in wires]
+    size = prod(local_dims)
+    target_dim = dims[gate.targets[0]]
+    matrix = np.eye(size, dtype=complex)
+    # controls come first in `wires`, the target is last (stride 1)
+    offset = 0
+    for c, dim in zip(gate.controls, local_dims):
+        offset = offset * dim + c.value
+    offset *= target_dim
+    block = slice(offset, offset + target_dim)
+    matrix[block, block] = S.kind_matrix(gate.kind, target_dim)
+    return wires, matrix
+
+
 @st.composite
 def noisy_runs(draw):
     """Random mixed 2/3 circuit with channels interleaved after its gates,
@@ -413,7 +430,7 @@ def test_evolve_density_matches_kron_reference(run, seed):
     for step, wires in steps:
         if isinstance(step, C.GateInstance):
             rho = S.evolve_density(rho, step)
-            operators = [S.gate_local_unitary(step, dims)[1]]
+            operators = [gate_local_unitary(step, dims)[1]]
         else:
             rho = S.evolve_density(rho, step, wires=wires)
             operators = step.operators
@@ -543,3 +560,45 @@ def test_apply_gate_is_bit_identical_on_a_superposition(circ, data):
         slice_copy_reference(expected, gate, dims)
         state = S.apply_gate(state, gate)
         assert_bit_identical(state.amplitudes, expected.reshape(-1))
+
+
+def two_contraction_reference(entries, gate, dims):
+    """The density gate step the control-selected block replaced: the gate's
+    local unitary U over all its wires contracted into the row axes, then
+    conj(U) into the column axes, symmetrised as ``evolve_density``
+    symmetrises."""
+    n = len(dims)
+    wires, local = gate_local_unitary(gate, dims)
+    k = len(wires)
+    tensor = entries.reshape(dims * 2)
+    for op, axes in ((local, list(wires)), (local.conj(), [n + w for w in wires])):
+        op = op.reshape(tuple(dims[w] for w in wires) * 2)
+        tensor = np.moveaxis(np.tensordot(op, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
+    out = tensor.reshape(entries.shape)
+    return (out + out.conj().T) / 2
+
+
+@given(mixed_circuits(), st.integers(0, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_evolve_density_gate_step_equals_two_contraction_reference(circ, seed):
+    dims = circ.dims
+    rng = np.random.default_rng(seed)
+    size = prod(dims)
+    factor = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    entries = factor @ factor.conj().T
+    rho = S.DensityMatrix(dims, entries / np.trace(entries).real)
+    for gate in circ.gates:
+        expected = two_contraction_reference(rho.entries, gate, dims)
+        rho = S.evolve_density(rho, gate)
+        assert np.array_equal(rho.entries, expected)
+
+
+def test_evolve_density_leaves_input_alone():
+    dims = (2, 3, 2)
+    rho = S.basis_density(dims, "010")
+    for gate in (C.h(0), C.controlled(C.h(2), 1, 1)):
+        rho = S.evolve_density(rho, gate)
+    before = rho.entries.copy()
+    for gate in (C.h(0), C.t(2), C.controlled(C.xplus1(1), 0, 1), C.cx(1, 2, value=2), C.x(1)):
+        S.evolve_density(rho, gate)
+        assert rho.entries.tobytes() == before.tobytes()
