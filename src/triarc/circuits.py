@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 from typing import Iterable, Sequence
 
 
@@ -33,6 +34,11 @@ QUTRIT_ONLY_KINDS = frozenset({GateKind.XPLUS1, GateKind.XMINUS1})
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 
 
+def _is_int(value: object) -> bool:
+    """True for an int or a numpy integer, False for a bool or anything else."""
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class WireSpec:
     """A circuit wire with radix 2 (qubit) or 3 (qutrit)."""
@@ -40,8 +46,8 @@ class WireSpec:
     dimension: int
 
     def __post_init__(self) -> None:
-        if self.dimension not in (2, 3):
-            raise ValueError(f"wire dimension must be 2 or 3, got {self.dimension}")
+        if not _is_int(self.dimension) or self.dimension not in (2, 3):
+            raise ValueError(f"wire dimension must be the integer 2 or 3, got {self.dimension!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +74,17 @@ def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
     """Raise ValueError unless ``gate`` is well-formed for ``wires``."""
     n = len(wires)
     touched = gate.wires
+    # the exact-int test first keeps the common case off the _is_int call
     for w in touched:
+        if type(w) is not int and not _is_int(w):
+            raise ValueError(f"wire index must be an integer, got {w!r}")
         if not (0 <= w < n):
             raise ValueError(f"wire {w} out of range for {n}-wire circuit")
     if len(set(touched)) != len(touched):
         raise ValueError(f"gate touches a wire more than once: {touched}")
     for c in gate.controls:
+        if type(c.value) is not int and not _is_int(c.value):
+            raise ValueError(f"control value must be an integer, got {c.value!r}")
         if not (1 <= c.value < wires[c.wire].dimension):
             raise ValueError(
                 f"control value {c.value} invalid on wire {c.wire} "
@@ -278,7 +289,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def _json_int(value: object, field: str) -> int:
     """``value`` if it is an int and not a bool; otherwise ValueError naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
 

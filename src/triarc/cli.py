@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
@@ -19,6 +19,7 @@ _STRATEGIES = {
     "qutrit": LoweringStrategy.QUTRIT,
     "cliffordt": LoweringStrategy.CLIFFORD_T_FUNCTIONAL,
     "baseline": LoweringStrategy.SELINGER_COST,
+    "conventional": LoweringStrategy.SELINGER_COST,
 }
 
 
@@ -92,10 +93,10 @@ def _cmd_estimate(args: argparse.Namespace, config: Config) -> int:
     report = resources.estimate_operation(
         args.op, args.n, args.p, approx, _STRATEGIES[args.strategy]
     )
-    payload = {"op": args.op, "strategy": args.strategy, **report.to_dict()}
+    payload = {"op": args.op, "strategy": args.strategy, **asdict(report)}
     fmt = args.format or config.format
     if fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         keys = [k for k in payload if k != "notes"]
         lines = [",".join(keys), ",".join(str(payload[k]) for k in keys)]
@@ -111,19 +112,12 @@ def _cmd_noise_curve(args: argparse.Namespace, config: Config) -> int:
         T1_level2=args.t1b if args.t1b is not None else config.t1b,
         tau_gate=args.tau if args.tau is not None else config.tau,
     )
+    names = ["conventional", "qutrit"] if args.strategy == "both" else [args.strategy]
     # an int count, so success_curve refuses one below 1
-    conventional = noise.success_curve(LoweringStrategy.SELINGER_COST, args.max_toffoli, params)
-    qutrit = noise.success_curve(LoweringStrategy.QUTRIT, args.max_toffoli, params)
-    lines = []
-    if args.strategy == "both":
-        lines.append("toffoli_count,p_success_conventional,p_success_qutrit")
-        for (k, p_conventional), (_, p_qutrit) in zip(conventional, qutrit):
-            lines.append(f"{k},{p_conventional:.10g},{p_qutrit:.10g}")
-    else:
-        series = qutrit if args.strategy == "qutrit" else conventional
-        lines.append(f"toffoli_count,p_success_{args.strategy}")
-        for k, p in series:
-            lines.append(f"{k},{p:.10g}")
+    curves = [noise.success_curve(_STRATEGIES[name], args.max_toffoli, params) for name in names]
+    lines = ["toffoli_count," + ",".join(f"p_success_{name}" for name in names)]
+    for rows in zip(*curves):
+        lines.append(f"{rows[0][0]}," + ",".join(f"{p:.10g}" for _, p in rows))
     quoted = noise.quoted_error_comparison()
     lines.append(
         f"# quoted error at {quoted['toffoli_count']} Toffolis: "
@@ -144,7 +138,7 @@ def _cmd_bounds(args: argparse.Namespace, config: Config) -> int:
         "trunc_error_bound": pricing.trunc_error_bound(setup),
         "disc_error": pricing.disc_error(setup),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
@@ -232,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = Config.load(args.config)
         return args.func(args, config)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,12 +31,7 @@ from .simulator import (
     basis_state,
     evolve_density,
 )
-from .transpile import (
-    FUNCTIONAL_STRATEGIES,
-    LoweringStrategy,
-    cost_profile,
-    lower_toffolis,
-)
+from .transpile import LoweringStrategy, cost_profile, lower_toffolis
 
 
 @dataclass(frozen=True)
@@ -288,10 +283,9 @@ def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> f
     channel after every gate and per-layer amplitude damping on every
     wire; the return value is the overlap with the ideal output |111>.
     For the qutrit strategy all three wires are treated as qutrits so each
-    gate carries the full two-qutrit channel.
+    gate carries the full two-qutrit channel. ``lower_toffolis`` refuses
+    the accounting-only SELINGER_COST.
     """
-    if strategy not in FUNCTIONAL_STRATEGIES:
-        raise ValueError("fidelity simulation needs a functional lowering strategy")
     base = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
     lowered = lower_toffolis(base, strategy)
     if strategy is LoweringStrategy.QUTRIT:

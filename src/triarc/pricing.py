@@ -11,12 +11,18 @@ scope), so the P^2 estimator only evaluates the quoted sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isfinite
 from typing import Mapping
 
 import numpy as np
 
 from .simulator import Histogram, StateVector, check_state_dim
+
+
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,18 +36,15 @@ class PricingSetup:
     beta: float = 0.0     # bound on the integrand's second derivative
     B_l: float = 0.0      # lower integration bound
     B_u: float = 0.0      # upper integration bound
-    f_min: float = 0.0    # payoff lower bound
-    f_max: float = 0.0    # payoff upper bound
 
     def __post_init__(self) -> None:
+        _check_finite(w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
         if self.d < 1 or self.T < 1 or self.n < 1:
             raise ValueError("d, T and n must be >= 1")
         if self.w < 0:
             raise ValueError("truncation width w must be non-negative")
         if self.B_u < self.B_l:
             raise ValueError("integration bounds must satisfy B_u >= B_l")
-        if self.f_max < self.f_min:
-            raise ValueError("payoff bounds must satisfy f_max >= f_min")
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,7 @@ class GaussianSpec:
     w: float = 4.0
 
     def __post_init__(self) -> None:
+        _check_finite(x0=self.x0, sigma=self.sigma, w=self.w)
         if self.n < 1:
             raise ValueError("register size n must be >= 1")
         if self.sigma <= 0:

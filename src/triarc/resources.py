@@ -114,16 +114,6 @@ class ResourceReport:
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "toffoli_count": self.toffoli_count,
-            "t_count": self.t_count,
-            "t_depth": self.t_depth,
-            "cnot_count_ternary": self.cnot_count_ternary,
-            "overall_depth": self.overall_depth,
-            "notes": list(self.notes),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Toffoli counts and T-depths (conventional constructions)

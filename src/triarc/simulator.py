@@ -117,7 +117,7 @@ class StateVector:
         if self.amplitudes.shape != (size,):
             raise ValueError(f"amplitude vector must have length {size}")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 from .circuits import (
     T_KINDS,
@@ -85,22 +84,14 @@ class CostProfile:
         return self.one_qubit_gates + self.two_qubit_gates + self.two_qutrit_gates
 
 
-def decompose_toffoli_qutrit(
-    control_a: int,
-    control_b: int,
-    target: int,
-    wires: Sequence[WireSpec] | None = None,
-) -> list[GateInstance]:
-    """Three-gate qutrit lowering of a Toffoli.
+def decompose_toffoli_qutrit(control_a: int, control_b: int, target: int) -> list[GateInstance]:
+    """Three-gate qutrit lowering of a Toffoli; ``control_b`` must be a qutrit.
 
     |1>-controlled increment lifts ``control_b`` to |2> exactly when both
     controls were |1>; a |2>-controlled X then flips the target; the final
     |1>-controlled decrement reverses the first gate and restores the
-    controls. ``wires``, when given, lets the dimension precondition fail
-    fast instead of at circuit construction.
+    controls.
     """
-    if wires is not None and wires[control_b].dimension != 3:
-        raise ValueError(f"wire {control_b} must be a qutrit to host the lowering")
     return [
         controlled(xplus1(control_b), control_a, 1),
         cx(control_b, target, value=2),
@@ -141,10 +132,6 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     if strategy is LoweringStrategy.SELINGER_COST:
         raise ValueError("SELINGER_COST is accounting-only and cannot lower circuits")
     new_wires = list(circuit.wires)
-    if strategy is LoweringStrategy.QUTRIT:
-        for gate in circuit.gates:
-            if gate.kind is GateKind.TOFFOLI:
-                new_wires[gate.controls[1].wire] = WireSpec(3)
     new_gates: list[GateInstance] = []
     for gate in circuit.gates:
         if gate.kind is not GateKind.TOFFOLI:
@@ -153,7 +140,8 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
         a, b = (c.wire for c in gate.controls)
         tg = gate.targets[0]
         if strategy is LoweringStrategy.QUTRIT:
-            new_gates.extend(decompose_toffoli_qutrit(a, b, tg, new_wires))
+            new_wires[b] = WireSpec(3)
+            new_gates.extend(decompose_toffoli_qutrit(a, b, tg))
         else:
             new_gates.extend(decompose_toffoli_clifford_t(a, b, tg))
     return Circuit(tuple(new_wires), tuple(new_gates))

@@ -2,6 +2,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,6 +85,33 @@ def test_out_of_range_wire_rejected():
     circ = C.new_circuit([2, 2])
     with pytest.raises(ValueError):
         C.append(circ, C.x(5))
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (C.GateInstance(GateKind.X, (), (0.5,)), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (), (True,)), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (C.ControlSpec(1.0, 1),), (0,)), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (C.ControlSpec(1, True),), (0,)), "control value must be an integer"),
+    ],
+    ids=["float-target", "bool-target", "float-control-wire", "bool-control-value"],
+)
+def test_append_refuses_a_non_integer_index(gate, message):
+    with pytest.raises(ValueError, match=message):
+        C.append(C.new_circuit([2, 2]), gate)
+
+
+@pytest.mark.parametrize("dim", [2.0, True])
+def test_new_circuit_refuses_a_non_integer_dimension(dim):
+    with pytest.raises(ValueError, match="must be the integer 2 or 3"):
+        C.new_circuit([dim])
+
+
+def test_numpy_integers_are_accepted():
+    circ = C.new_circuit([np.int64(2), np.int8(3)])
+    circ = C.append(circ, C.cx(np.int64(1), np.int32(0), value=np.int64(2)))
+    assert circ.dims == (2, 3)
 
 
 def test_measure_rejects_controls():

@@ -182,16 +182,19 @@ def test_estimate_csv_format(capsys):
     assert values["toffoli_count"] == "30.0"
 
 
-def test_estimate_matches_golden(capsys):
+@pytest.mark.parametrize("fmt, golden", [("json", "estimate_n16_p4_k2_M4.txt"),
+                                          ("csv", "estimate_n16_p4_k2_M4.csv")])
+def test_estimate_matches_golden(capsys, fmt, golden):
     # every operation under both strategies, concatenated in OPERATIONS order
     outputs = []
     for op in R.OPERATIONS:
         for strategy in ("qutrit", "baseline"):
             code, out, _ = run_cli(capsys, "estimate", "--op", op, "--n", "16", "--p", "4",
-                                   "--k", "2", "--M", "4", "--strategy", strategy)
+                                   "--k", "2", "--M", "4", "--strategy", strategy,
+                                   "--format", fmt)
             assert code == 0
             outputs.append(out)
-    assert "".join(outputs).encode() == (DATA / "estimate_n16_p4_k2_M4.txt").read_bytes()
+    assert "".join(outputs).encode() == (DATA / golden).read_bytes()
 
 
 # --- noise-curve -------------------------------------------------------------------
@@ -234,6 +237,13 @@ def test_noise_curve_default_matches_golden(capsys):
     assert out.encode() == (DATA / "noise_curve_default.csv").read_bytes()
 
 
+@pytest.mark.parametrize("strategy", ["qutrit", "conventional"])
+def test_noise_curve_single_strategy_matches_golden(capsys, strategy):
+    code, out, _ = run_cli(capsys, "noise-curve", "--strategy", strategy)
+    assert code == 0
+    assert out.encode() == (DATA / f"noise_curve_{strategy}.csv").read_bytes()
+
+
 def test_headline_numbers_script_matches_golden(capsys):
     script = Path(__file__).parent.parent / "scripts" / "headline_numbers.py"
     runpy.run_path(str(script), run_name="__main__")
@@ -249,6 +259,22 @@ def test_bounds_json(capsys):
     payload = json.loads(out)
     assert payload["trunc_error_bound"] == pytest.approx(7.4533e-6, rel=1e-4)
     assert payload["disc_error"] == pytest.approx(8 / 6144, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--w", "nan", "--beta", "nan"],                  # refused by PricingSetup
+        ["--range", "0", "inf"],                          # refused by PricingSetup
+        ["--range", "0", "1e300", "--d", "3", "--T", "20"],  # OverflowError in the power
+        ["--beta", "1e300", "--range", "0", "1e10"],      # finite inputs, infinite disc_error
+    ],
+)
+def test_bounds_refuses_a_non_finite_or_overflowing_result(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # --- verify ------------------------------------------------------------------------

@@ -177,3 +177,17 @@ def test_setup_validation():
         PricingSetup(B_l=1.0, B_u=0.0)
     with pytest.raises(ValueError):
         GaussianSpec(n=4, sigma=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["w", "beta", "B_l", "B_u"])
+def test_setup_refuses_a_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PricingSetup(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["x0", "sigma", "w"])
+def test_gaussian_spec_refuses_a_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GaussianSpec(n=3, **{field: value})

@@ -157,6 +157,11 @@ def test_histogram_csv_format():
     assert S.histogram_to_csv(hist) == "label,count\n00,3\n01,2\n"
 
 
+def test_state_vector_refuses_a_nan_amplitude():
+    with pytest.raises(ValueError, match="deviates from 1"):
+        S.StateVector((2,), np.array([np.nan, 0], dtype=complex))
+
+
 def test_state_json_dump():
     data = json.loads(S.state_to_json(S.basis_state([2], "1")))
     assert data == [[0.0, 0.0], [1.0, 0.0]]

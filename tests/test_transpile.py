@@ -43,12 +43,6 @@ def test_qutrit_decomposition_structure():
     assert gates[2].controls == (C.ControlSpec(0, 1),)
 
 
-def test_qutrit_decomposition_wire_check():
-    wires = (C.WireSpec(2), C.WireSpec(2), C.WireSpec(2))
-    with pytest.raises(ValueError):
-        T.decompose_toffoli_qutrit(0, 1, 2, wires)
-
-
 def test_qutrit_lowering_action_on_basis_states():
     lowered = T.lower_toffolis(single_toffoli_circuit(), LoweringStrategy.QUTRIT)
     assert S.dominant_basis_label(S.simulate(lowered, "110")) == "111"
@@ -111,6 +105,56 @@ def test_lowering_handles_promoted_target():
     assert lowered.dims == (2, 3, 2, 3)
     restricted = S.qubit_subspace_unitary(lowered)
     assert np.allclose(restricted, S.circuit_unitary(circ), atol=1e-10)
+
+
+def two_pass_lowering(circuit, strategy):
+    """Reference lowering: promote every Toffoli's second control first, then
+    lower the gates in a second pass."""
+    wires = list(circuit.wires)
+    if strategy is LoweringStrategy.QUTRIT:
+        for gate in circuit.gates:
+            if gate.kind is GateKind.TOFFOLI:
+                wires[gate.controls[1].wire] = C.WireSpec(3)
+    lower = (T.decompose_toffoli_qutrit if strategy is LoweringStrategy.QUTRIT
+             else T.decompose_toffoli_clifford_t)
+    gates = []
+    for gate in circuit.gates:
+        if gate.kind is GateKind.TOFFOLI:
+            gates.extend(lower(*(c.wire for c in gate.controls), gate.targets[0]))
+        else:
+            gates.append(gate)
+    return tuple(wires), tuple(gates)
+
+
+def shared_wire_circuit(seed, n_wires=6):
+    """One hub wire that is the second control of three Toffolis, the first
+    control or the target of four more, and the control of four CNOTs."""
+    rng = np.random.default_rng(seed)
+    hub = int(rng.integers(n_wires))
+    others = [w for w in range(n_wires) if w != hub]
+    gates = []
+    for role in ("second", "second", "second", "first", "target", "first", "target"):
+        a, b = (int(w) for w in rng.choice(others, size=2, replace=False))
+        gates.append({"second": C.toffoli(a, hub, b), "first": C.toffoli(hub, a, b),
+                      "target": C.toffoli(a, b, hub)}[role])
+    gates += [C.cx(hub, int(rng.choice(others))) for _ in range(4)]
+    rng.shuffle(gates)
+    return C.extend(C.new_circuit([2] * n_wires), gates)
+
+
+@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize(
+    "build",
+    [lambda n=n: A.build_adder(n)[0] for n in range(1, 9)]
+    + [lambda: A.build_multiplier(3, 2)[0], lambda: A.build_multiplier(4, 4)[0]]
+    + [lambda seed=seed: shared_wire_circuit(seed) for seed in range(6)],
+    ids=[f"adder{n}" for n in range(1, 9)] + ["mult3x2", "mult4x4"]
+    + [f"shared{seed}" for seed in range(6)],
+)
+def test_one_pass_lowering_matches_two_pass_reference(strategy, build):
+    circuit = build()
+    lowered = T.lower_toffolis(circuit, strategy)
+    assert (lowered.wires, lowered.gates) == two_pass_lowering(circuit, strategy)
 
 
 def test_clifford_t_lowering_t_count():
