@@ -1,14 +1,20 @@
 """Circuit IR: construction, validation, metrics, JSON round-trip."""
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triarc import arith
 from triarc import circuits as C
+from triarc import transpile
 from triarc.circuits import GateKind
+from triarc.transpile import LoweringStrategy
+
+DATA = Path(__file__).parent / "data"
 
 
 def triple_lowering_gates():
@@ -302,6 +308,80 @@ def test_t_depth_at_most_t_count(circ):
 @given(circuits_strategy())
 def test_json_round_trip_property(circ):
     assert C.from_json(C.to_json(circ)) == circ
+
+
+GOLDEN_CIRCUITS = [
+    ("adder3.json", lambda: arith.build_adder(3)[0], None),
+    ("adder3_qutrit.json", lambda: arith.build_adder(3)[0], LoweringStrategy.QUTRIT),
+    ("adder3_cliffordt.json", lambda: arith.build_adder(3)[0],
+     LoweringStrategy.CLIFFORD_T_FUNCTIONAL),
+    ("multiplier2x2_qutrit.json", lambda: arith.build_multiplier(2, 2)[0],
+     LoweringStrategy.QUTRIT),
+    ("multiplier2x2_cliffordt.json", lambda: arith.build_multiplier(2, 2)[0],
+     LoweringStrategy.CLIFFORD_T_FUNCTIONAL),
+]
+
+
+@pytest.mark.parametrize("golden, build, strategy", GOLDEN_CIRCUITS,
+                         ids=[g for g, _, _ in GOLDEN_CIRCUITS])
+def test_to_json_matches_golden(golden, build, strategy):
+    circ = build()
+    if strategy is not None:
+        circ = transpile.lower_toffolis(circ, strategy)
+    text = (DATA / golden).read_text()
+    assert C.to_json(circ) + "\n" == text
+    assert C.from_json(text) == circ
+
+
+def test_to_json_of_the_mixed_radix_file_reproduces_it():
+    text = (DATA / "mixed_radix.json").read_text()
+    assert C.to_json(C.from_json(text)) + "\n" == text
+
+
+def reference_to_json(circ):
+    # the encoder's own indent=2 layout, which to_json must reproduce byte for byte
+    return json.dumps(C.circuit_to_dict(circ), indent=2)
+
+
+@st.composite
+def wide_circuits(draw, max_wires=5, max_gates=10):
+    """Mixed 2/3 wires; gates with 0-2 controls of value 1 or 2, TOFFOLIs,
+    MEASUREs over several wires, and possibly no gate at all."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=max_wires))
+    n = len(dims)
+    qubit_wires = [w for w in range(n) if dims[w] == 2]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        order = draw(st.permutations(range(n)))
+        choice = draw(st.sampled_from(["unitary", "measure", "toffoli"]))
+        if choice == "measure":
+            gates.append(C.measure(*order[:draw(st.integers(1, n))]))
+        elif choice == "toffoli" and len(qubit_wires) >= 3:
+            a, b, target = draw(st.permutations(qubit_wires))[:3]
+            gates.append(C.toffoli(a, b, target))
+        else:
+            target, controls = order[0], order[1:1 + draw(st.integers(0, min(2, n - 1)))]
+            kinds = [C.x, C.h, C.t, C.tdg, C.s, C.sdg, C.z]
+            if dims[target] == 3:
+                kinds += [C.xplus1, C.xminus1]
+            gate = draw(st.sampled_from(kinds))(target)
+            for w in controls:
+                gate = C.controlled(gate, w, draw(st.integers(1, dims[w] - 1)))
+            gates.append(gate)
+    return C.extend(C.new_circuit(dims), gates)
+
+
+@given(wide_circuits())
+def test_to_json_matches_the_json_module(circ):
+    text = C.to_json(circ)
+    assert text == reference_to_json(circ)
+    assert C.from_json(text) == circ
+
+
+def test_to_json_of_an_empty_circuit_matches_the_json_module():
+    circ = C.new_circuit([2, 3])
+    assert C.to_json(circ) == reference_to_json(circ)
+    assert '"gates": []' in C.to_json(circ)
 
 
 @st.composite

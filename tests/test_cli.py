@@ -132,6 +132,28 @@ def build_adder3(tmp_path, capsys, strategy):
     return lowered
 
 
+BUILD_ARGV = {"adder3": ["--op", "adder", "--n", "3"],
+              "multiplier2x2": ["--op", "multiplier", "--na", "2", "--nb", "2"]}
+
+
+@pytest.mark.parametrize(
+    "name, strategy",
+    [("adder3", None), ("adder3", "qutrit"), ("adder3", "cliffordt"),
+     ("multiplier2x2", "qutrit"), ("multiplier2x2", "cliffordt")],
+)
+def test_build_and_decompose_json_match_golden(tmp_path, capsys, name, strategy):
+    code, out, _ = run_cli(capsys, "build", *BUILD_ARGV[name])
+    assert code == 0
+    golden = f"{name}.json"
+    if strategy is not None:
+        plain = tmp_path / golden
+        plain.write_text(out)
+        code, out, _ = run_cli(capsys, "decompose", "--strategy", strategy, "--in", str(plain))
+        assert code == 0
+        golden = f"{name}_{strategy}.json"
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("strategy", ["cliffordt", "qutrit"])
 def test_simulate_state_dump_matches_golden(tmp_path, capsys, strategy):
     # the Clifford+T dump holds 0.999999999999999, residues near 1e-16 and
