@@ -10,10 +10,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GateKind(Enum):
@@ -63,11 +63,21 @@ class GateInstance:
     kind: GateKind
     controls: tuple[ControlSpec, ...] = ()
     targets: tuple[int, ...] = ()
+    # all wires the gate touches, control wires first; derived from the
+    # fields above, so equality, hashing and repr leave it out
+    wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def wires(self) -> tuple[int, ...]:
-        """All wires the gate touches, control wires first."""
-        return tuple(c.wire for c in self.controls) + self.targets
+    def __post_init__(self) -> None:
+        # runs for every gate built, so the usual 0 and 1 controls skip the
+        # generator; each branch refuses targets that are not a tuple
+        controls = self.controls
+        if not controls:
+            wires = () + self.targets
+        elif len(controls) == 1:
+            wires = (controls[0].wire,) + self.targets
+        else:
+            wires = tuple(c.wire for c in controls) + self.targets
+        object.__setattr__(self, "wires", wires)
 
 
 def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
@@ -228,25 +238,38 @@ def gate_count(circuit: Circuit, kind: GateKind | None = None) -> int:
     return sum(1 for g in circuit.gates if g.kind is kind)
 
 
-def layers(circuit: Circuit) -> list[list[GateInstance]]:
-    """ASAP greedy layering: each gate joins the earliest layer where none of
-    its wires is occupied. MEASURE gates are skipped."""
+def _asap(circuit: Circuit) -> Iterator[tuple[GateInstance, int]]:
+    """(gate, layer) for each gate in order, MEASURE gates skipped: ASAP
+    greedy layering puts each gate in the earliest layer where none of its
+    wires is occupied."""
     next_free = [0] * len(circuit.wires)
-    layers: list[list[GateInstance]] = []
     for gate in circuit.gates:
         if gate.kind is GateKind.MEASURE:
             continue
-        layer = max((next_free[w] for w in gate.wires), default=0)
+        wires = gate.wires
+        layer = 0
+        for w in wires:
+            if next_free[w] > layer:
+                layer = next_free[w]
+        yield gate, layer
+        layer += 1
+        for w in wires:
+            next_free[w] = layer
+
+
+def layers(circuit: Circuit) -> list[list[GateInstance]]:
+    """The ASAP layers of ``circuit``, MEASURE gates skipped."""
+    layers: list[list[GateInstance]] = []
+    for gate, layer in _asap(circuit):
         if layer == len(layers):
             layers.append([])
         layers[layer].append(gate)
-        for w in gate.wires:
-            next_free[w] = layer + 1
     return layers
 
 
 def depth(circuit: Circuit) -> int:
-    return len(layers(circuit))
+    """Number of ASAP layers, MEASURE gates skipped."""
+    return max((layer for _, layer in _asap(circuit)), default=-1) + 1
 
 
 def is_qutrit_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> bool:
@@ -261,36 +284,48 @@ def t_metrics(circuit: Circuit) -> tuple[int, int]:
 
     t_depth counts the ASAP layers containing at least one T/Tdg gate.
     """
-    for gate in circuit.gates:
-        if gate.kind is not GateKind.MEASURE and is_qutrit_gate(gate, circuit.wires):
-            raise ValueError("t_metrics is defined for qubit-only circuits")
-    t_count = sum(1 for g in circuit.gates if g.kind in T_KINDS)
-    t_depth = sum(1 for layer in layers(circuit) if any(g.kind in T_KINDS for g in layer))
-    return t_count, t_depth
+    # without a qutrit wire no gate can touch a qutrit, since validation
+    # keeps XPLUS1 and XMINUS1 off qubit targets
+    if any(w.dimension == 3 for w in circuit.wires):
+        for gate in circuit.gates:
+            if gate.kind is not GateKind.MEASURE and is_qutrit_gate(gate, circuit.wires):
+                raise ValueError("t_metrics is defined for qubit-only circuits")
+    t_count = 0
+    t_layers = set()
+    for gate, layer in _asap(circuit):
+        if gate.kind in T_KINDS:
+            t_count += 1
+            t_layers.add(layer)
+    return t_count, len(t_layers)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+# Every int is written through int(): validation accepts numpy integers,
+# which the json module cannot encode, and refuses bools, so int() only
+# ever turns an integer into a plain int.
+
 def circuit_to_dict(circuit: Circuit) -> dict:
     return {
-        "wires": [{"dim": w.dimension} for w in circuit.wires],
+        "wires": [{"dim": int(w.dimension)} for w in circuit.wires],
         "gates": [
             {
                 "kind": g.kind.value,
-                "controls": [{"wire": c.wire, "value": c.value} for c in g.controls],
-                "targets": list(g.targets),
+                "controls": [{"wire": int(c.wire), "value": int(c.value)} for c in g.controls],
+                "targets": [int(t) for t in g.targets],
             }
             for g in circuit.gates
         ],
     }
 
 
-def _json_int(value: object, field: str) -> int:
-    """``value`` if it is an int and not a bool; otherwise ValueError naming ``field``."""
-    if not _is_int(value):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+def _json_int(value: object, field: str, *at: int) -> int:
+    """``value`` if it is an int and not a bool; otherwise ValueError naming
+    the field, ``field`` formatted with the indices ``at``."""
+    if type(value) is not int and not _is_int(value):
+        raise ValueError(f"{field.format(*at)} must be an integer, got {value!r}")
     return value
 
 
@@ -298,27 +333,57 @@ def circuit_from_dict(data: dict) -> Circuit:
     """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
     wire, control value and target must be an int."""
     wires = tuple(
-        WireSpec(_json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
+        WireSpec(_json_int(w["dim"], "wires[{}].dim", i)) for i, w in enumerate(data["wires"])
     )
     gates = tuple(
         GateInstance(
             GateKind(g["kind"]),
             tuple(
                 ControlSpec(
-                    _json_int(c["wire"], f"gates[{i}].controls[{j}].wire"),
-                    _json_int(c["value"], f"gates[{i}].controls[{j}].value"),
+                    _json_int(c["wire"], "gates[{}].controls[{}].wire", i, j),
+                    _json_int(c["value"], "gates[{}].controls[{}].value", i, j),
                 )
                 for j, c in enumerate(g.get("controls", []))
             ),
-            tuple(_json_int(t, f"gates[{i}].targets[{j}]") for j, t in enumerate(g["targets"])),
+            tuple(_json_int(t, "gates[{}].targets[{}]", i, j) for j, t in enumerate(g["targets"])),
         )
         for i, g in enumerate(data["gates"])
     )
     return Circuit(wires, gates)
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """JSON array of the encoded ``items`` in the layout of
+    ``json.dumps(..., indent=2)``, for an array that opens at nesting
+    ``indent``; ``[]`` when empty, as json.dumps prints it."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _gate_json(gate: GateInstance) -> str:
+    controls = _json_array(
+        [
+            f'{{\n          "wire": {int(c.wire)},\n          "value": {int(c.value)}\n        }}'
+            for c in gate.controls
+        ],
+        "      ",
+    )
+    targets = _json_array([str(int(t)) for t in gate.targets], "      ")
+    return (
+        f'{{\n      "kind": "{gate.kind.value}",\n      "controls": {controls},'
+        f'\n      "targets": {targets}\n    }}'
+    )
+
+
 def to_json(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=2)
+    """``json.dumps(circuit_to_dict(circuit), indent=2)``, byte for byte,
+    written directly: with ``indent`` set, json.dumps runs the pure-Python
+    encoder and builds the dict form first."""
+    wires = _json_array([f'{{\n      "dim": {int(w.dimension)}\n    }}' for w in circuit.wires], "  ")
+    gates = _json_array([_gate_json(g) for g in circuit.gates], "  ")
+    return f'{{\n  "wires": {wires},\n  "gates": {gates}\n}}'
 
 
 def from_json(text: str) -> Circuit:

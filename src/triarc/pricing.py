@@ -86,11 +86,16 @@ def trunc_error_bound(setup: PricingSetup) -> float:
 
 def disc_error(setup: PricingSetup) -> float:
     """Grid-discretization error beta*(B_u-B_l)^(dT+2) / (24 * 2^(2n))."""
-    return (
-        setup.beta
-        * (setup.B_u - setup.B_l) ** (setup.d * setup.T + 2)
-        / (24.0 * 2 ** (2 * setup.n))
-    )
+    width = setup.B_u - setup.B_l
+    exponent = setup.d * setup.T + 2
+    try:
+        power = width ** exponent
+    except OverflowError:
+        raise ValueError(
+            f"disc_error: range width {width!r} to the power d*T+2 = {exponent} "
+            "overflows a float"
+        ) from None
+    return setup.beta * power / (24.0 * 2 ** (2 * setup.n))
 
 
 def gaussian_target_state(spec: GaussianSpec) -> StateVector:

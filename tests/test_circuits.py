@@ -120,6 +120,34 @@ def test_numpy_integers_are_accepted():
     assert circ.dims == (2, 3)
 
 
+def test_gate_wires_are_left_out_of_equality_hash_and_repr():
+    gate = C.cx(0, 1, value=2)
+    assert gate.wires == (0, 1)
+    assert "wires" not in repr(gate)
+    assert repr(gate) == ("GateInstance(kind=<GateKind.X: 'X'>, "
+                          "controls=(ControlSpec(wire=0, value=2),), targets=(1,))")
+    stale = C.cx(0, 1, value=2)
+    object.__setattr__(stale, "wires", (5,))
+    assert stale == gate
+    assert hash(stale) == hash(gate)
+    assert len({gate, stale}) == 1
+
+
+def test_controlled_recomputes_the_gate_wires():
+    assert C.x(2).wires == (2,)
+    assert C.controlled(C.x(2), 0).wires == (0, 2)
+    assert C.controlled(C.controlled(C.x(2), 0), 1, 2).wires == (0, 1, 2)
+    assert C.toffoli(3, 1, 0).wires == (3, 1, 0)
+    assert C.measure(2, 0).wires == (2, 0)
+
+
+def test_to_json_writes_numpy_integers_as_plain_ints():
+    circ = C.append(C.new_circuit([np.int64(2), 2]), C.x(np.int64(0)))
+    text = C.to_json(circ)
+    assert text == reference_to_json(C.append(C.new_circuit([2, 2]), C.x(0)))
+    assert C.from_json(text) == circ
+
+
 def test_measure_rejects_controls():
     circ = C.new_circuit([2, 2])
     with pytest.raises(ValueError):
@@ -226,6 +254,11 @@ def test_t_metrics_rejects_qutrit_circuit():
 def test_t_metrics_counts_t_and_tdg():
     circ = C.extend(C.new_circuit([2]), [C.t(0), C.tdg(0), C.t(0)])
     assert C.t_metrics(circ) == (3, 3)
+
+
+def test_t_depth_counts_parallel_t_gates_once():
+    circ = C.extend(C.new_circuit([2, 2, 2]), [C.t(0), C.tdg(1), C.cx(0, 1), C.t(2), C.t(0)])
+    assert C.t_metrics(circ) == (4, 2)
 
 
 # --- JSON round trip ------------------------------------------------------
@@ -344,10 +377,10 @@ def reference_to_json(circ):
 
 
 @st.composite
-def wide_circuits(draw, max_wires=5, max_gates=10):
-    """Mixed 2/3 wires; gates with 0-2 controls of value 1 or 2, TOFFOLIs,
-    MEASUREs over several wires, and possibly no gate at all."""
-    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=max_wires))
+def wide_circuits(draw, max_wires=5, max_gates=10, dims_from=(2, 3)):
+    """Wires of the dimensions ``dims_from``; gates with 0-2 controls of value
+    1 or 2, TOFFOLIs, MEASUREs over several wires, and possibly no gate at all."""
+    dims = draw(st.lists(st.sampled_from(dims_from), min_size=1, max_size=max_wires))
     n = len(dims)
     qubit_wires = [w for w in range(n) if dims[w] == 2]
     gates = []
@@ -382,6 +415,60 @@ def test_to_json_of_an_empty_circuit_matches_the_json_module():
     circ = C.new_circuit([2, 3])
     assert C.to_json(circ) == reference_to_json(circ)
     assert '"gates": []' in C.to_json(circ)
+
+
+def reference_layers(circ):
+    # the ASAP layering as written before depth and t_metrics shared one walk
+    next_free = [0] * len(circ.wires)
+    layers = []
+    for gate in circ.gates:
+        if gate.kind is GateKind.MEASURE:
+            continue
+        wires = tuple(c.wire for c in gate.controls) + gate.targets
+        layer = max((next_free[w] for w in wires), default=0)
+        if layer == len(layers):
+            layers.append([])
+        layers[layer].append(gate)
+        for w in wires:
+            next_free[w] = layer + 1
+    return layers
+
+
+def reference_t_metrics(circ):
+    # count plus layers, as t_metrics computed it before the shared walk
+    t_count = sum(1 for g in circ.gates if g.kind in C.T_KINDS)
+    t_depth = sum(1 for layer in reference_layers(circ)
+                  if any(g.kind in C.T_KINDS for g in layer))
+    return t_count, t_depth
+
+
+@given(wide_circuits())
+def test_layers_and_depth_match_the_reference_walk(circ):
+    assert C.layers(circ) == reference_layers(circ)
+    assert C.depth(circ) == len(C.layers(circ))
+
+
+@given(st.one_of(wide_circuits(), wide_circuits(dims_from=(2,))))
+def test_t_metrics_matches_the_reference_or_refuses_a_qutrit_gate(circ):
+    if any(C.is_qutrit_gate(g, circ.wires) for g in circ.gates if g.kind is not GateKind.MEASURE):
+        with pytest.raises(ValueError, match="qubit-only"):
+            C.t_metrics(circ)
+    else:
+        assert C.t_metrics(circ) == reference_t_metrics(circ)
+
+
+@given(wide_circuits(dims_from=(2,)))
+def test_t_metrics_accepts_a_qutrit_wire_no_gate_touches(circ):
+    idle = C.Circuit(circ.wires + (C.WireSpec(3),), circ.gates)
+    assert C.t_metrics(idle) == C.t_metrics(circ) == reference_t_metrics(circ)
+
+
+def test_t_metrics_refuses_a_gate_on_a_qutrit_wire_but_not_a_measure():
+    circ = C.extend(C.new_circuit([2, 3]), [C.t(0), C.h(1)])
+    with pytest.raises(ValueError, match="qubit-only"):
+        C.t_metrics(circ)
+    measured = C.extend(C.new_circuit([2, 3]), [C.t(0), C.measure(0, 1)])
+    assert C.t_metrics(measured) == (1, 1)
 
 
 @st.composite

@@ -299,6 +299,14 @@ def test_bounds_refuses_a_non_finite_or_overflowing_result(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_bounds_names_the_overflowing_power(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--range", "0", "1e300", "--d", "3", "--T", "20")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: disc_error: range width 1e+300 to the power d*T+2 = 62 "
+                   "overflows a float\n")
+
+
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_passes(capsys):
