@@ -1,6 +1,8 @@
 """Adder and multiplier generators against classical arithmetic oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triarc import arith as A
 from triarc import circuits as C
@@ -120,3 +122,25 @@ def test_demo_multiplier_lowered_yields_15():
     lowered = T.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
     label = S.dominant_basis_label(S.simulate(lowered, "0" * 13), atol=1e-12)
     assert A.register_value(label, layout.result_wires) == 15
+
+
+@st.composite
+def layout_and_operands(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        circuit, layout = A.build_adder(n)
+        na = nb = n
+    else:
+        na, nb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        circuit, layout = A.build_multiplier(na, nb)
+    return circuit, layout, draw(st.integers(0, 2 ** na - 1)), draw(st.integers(0, 2 ** nb - 1))
+
+
+@given(layout_and_operands())
+@settings(max_examples=60)
+def test_operand_label_round_trips_through_register_value(case):
+    circuit, layout, a, b = case
+    label = A.operand_label(circuit, layout, a, b)
+    assert len(label) == len(circuit.wires)
+    assert A.register_value(label, layout.a_wires) == a
+    assert A.register_value(label, layout.b_wires) == b

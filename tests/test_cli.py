@@ -8,8 +8,9 @@ import pytest
 from triarc import circuits as C
 from triarc import resources as R
 from triarc import simulator as S
-from triarc.cli import main
+from triarc.cli import Config, main
 from triarc.circuits import GateKind
+from triarc.noise import NoiseParams
 
 
 def run_cli(capsys, *argv):
@@ -378,3 +379,57 @@ def test_simulate_byte_identical_with_seed(tmp_path, capsys):
                 "--shots", "100", "--seed", "3", "--out", str(dst))
         outputs.append(dst.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# --- config resolution: flag, then config file, then the NoiseParams default -------------
+
+def run_with_config(tmp_path, capsys, values, *argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    return run_cli(capsys, "--config", str(config), *argv)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_config_format_gives_the_estimate_bytes_of_the_flag(tmp_path, capsys, fmt):
+    argv = ["estimate", "--op", "mul", "--n", "4"]
+    code, from_config, _ = run_with_config(tmp_path, capsys, {"format": fmt}, *argv)
+    assert code == 0
+    assert from_config == run_cli(capsys, *argv, "--format", fmt)[1]
+
+
+def test_config_seed_gives_the_histogram_of_the_flag(tmp_path, capsys):
+    argv = ["simulate", "--in", str(DATA / "mixed_radix.json"), "--input", "01010",
+            "--shots", "200"]
+    code, from_config, _ = run_with_config(tmp_path, capsys, {"seed": 5}, *argv)
+    assert code == 0
+    assert from_config == run_cli(capsys, *argv, "--seed", "5")[1]
+    assert from_config != run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("name, value", [("p1", 1e-3), ("p2", 5e-3), ("t1a", 50.0),
+                                         ("t1b", 20.0), ("tau", 0.1)])
+def test_config_noise_field_gives_the_curve_of_the_flag(tmp_path, capsys, name, value):
+    # a nonzero tau, so the relaxation times show in the curve
+    argv = ["noise-curve", "--max-toffoli", "3"] + (["--tau", "0.5"] if name != "tau" else [])
+    code, from_config, _ = run_with_config(tmp_path, capsys, {name: value}, *argv)
+    assert code == 0
+    assert from_config == run_cli(capsys, *argv, f"--{name}", str(value))[1]
+    assert from_config != run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("values, argv", [
+    ({"p2": 5e-3}, ["noise-curve", "--max-toffoli", "3", "--p2", "0.02"]),
+    ({"format": "csv"}, ["estimate", "--op", "add", "--n", "8", "--format", "json"]),
+    ({"seed": 5}, ["simulate", "--in", str(DATA / "mixed_radix.json"), "--input", "01010",
+                   "--shots", "200", "--seed", "9"]),
+])
+def test_a_flag_beats_the_config_value(tmp_path, capsys, values, argv):
+    code, from_both, _ = run_with_config(tmp_path, capsys, values, *argv)
+    assert code == 0
+    assert from_both == run_cli(capsys, *argv)[1]
+
+
+def test_config_noise_defaults_are_the_noise_params_defaults():
+    config, params = Config(), NoiseParams()
+    assert (config.p1, config.p2, config.t1a, config.t1b, config.tau) == (
+        params.p1, params.p2, params.T1_level1, params.T1_level2, params.tau_gate)
