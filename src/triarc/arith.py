@@ -6,12 +6,15 @@ cannot hold.
 
 Register bits are laid out least-significant first inside each register
 (``a_wires[k]`` carries bit k of A). Basis-state labels still read wire 0
-as the most significant label digit; use ``operand_label`` and
-``register_value`` to move between integers and labels.
+as the most significant label digit; ``register_digits`` and ``operand_label``
+write integers into labels and ``register_value`` reads them back.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .circuits import Circuit, GateInstance, WireSpec, cx, toffoli, x
 
@@ -27,14 +30,22 @@ class RegisterLayout:
     carry_wire: int | None = None
 
 
+def register_digits(circuit: Circuit,
+                    registers: Sequence[tuple[Sequence[int], Sequence[int]]]) -> np.ndarray:
+    """One basis label per row: each register's wires (least-significant
+    first) hold the bits of its per-row values; every other wire is 0."""
+    batch = len(registers[0][1])
+    digits = np.zeros((batch, len(circuit.wires)), dtype=np.int8)
+    for wires, values in registers:
+        for k, w in enumerate(wires):
+            digits[:, w] = [(v >> k) & 1 for v in values]
+    return digits
+
+
 def operand_label(circuit: Circuit, layout: RegisterLayout, a: int, b: int) -> str:
     """Basis label preparing integers ``a`` and ``b`` on the input registers."""
-    digits = [0] * len(circuit.wires)
-    for k, w in enumerate(layout.a_wires):
-        digits[w] = (a >> k) & 1
-    for k, w in enumerate(layout.b_wires):
-        digits[w] = (b >> k) & 1
-    return "".join(str(d) for d in digits)
+    row = register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])])[0]
+    return "".join(map(str, row))
 
 
 def register_value(label: str, wires: tuple[int, ...]) -> int:

@@ -23,15 +23,18 @@ _STRATEGIES = {
 }
 
 
+_NOISE_DEFAULTS = noise.NoiseParams()
+
+
 @dataclass(frozen=True)
 class Config:
-    """Defaults loadable from a JSON file via --config."""
+    """Defaults loadable from a JSON file via --config, named as the flags' dests."""
 
-    p1: float = 1e-4
-    p2: float = 1e-2
-    t1a: float = 100.0
-    t1b: float = 30.0
-    tau: float = 0.0
+    p1: float = _NOISE_DEFAULTS.p1
+    p2: float = _NOISE_DEFAULTS.p2
+    t1a: float = _NOISE_DEFAULTS.T1_level1
+    t1b: float = _NOISE_DEFAULTS.T1_level2
+    tau: float = _NOISE_DEFAULTS.tau_gate
     format: str = "json"
     seed: int = 0
 
@@ -54,7 +57,7 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _cmd_build(args: argparse.Namespace, config: Config) -> int:
+def _cmd_build(args: argparse.Namespace) -> int:
     if args.op == "adder":
         if args.n is None:
             raise ValueError("build --op adder requires --n")
@@ -69,33 +72,31 @@ def _cmd_build(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _cmd_decompose(args: argparse.Namespace, config: Config) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> int:
     circuit = circuits.from_json(Path(args.infile).read_text())
     lowered = transpile.lower_toffolis(circuit, _STRATEGIES[args.strategy])
     _write(circuits.to_json(lowered) + "\n", args.out)
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, config: Config) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = circuits.from_json(Path(args.infile).read_text())
     state = simulator.simulate(circuit, args.input)
     if args.shots is None:
         _write(simulator.state_to_json(state) + "\n", args.out)
     else:
-        seed = args.seed if args.seed is not None else config.seed
-        hist = simulator.measure_all(state, args.shots, seed)
+        hist = simulator.measure_all(state, args.shots, args.seed)
         _write(simulator.histogram_to_csv(hist), args.out)
     return 0
 
 
-def _cmd_estimate(args: argparse.Namespace, config: Config) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> int:
     approx = resources.ApproxParams(k=args.k, M=args.M, d=args.d, z=args.z)
     report = resources.estimate_operation(
         args.op, args.n, args.p, approx, _STRATEGIES[args.strategy]
     )
     payload = {"op": args.op, "strategy": args.strategy, **asdict(report)}
-    fmt = args.format or config.format
-    if fmt == "json":
+    if args.format == "json":
         _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         keys = [k for k in payload if k != "notes"]
@@ -104,14 +105,9 @@ def _cmd_estimate(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _cmd_noise_curve(args: argparse.Namespace, config: Config) -> int:
-    params = noise.NoiseParams(
-        p1=args.p1 if args.p1 is not None else config.p1,
-        p2=args.p2 if args.p2 is not None else config.p2,
-        T1_level1=args.t1a if args.t1a is not None else config.t1a,
-        T1_level2=args.t1b if args.t1b is not None else config.t1b,
-        tau_gate=args.tau if args.tau is not None else config.tau,
-    )
+def _cmd_noise_curve(args: argparse.Namespace) -> int:
+    params = noise.NoiseParams(p1=args.p1, p2=args.p2, T1_level1=args.t1a,
+                               T1_level2=args.t1b, tau_gate=args.tau)
     names = ["conventional", "qutrit"] if args.strategy == "both" else [args.strategy]
     # an int count, so success_curve refuses one below 1
     curves = [noise.success_curve(_STRATEGIES[name], args.max_toffoli, params) for name in names]
@@ -129,7 +125,7 @@ def _cmd_noise_curve(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _cmd_bounds(args: argparse.Namespace, config: Config) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> int:
     b_l, b_u = args.range
     setup = pricing.PricingSetup(
         d=args.d, T=args.T, n=args.n, w=args.w, beta=args.beta, B_l=b_l, B_u=b_u
@@ -142,7 +138,7 @@ def _cmd_bounds(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: Config) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name, ok in verify.checks():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -224,8 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = Config.load(args.config)
-        return args.func(args, config)
+        # flag, then config file, then default: fill each flag left at None
+        resolved = vars(args)
+        for name, value in asdict(Config.load(args.config)).items():
+            if name in resolved and resolved[name] is None:
+                resolved[name] = value
+        return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

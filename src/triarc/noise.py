@@ -24,14 +24,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, layers, toffoli
+from .circuits import Circuit, GateInstance, WireSpec, layers
 from .simulator import (
     DensityMatrix,
     basis_density,
     basis_state,
     evolve_density,
 )
-from .transpile import LoweringStrategy, cost_profile, lower_toffolis
+from .transpile import REFERENCE_TOFFOLI, LoweringStrategy, cost_profile, lower_toffolis
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,7 @@ def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> f
     gate carries the full two-qutrit channel. ``lower_toffolis`` refuses
     the accounting-only SELINGER_COST.
     """
-    base = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
-    lowered = lower_toffolis(base, strategy)
+    lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
     if strategy is LoweringStrategy.QUTRIT:
         lowered = Circuit((WireSpec(3),) * 3, lowered.gates)
     dims = lowered.dims

@@ -48,6 +48,9 @@ class LoweringStrategy(Enum):
 
 FUNCTIONAL_STRATEGIES = (LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
 
+# the one Toffoli that profiles, fidelities and equivalence checks lower
+REFERENCE_TOFFOLI = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
+
 
 def check_strategy(strategy: LoweringStrategy) -> None:
     """Refuse anything that is not a LoweringStrategy member, such as its
@@ -151,7 +154,7 @@ def _measure_profile(strategy: LoweringStrategy) -> CostProfile:
     """Profile read off the lowering of one Toffoli: gates sorted by wire
     count and by whether they touch a qutrit wire, depth, T-layers and the
     wires the lowering adds."""
-    lowered = lower_toffolis(Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),)), strategy)
+    lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
     by_class = Counter((is_qutrit_gate(g, lowered.wires), len(g.wires)) for g in lowered.gates)
     gate_layers = layers(lowered)
     return CostProfile(
@@ -166,11 +169,13 @@ def _measure_profile(strategy: LoweringStrategy) -> CostProfile:
 
 # Measured once at import: census_for runs once per success-curve point, and
 # a lowering per call would cost time and add lower_toffolis calls to traces.
-_QUTRIT_PROFILE = replace(_measure_profile(LoweringStrategy.QUTRIT), table_gate_count=3)
-_CLIFFORD_T_PROFILE = _measure_profile(LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
-_SELINGER_PROFILE = CostProfile(one_qubit_gates=7, two_qubit_gates=16, two_qutrit_gates=0,
-                                depth_per_toffoli=7, t_depth_per_toffoli=1, ancilla_wires=4,
-                                table_gate_count=25)
+_PROFILES = {
+    LoweringStrategy.QUTRIT: replace(_measure_profile(LoweringStrategy.QUTRIT), table_gate_count=3),
+    LoweringStrategy.CLIFFORD_T_FUNCTIONAL: _measure_profile(LoweringStrategy.CLIFFORD_T_FUNCTIONAL),
+    LoweringStrategy.SELINGER_COST: CostProfile(
+        one_qubit_gates=7, two_qubit_gates=16, two_qutrit_gates=0, depth_per_toffoli=7,
+        t_depth_per_toffoli=1, ancilla_wires=4, table_gate_count=25),
+}
 
 
 def cost_profile(strategy: LoweringStrategy) -> CostProfile:
@@ -182,8 +187,4 @@ def cost_profile(strategy: LoweringStrategy) -> CostProfile:
     headline gate count 25 alongside the 7 + 16 component counts.
     """
     check_strategy(strategy)
-    if strategy is LoweringStrategy.QUTRIT:
-        return _QUTRIT_PROFILE
-    if strategy is LoweringStrategy.SELINGER_COST:
-        return _SELINGER_PROFILE
-    return _CLIFFORD_T_PROFILE
+    return _PROFILES[strategy]

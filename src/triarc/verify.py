@@ -8,27 +8,16 @@ on dense unitaries, because they test phases as well.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import arith, simulator, transpile
-from .circuits import Circuit, WireSpec, toffoli
-from .transpile import LoweringStrategy
+from .circuits import Circuit, _is_int
+from .transpile import REFERENCE_TOFFOLI, LoweringStrategy
 
 # (a, b, expected value, observed output label) of the first failing pair
 Failure = tuple[int, int, int, str]
-
-
-def _digits(circuit: Circuit, registers: Sequence[tuple[Sequence[int], Sequence[int]]]) -> np.ndarray:
-    """One basis label per row: each register's wires (least-significant
-    first) hold the bits of its per-row values; every other wire is 0."""
-    batch = len(registers[0][1])
-    digits = np.zeros((batch, len(circuit.wires)), dtype=np.int8)
-    for wires, values in registers:
-        for k, w in enumerate(wires):
-            digits[:, w] = [(v >> k) & 1 for v in values]
-    return digits
 
 
 def _label(row: np.ndarray) -> str:
@@ -45,22 +34,36 @@ def _first_failure(circuit: Circuit, pairs: list[tuple[int, int]], values: list[
     return pairs[i][0], pairs[i][1], values[i], _label(observed[i])
 
 
-def _pairs(na: int, nb: int, pairs: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
-    if pairs is None:
-        return list(product(range(2 ** na), range(2 ** nb)))
-    return [(int(a), int(b)) for a, b in pairs]
+def _operand(value: object, bits: int) -> int:
+    if not _is_int(value) or not 0 <= value < 2 ** bits:
+        raise ValueError(f"operand {value!r} is not an integer in [0, 2^{bits})")
+    return int(value)
+
+
+def _pairs(circuit: Circuit, na: int, nb: int,
+           pairs: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
+    """The operand pairs to check, every pair by default. Refuses an operand
+    that does not fit its register, and a run_basis digit batch (pairs x
+    wires) above MAX_STATE_DIM, the exhaustive one before any pair is built."""
+    if pairs is not None:
+        pairs = [(_operand(a, na), _operand(b, nb)) for a, b in pairs]
+    count = 2 ** (na + nb) if pairs is None else len(pairs)
+    if count * len(circuit.wires) > simulator.MAX_STATE_DIM:
+        raise ValueError(f"{count} operand pairs on {len(circuit.wires)} wires exceed "
+                         f"MAX_STATE_DIM = {simulator.MAX_STATE_DIM} digits")
+    return list(product(range(2 ** na), range(2 ** nb))) if pairs is None else pairs
 
 
 def adder_failure(circuit: Circuit, layout: arith.RegisterLayout, n: int,
                   pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, A+B mod 2^n, ancilla 0, carry),
     or None. ``pairs`` defaults to all 4^n operand pairs."""
-    pairs = _pairs(n, n, pairs)
+    pairs = _pairs(circuit, n, n, pairs)
     a, b = [p[0] for p in pairs], [p[1] for p in pairs]
     sums = [x + y for x, y in pairs]
-    inputs = _digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
-    expected = _digits(circuit, [(layout.a_wires, a),
-                                 (layout.result_wires + (layout.carry_wire,), sums)])
+    inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
+    expected = arith.register_digits(circuit, [(layout.a_wires, a),
+                                             (layout.result_wires + (layout.carry_wire,), sums)])
     return _first_failure(circuit, pairs, sums, inputs, expected)
 
 
@@ -68,12 +71,12 @@ def multiplier_failure(circuit: Circuit, layout: arith.RegisterLayout, na: int, 
                        pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, B, ancillas 0, A*B), or None.
     ``pairs`` defaults to all 2^(na+nb) operand pairs."""
-    pairs = _pairs(na, nb, pairs)
+    pairs = _pairs(circuit, na, nb, pairs)
     a, b = [p[0] for p in pairs], [p[1] for p in pairs]
     products = [x * y for x, y in pairs]
-    inputs = _digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
-    expected = _digits(circuit, [(layout.a_wires, a), (layout.b_wires, b),
-                                 (layout.result_wires, products)])
+    inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
+    expected = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b),
+                                             (layout.result_wires, products)])
     return _first_failure(circuit, pairs, products, inputs, expected)
 
 
@@ -81,11 +84,10 @@ def checks() -> list[tuple[str, bool]]:
     """The ten (name, ok) results that ``triarc verify`` prints, in order."""
     results: list[tuple[str, bool]] = []
 
-    base = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
-    ideal = simulator.circuit_unitary(base)
+    ideal = simulator.circuit_unitary(REFERENCE_TOFFOLI)
     for name, strategy in (("qutrit", LoweringStrategy.QUTRIT),
                            ("cliffordt", LoweringStrategy.CLIFFORD_T_FUNCTIONAL)):
-        restricted = simulator.qubit_subspace_unitary(transpile.lower_toffolis(base, strategy))
+        restricted = simulator.qubit_subspace_unitary(transpile.lower_toffolis(REFERENCE_TOFFOLI, strategy))
         results.append((f"toffoli-equivalence-{name}", bool(np.allclose(restricted, ideal, atol=1e-10))))
 
     for n in (2, 3, 4):
