@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from math import isfinite
 from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +38,13 @@ T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 def _is_int(value: object) -> bool:
     """True for an int or a numpy integer, False for a bool or anything else."""
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def check_finite(**values: float) -> None:
+    """Refuse a NaN or infinite value with a ValueError naming its field."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, layers
+from .circuits import Circuit, GateInstance, WireSpec, check_finite, layers
 from .simulator import (
     DensityMatrix,
     basis_density,
@@ -45,6 +45,8 @@ class NoiseParams:
     tau_gate: float = 0.0      # per-layer duration
 
     def __post_init__(self) -> None:
+        check_finite(p1=self.p1, p2=self.p2, T1_level1=self.T1_level1,
+                     T1_level2=self.T1_level2, tau_gate=self.tau_gate)
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
             raise ValueError("gate error probabilities must lie in [0, 1]")
         if self.T1_level1 <= 0 or self.T1_level2 <= 0:

@@ -11,18 +11,13 @@ scope), so the P^2 estimator only evaluates the quoted sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite
+from math import exp
 from typing import Mapping
 
 import numpy as np
 
+from .circuits import check_finite
 from .simulator import Histogram, StateVector, check_state_dim
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +33,7 @@ class PricingSetup:
     B_u: float = 0.0      # upper integration bound
 
     def __post_init__(self) -> None:
-        _check_finite(w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
+        check_finite(w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
         if self.d < 1 or self.T < 1 or self.n < 1:
             raise ValueError("d, T and n must be >= 1")
         if self.w < 0:
@@ -57,7 +52,7 @@ class GaussianSpec:
     w: float = 4.0
 
     def __post_init__(self) -> None:
-        _check_finite(x0=self.x0, sigma=self.sigma, w=self.w)
+        check_finite(x0=self.x0, sigma=self.sigma, w=self.w)
         if self.n < 1:
             raise ValueError("register size n must be >= 1")
         if self.sigma <= 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor, log2
 
+from .circuits import check_finite
 from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
@@ -276,6 +277,7 @@ class BaselineCosts:
     overall_depth: float
 
     def __post_init__(self) -> None:
+        check_finite(t_cost=self.t_cost, t_depth=self.t_depth, overall_depth=self.overall_depth)
         if min(self.t_cost, self.t_depth, self.overall_depth) < 0:
             raise ValueError("baseline costs must be non-negative")
 

@@ -19,6 +19,7 @@ from .circuits import (
     GateKind,
     QUTRIT_ONLY_KINDS,
     WireSpec,
+    _is_int,
     validate_gate,
 )
 
@@ -495,6 +496,9 @@ def evolve_density(
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")
         wires = tuple(wires)
+        for w in wires:
+            if not _is_int(w):
+                raise ValueError(f"wire index must be an integer, got {w!r}")
         if len(set(wires)) != len(wires) or not all(0 <= w < n for w in wires):
             raise ValueError(f"channel wires {wires} must be distinct wires of {n}")
         local_dims = tuple(dims[w] for w in wires)

@@ -433,3 +433,17 @@ def test_config_noise_defaults_are_the_noise_params_defaults():
     config, params = Config(), NoiseParams()
     assert (config.p1, config.p2, config.t1a, config.t1b, config.tau) == (
         params.p1, params.p2, params.T1_level1, params.T1_level2, params.tau_gate)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--tau", "nan"], "tau_gate"),
+    (["--t1a", "nan", "--tau", "1"], "T1_level1"),
+    (["--t1b", "inf", "--tau", "inf"], "T1_level2"),
+    (["--p1", "nan"], "p1"),
+    (["--p2", "inf"], "p2"),
+])
+def test_noise_curve_refuses_a_non_finite_parameter(capsys, argv, field):
+    code, out, err = run_cli(capsys, "noise-curve", "--max-toffoli", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be finite")

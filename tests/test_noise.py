@@ -420,3 +420,10 @@ def test_noise_params_validation():
         NoiseParams(T1_level2=0.0)
     with pytest.raises(ValueError):
         NoiseParams(tau_gate=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["p1", "p2", "T1_level1", "T1_level2", "tau_gate"])
+def test_noise_params_refuse_a_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NoiseParams(**{field: value})

@@ -340,3 +340,11 @@ def test_estimate_mul_uses_z():
 def test_estimate_unknown_op():
     with pytest.raises(ValueError):
         R.estimate_operation("modexp", 4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["t_cost", "t_depth", "overall_depth"])
+def test_baseline_costs_refuse_a_non_finite_value(field, value):
+    costs = {"t_cost": 1.0, "t_depth": 1.0, "overall_depth": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BaselineCosts(**costs)

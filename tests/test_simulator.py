@@ -607,3 +607,17 @@ def test_evolve_density_leaves_input_alone():
     for gate in (C.h(0), C.t(2), C.controlled(C.xplus1(1), 0, 1), C.cx(1, 2, value=2), C.x(1)):
         S.evolve_density(rho, gate)
         assert rho.entries.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("wires", [(True,), (1.0,), ("1",)])
+def test_evolve_density_refuses_a_non_integer_channel_wire(wires):
+    rho = S.basis_density([2, 3], "01")
+    with pytest.raises(ValueError, match="wire index must be an integer"):
+        S.evolve_density(rho, N.amplitude_damping_qutrit(0.5, 0.5), wires=wires)
+
+
+def test_evolve_density_takes_a_numpy_integer_channel_wire():
+    rho = S.basis_density([2, 3], "01")
+    channel = N.amplitude_damping_qutrit(0.5, 0.5)
+    out = S.evolve_density(rho, channel, wires=(np.int64(1),))
+    assert np.array_equal(out.entries, S.evolve_density(rho, channel, wires=(1,)).entries)

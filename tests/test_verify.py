@@ -109,3 +109,39 @@ def test_sampled_qutrit_arithmetic_up_to_97_wires():
     circuit, layout = A.build_multiplier(8, 8)
     assert len(circuit.wires) == 97
     assert V.multiplier_failure(qutrit(circuit), layout, 8, 8, rng.integers(0, 256, (200, 2))) is None
+
+
+@pytest.mark.parametrize("build, check, pairs", [
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(8, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(-1, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(1.9, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(True, 1)]),
+    (lambda: A.build_multiplier(2, 2), lambda c, l, p: V.multiplier_failure(c, l, 2, 2, p),
+     [(4, 3)]),
+], ids=["a-too-large", "a-negative", "a-float", "a-bool", "multiplier-a-too-large"])
+def test_checker_refuses_an_operand_its_register_cannot_hold(build, check, pairs):
+    circuit, layout = build()
+    with pytest.raises(ValueError, match="operand"):
+        check(circuit, layout, pairs)
+
+
+def test_exhaustive_check_is_refused_before_any_pair_is_built(monkeypatch):
+    def no_pairs(*args):
+        raise AssertionError("operand pairs built before the size check")
+
+    monkeypatch.setattr(V, "product", no_pairs)
+    for n in (11, 40):
+        circuit, layout = A.build_adder(n)
+        with pytest.raises(ValueError, match="MAX_STATE_DIM"):
+            V.adder_failure(circuit, layout, n)
+
+
+def test_the_checker_size_bound_follows_max_state_dim(monkeypatch):
+    circuit, layout = A.build_adder(2)  # 16 pairs on 6 wires: 96 digits
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 96)
+    assert V.adder_failure(circuit, layout, 2) is None
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 95)
+    for pairs in (None, [(1, 2)] * 16):
+        with pytest.raises(ValueError, match="MAX_STATE_DIM = 95"):
+            V.adder_failure(circuit, layout, 2, pairs)
+    assert V.adder_failure(circuit, layout, 2, [(1, 2)] * 15) is None
