@@ -23,18 +23,15 @@ _STRATEGIES = {
 }
 
 
-_NOISE_DEFAULTS = noise.NoiseParams()
-
-
 @dataclass(frozen=True)
 class Config:
     """Defaults loadable from a JSON file via --config, named as the flags' dests."""
 
-    p1: float = _NOISE_DEFAULTS.p1
-    p2: float = _NOISE_DEFAULTS.p2
-    t1a: float = _NOISE_DEFAULTS.T1_level1
-    t1b: float = _NOISE_DEFAULTS.T1_level2
-    tau: float = _NOISE_DEFAULTS.tau_gate
+    p1: float = noise.NoiseParams.p1
+    p2: float = noise.NoiseParams.p2
+    t1a: float = noise.NoiseParams.T1_level1
+    t1b: float = noise.NoiseParams.T1_level2
+    tau: float = noise.NoiseParams.tau_gate
     format: str = "json"
     seed: int = 0
 

@@ -87,7 +87,8 @@ def checks() -> list[tuple[str, bool]]:
     ideal = simulator.circuit_unitary(REFERENCE_TOFFOLI)
     for name, strategy in (("qutrit", LoweringStrategy.QUTRIT),
                            ("cliffordt", LoweringStrategy.CLIFFORD_T_FUNCTIONAL)):
-        restricted = simulator.qubit_subspace_unitary(transpile.lower_toffolis(REFERENCE_TOFFOLI, strategy))
+        lowered = transpile.lower_toffolis(REFERENCE_TOFFOLI, strategy)
+        restricted = simulator.qubit_subspace_unitary(lowered)
         results.append((f"toffoli-equivalence-{name}", bool(np.allclose(restricted, ideal, atol=1e-10))))
 
     for n in (2, 3, 4):
