@@ -284,6 +284,16 @@ def test_bounds_json(capsys):
     assert payload["disc_error"] == pytest.approx(8 / 6144, rel=1e-9)
 
 
+def test_bounds_matches_golden(capsys):
+    # one `triarc bounds` run per line of bounds_args.txt, outputs concatenated
+    outputs = []
+    for line in (DATA / "bounds_args.txt").read_text().splitlines():
+        code, out, err = run_cli(capsys, "bounds", *line.split())
+        assert (code, err) == (0, ""), line
+        outputs.append(out)
+    assert "".join(outputs).encode() == (DATA / "bounds.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -152,6 +152,35 @@ def test_measure_deterministic_under_seed():
     assert a == b
 
 
+def reference_index_to_label(dims, index):
+    # the digit loop that index_to_label ran before the basis codec was shared
+    digits = []
+    for dim in reversed(dims):
+        digits.append(index % dim)
+        index //= dim
+    return "".join(str(d) for d in reversed(digits))
+
+
+@given(st.lists(st.sampled_from([2, 3]), min_size=0, max_size=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_basis_codec_matches_independent_references(dims, data):
+    size = prod(dims)
+    indices = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6, unique=True))
+    labels = {}
+    for index in indices:
+        label = reference_index_to_label(dims, index)
+        assert label == "".join(str(d) for d in np.unravel_index(index, dims))
+        assert S.index_to_label(dims, index) == label
+        assert S.label_to_index(dims, label) == index
+        labels[index] = label
+    amplitudes = np.zeros(size, dtype=complex)
+    amplitudes[indices] = 1 / np.sqrt(len(indices))
+    hist = S.measure_all(S.StateVector(tuple(dims), amplitudes), shots=200, seed=len(indices))
+    assert hist.counts and set(hist.counts) <= set(labels.values())
+    single = S.measure_all(S.basis_state(dims, labels[indices[0]]), shots=5, seed=0)
+    assert single.counts == {labels[indices[0]]: 5}
+
+
 def test_histogram_csv_format():
     hist = S.Histogram({"01": 2, "00": 3}, 5)
     assert S.histogram_to_csv(hist) == "label,count\n00,3\n01,2\n"
