@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, cx, toffoli, x
+from .circuits import Circuit, GateInstance, WireSpec, _is_int, cx, toffoli, x
+from .simulator import digit_labels
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,17 @@ class RegisterLayout:
 def register_digits(circuit: Circuit,
                     registers: Sequence[tuple[Sequence[int], Sequence[int]]]) -> np.ndarray:
     """One basis label per row: each register's wires (least-significant
-    first) hold the bits of its per-row values; every other wire is 0."""
+    first) hold the bits of its per-row values; every other wire is 0.
+    Refuses an operand that is a bool, a non-integer or outside [0, 2^len(wires))."""
     batch = len(registers[0][1])
     digits = np.zeros((batch, len(circuit.wires)), dtype=np.int8)
     for wires, values in registers:
+        # C-level passes; value by value only past a non-int type or to name a bad value
+        top = 2 ** len(wires)
+        if set(map(type, values)) - {int} or (batch and not (0 <= min(values) and max(values) < top)):
+            for v in values:
+                if not _is_int(v) or not 0 <= v < top:
+                    raise ValueError(f"operand {v!r} is not an integer in [0, 2^{len(wires)})")
         for k, w in enumerate(wires):
             digits[:, w] = [(v >> k) & 1 for v in values]
     return digits
@@ -44,8 +52,7 @@ def register_digits(circuit: Circuit,
 
 def operand_label(circuit: Circuit, layout: RegisterLayout, a: int, b: int) -> str:
     """Basis label preparing integers ``a`` and ``b`` on the input registers."""
-    row = register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])])[0]
-    return "".join(map(str, row))
+    return digit_labels(register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])]))[0]
 
 
 def register_value(label: str, wires: tuple[int, ...]) -> int:

@@ -81,13 +81,22 @@ def kind_matrix(kind: GateKind, dim: int) -> np.ndarray:
 # labels and state values
 # ---------------------------------------------------------------------------
 
+def check_digits(dims: Sequence[int], digits: np.ndarray) -> None:
+    """Refuse a digit array that is not one integer basis label per row on ``dims``."""
+    if digits.ndim != 2 or digits.shape[1] != len(dims):
+        raise ValueError(f"expected {len(dims)} digits per label, got shape {digits.shape}")
+    if not np.issubdtype(digits.dtype, np.integer):
+        raise ValueError(f"digits must be integers, got dtype {digits.dtype}")
+    bad = np.argwhere((digits < 0) | (digits >= dims))
+    if len(bad):
+        row, wire = bad[0]
+        where = f" in row {row}" if len(digits) > 1 else ""
+        raise ValueError(f"digit {digits[row, wire]}{where} invalid on wire {wire} of dimension {dims[wire]}")
+
+
 def parse_label(dims: Sequence[int], label: str | Sequence[int]) -> tuple[int, ...]:
     digits = tuple(int(ch) for ch in label)
-    if len(digits) != len(dims):
-        raise ValueError(f"label length {len(digits)} != wire count {len(dims)}")
-    for w, (digit, dim) in enumerate(zip(digits, dims)):
-        if not (0 <= digit < dim):
-            raise ValueError(f"digit {digit} invalid on wire {w} of dimension {dim}")
+    check_digits(dims, np.array([digits]) if digits else np.zeros((1, 0), dtype=np.int8))
     return digits
 
 
@@ -98,12 +107,26 @@ def label_to_index(dims: Sequence[int], label: str | Sequence[int]) -> int:
     return idx
 
 
+def index_digits(dims: Sequence[int], indices: np.ndarray) -> np.ndarray:
+    """Basis digits of each index, one uint8 row per index. Peeled one wire
+    at a time, so only one index-sized temporary is alive."""
+    digits = np.empty((len(indices), len(dims)), dtype=np.uint8)
+    rest = indices
+    for wire in reversed(range(len(dims))):
+        rest, digits[:, wire] = np.divmod(rest, dims[wire])
+    return digits
+
+
+def digit_labels(digits: np.ndarray) -> list[str]:
+    """Basis label of each row of a C-contiguous array of one-byte digits,
+    which become their ASCII codes in place and are read as fixed-width strings."""
+    digits += ord("0")
+    width = digits.shape[1]
+    return digits.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
+
+
 def index_to_label(dims: Sequence[int], index: int) -> str:
-    digits = []
-    for dim in reversed(dims):
-        digits.append(index % dim)
-        index //= dim
-    return "".join(str(d) for d in reversed(digits))
+    return digit_labels(index_digits(dims, np.array([index])))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,19 +366,8 @@ def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
     gates are skipped, as in ``simulate``; any gate that does not permute
     basis states (H, T, S, Z, ...) raises ValueError.
     """
-    dims = np.array(circuit.dims)
     digits = np.asarray(digits)
-    if digits.ndim != 2 or digits.shape[1] != len(dims):
-        raise ValueError(f"digits must have shape (batch, {len(dims)}), got {digits.shape}")
-    if not np.issubdtype(digits.dtype, np.integer):
-        raise ValueError(f"digits must be integers, got dtype {digits.dtype}")
-    bad = np.argwhere((digits < 0) | (digits >= dims))
-    if len(bad):
-        row, wire = bad[0]
-        raise ValueError(
-            f"digit {digits[row, wire]} in row {row} invalid on wire {wire} "
-            f"of dimension {dims[wire]}"
-        )
+    check_digits(circuit.dims, digits)
     state = digits.astype(np.int8)
     for index, gate in enumerate(circuit.gates):
         if gate.kind is GateKind.MEASURE:
@@ -376,8 +388,8 @@ def _unitary_on(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
     """Unitary restricted to the given basis indices: simulate each of them
     as a column and keep its amplitudes on the same indices as rows."""
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, index in enumerate(basis):
-        matrix[:, col] = simulate(circuit, index_to_label(circuit.dims, int(index))).amplitudes[basis]
+    for col, digits in enumerate(index_digits(circuit.dims, basis)):
+        matrix[:, col] = simulate(circuit, digits).amplitudes[basis]
     return matrix
 
 
@@ -428,15 +440,7 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     probs = probs / probs.sum()
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     values, counts = np.unique(outcomes, return_counts=True)
-    # one row of ASCII digits per outcome, read as one fixed-width string;
-    # peeled one wire at a time so only one index-sized temporary is alive
-    width = len(state.dims)
-    digits = np.empty((len(values), width), dtype=np.uint8)
-    rest = values
-    for wire in reversed(range(width)):
-        rest, digits[:, wire] = np.divmod(rest, state.dims[wire])
-    digits += ord("0")
-    labels = digits.view(f"S{width}").ravel().astype(str).tolist() if width else [""]
+    labels = digit_labels(index_digits(state.dims, values))
     return Histogram(dict(zip(labels, counts.tolist())), shots)
 
 

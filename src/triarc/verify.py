@@ -7,46 +7,27 @@ on dense unitaries, because they test phases as well.
 """
 from __future__ import annotations
 
+import operator
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import arith, simulator, transpile
-from .circuits import Circuit, _is_int
+from .circuits import Circuit
 from .transpile import REFERENCE_TOFFOLI, LoweringStrategy
 
 # (a, b, expected value, observed output label) of the first failing pair
 Failure = tuple[int, int, int, str]
 
 
-def _label(row: np.ndarray) -> str:
-    return "".join(map(str, row))
-
-
-def _first_failure(circuit: Circuit, pairs: list[tuple[int, int]], values: list[int],
-                   inputs: np.ndarray, expected: np.ndarray) -> Failure | None:
-    observed = simulator.run_basis(circuit, inputs)
-    bad = np.flatnonzero((observed != expected).any(axis=1))
-    if len(bad) == 0:
-        return None
-    i = int(bad[0])
-    return pairs[i][0], pairs[i][1], values[i], _label(observed[i])
-
-
-def _operand(value: object, bits: int) -> int:
-    if not _is_int(value) or not 0 <= value < 2 ** bits:
-        raise ValueError(f"operand {value!r} is not an integer in [0, 2^{bits})")
-    return int(value)
-
-
 def _pairs(circuit: Circuit, na: int, nb: int,
            pairs: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
-    """The operand pairs to check, every pair by default. Refuses an operand
-    that does not fit its register, and a run_basis digit batch (pairs x
-    wires) above MAX_STATE_DIM, the exhaustive one before any pair is built."""
+    """The operand pairs to check, every pair by default. Refuses a
+    run_basis digit batch (pairs x wires) above MAX_STATE_DIM, the
+    exhaustive one before any pair is built."""
     if pairs is not None:
-        pairs = [(_operand(a, na), _operand(b, nb)) for a, b in pairs]
+        pairs = list(pairs)
     count = 2 ** (na + nb) if pairs is None else len(pairs)
     if count * len(circuit.wires) > simulator.MAX_STATE_DIM:
         raise ValueError(f"{count} operand pairs on {len(circuit.wires)} wires exceed "
@@ -54,30 +35,38 @@ def _pairs(circuit: Circuit, na: int, nb: int,
     return list(product(range(2 ** na), range(2 ** nb))) if pairs is None else pairs
 
 
+def _failure(circuit: Circuit, layout: arith.RegisterLayout, pairs: list[tuple[int, int]],
+             value: Callable[[int, int], int], out_wires: tuple[int, ...]) -> Failure | None:
+    """First pair whose output is not its input with value(A, B) on ``out_wires``,
+    or None; ``arith.register_digits`` refuses an operand its register cannot hold."""
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
+    a, b = list(map(int, a)), list(map(int, b))
+    values = list(map(value, a, b))
+    expected = inputs.copy()
+    expected[:, out_wires] = arith.register_digits(circuit, [(out_wires, values)])[:, out_wires]
+    observed = simulator.run_basis(circuit, inputs)
+    bad = np.flatnonzero((observed != expected).any(axis=1))
+    if len(bad) == 0:
+        return None
+    i = int(bad[0])
+    return a[i], b[i], values[i], simulator.digit_labels(observed[i:i + 1])[0]
+
+
 def adder_failure(circuit: Circuit, layout: arith.RegisterLayout, n: int,
                   pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, A+B mod 2^n, ancilla 0, carry),
     or None. ``pairs`` defaults to all 4^n operand pairs."""
-    pairs = _pairs(circuit, n, n, pairs)
-    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
-    sums = [x + y for x, y in pairs]
-    inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
-    expected = arith.register_digits(circuit, [(layout.a_wires, a),
-                                             (layout.result_wires + (layout.carry_wire,), sums)])
-    return _first_failure(circuit, pairs, sums, inputs, expected)
+    return _failure(circuit, layout, _pairs(circuit, n, n, pairs), operator.add,
+                    layout.result_wires + (layout.carry_wire,))
 
 
 def multiplier_failure(circuit: Circuit, layout: arith.RegisterLayout, na: int, nb: int,
                        pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, B, ancillas 0, A*B), or None.
     ``pairs`` defaults to all 2^(na+nb) operand pairs."""
-    pairs = _pairs(circuit, na, nb, pairs)
-    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
-    products = [x * y for x, y in pairs]
-    inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
-    expected = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b),
-                                             (layout.result_wires, products)])
-    return _first_failure(circuit, pairs, products, inputs, expected)
+    return _failure(circuit, layout, _pairs(circuit, na, nb, pairs), operator.mul,
+                    layout.result_wires)
 
 
 def checks() -> list[tuple[str, bool]]:
@@ -109,5 +98,5 @@ def checks() -> list[tuple[str, bool]]:
                     ("demo-multiplier-5x3-qutrit",
                      transpile.lower_toffolis(demo, LoweringStrategy.QUTRIT))):
         out = simulator.run_basis(c, np.zeros((1, len(c.wires)), dtype=np.int8))[0]
-        results.append((name, arith.register_value(_label(out), demo_layout.result_wires) == 15))
+        results.append((name, arith.register_value(out, demo_layout.result_wires) == 15))
     return results

@@ -144,3 +144,21 @@ def test_operand_label_round_trips_through_register_value(case):
     assert len(label) == len(circuit.wires)
     assert A.register_value(label, layout.a_wires) == a
     assert A.register_value(label, layout.b_wires) == b
+
+
+@pytest.mark.parametrize("a", [8, -1, True, 1.9], ids=["too-large", "negative", "bool", "float"])
+def test_operand_label_refuses_an_operand_its_register_cannot_hold(a):
+    circuit, layout = A.build_adder(3)
+    with pytest.raises(ValueError, match="operand"):
+        A.operand_label(circuit, layout, a, 1)
+    with pytest.raises(ValueError, match="operand"):
+        A.operand_label(circuit, layout, 1, a)
+
+
+def test_register_digits_takes_numpy_integer_operands():
+    circuit, layout = A.build_adder(3)
+    values = np.array([0, 5, 7])
+    digits = A.register_digits(circuit, [(layout.a_wires, values)])
+    assert [A.register_value(row, layout.a_wires) for row in digits] == [0, 5, 7]
+    with pytest.raises(ValueError, match="operand"):
+        A.register_digits(circuit, [(layout.a_wires, np.array([0, 8]))])
