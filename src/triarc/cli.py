@@ -10,9 +10,11 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
+from .circuits import _is_int
 from .transpile import LoweringStrategy
 
 _STRATEGIES = {
@@ -38,6 +40,12 @@ class Config:
     def __post_init__(self) -> None:
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        if not _is_int(self.seed):
+            raise ValueError(f"config seed must be an integer, got {self.seed!r}")
+        for name in ("p1", "p2", "t1a", "t1b", "tau"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"config {name} must be a real number, got {value!r}")
 
     @staticmethod
     def load(path: str | None) -> "Config":

@@ -11,7 +11,7 @@ scope), so the P^2 estimator only evaluates the quoted sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, ldexp
 from typing import Mapping
 
 import numpy as np
@@ -67,7 +67,7 @@ class GaussianSpec:
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.w * self.sigma / 2 ** self.n
+        return ldexp(2.0 * self.w * self.sigma, -self.n)
 
     def grid(self) -> np.ndarray:
         check_state_dim(2 ** self.n)
@@ -90,7 +90,8 @@ def disc_error(setup: PricingSetup) -> float:
             f"disc_error: range width {width!r} to the power d*T+2 = {exponent} "
             "overflows a float"
         ) from None
-    return setup.beta * power / (24.0 * 2 ** (2 * setup.n))
+    # scaling by 2^-2n with ldexp: a large n underflows to 0 instead of overflowing the divisor
+    return ldexp(setup.beta * power / 24.0, -2 * setup.n)
 
 
 def gaussian_target_state(spec: GaussianSpec) -> StateVector:

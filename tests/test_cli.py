@@ -310,6 +310,13 @@ def test_bounds_refuses_a_non_finite_or_overflowing_result(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_bounds_takes_a_register_too_wide_for_a_float_power(capsys):
+    for argv in (["--n", "600"], ["--n", "600", "--range", "0", "2"]):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["disc_error"] == 0.0
+
+
 def test_bounds_names_the_overflowing_power(capsys):
     code, out, err = run_cli(capsys, "bounds", "--range", "0", "1e300", "--d", "3", "--T", "20")
     assert code == 1
@@ -437,6 +444,35 @@ def test_a_flag_beats_the_config_value(tmp_path, capsys, values, argv):
     code, from_both, _ = run_with_config(tmp_path, capsys, values, *argv)
     assert code == 0
     assert from_both == run_cli(capsys, *argv)[1]
+
+
+SIMULATE_SHOTS = ["simulate", "--in", str(DATA / "mixed_radix.json"), "--input", "01010",
+                  "--shots", "20"]
+
+
+@pytest.mark.parametrize("name, value, argv", [
+    ("seed", None, SIMULATE_SHOTS),
+    ("seed", True, SIMULATE_SHOTS),
+    ("seed", 1.5, SIMULATE_SHOTS),
+    ("seed", "5", SIMULATE_SHOTS),
+    ("p1", True, ["noise-curve", "--max-toffoli", "2"]),
+    ("p2", None, ["noise-curve", "--max-toffoli", "2"]),
+    ("t1a", "50", ["noise-curve", "--max-toffoli", "2"]),
+    ("t1b", False, ["noise-curve", "--max-toffoli", "2"]),
+    ("tau", [0.1], ["noise-curve", "--max-toffoli", "2"]),
+])
+def test_config_refuses_a_field_of_the_wrong_type(tmp_path, capsys, name, value, argv):
+    code, out, err = run_with_config(tmp_path, capsys, {name: value}, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: config {name} must be ")
+
+
+def test_config_takes_an_integer_noise_field(tmp_path, capsys):
+    argv = ["noise-curve", "--max-toffoli", "3", "--tau", "0.5"]
+    code, from_config, _ = run_with_config(tmp_path, capsys, {"t1a": 50}, *argv)
+    assert code == 0
+    assert from_config == run_cli(capsys, *argv, "--t1a", "50")[1]
 
 
 def test_config_noise_defaults_are_the_noise_params_defaults():

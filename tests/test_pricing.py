@@ -1,8 +1,11 @@
 """Pricing-context bounds, Gaussian target states, and energy estimators."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triarc import pricing as P
 from triarc import simulator as S
@@ -49,6 +52,25 @@ def test_disc_error_quarters_per_added_qubit():
     assert P.disc_error(base) / P.disc_error(bigger) == pytest.approx(4.0, rel=1e-12)
     much_bigger = PricingSetup(d=1, T=2, n=9, beta=0.7, B_l=-1.0, B_u=3.0)
     assert P.disc_error(base) / P.disc_error(much_bigger) == pytest.approx(4.0 ** 4, rel=1e-12)
+
+
+@given(st.integers(1, 500), st.integers(1, 4), st.integers(1, 4),
+       st.floats(0, 1e6), st.floats(-10, 10), st.floats(0, 20))
+@settings(max_examples=300)
+def test_disc_error_equals_the_division_on_normal_results(n, d, T, beta, low, width):
+    setup = PricingSetup(d=d, T=T, n=n, beta=beta, B_l=low, B_u=low + width)
+    try:
+        divided = beta * (setup.B_u - setup.B_l) ** (d * T + 2) / (24.0 * 2 ** (2 * n))
+    except OverflowError:
+        return
+    assume(divided == 0 or abs(divided) >= sys.float_info.min)
+    assert P.disc_error(setup) == divided
+
+
+def test_disc_error_and_grid_step_at_a_register_too_wide_for_a_float_power():
+    assert P.disc_error(PricingSetup(n=600, beta=1.0, B_l=0.0, B_u=2.0)) == 0.0
+    assert GaussianSpec(n=1100).dx == 0.0
+    assert GaussianSpec(n=10).dx == 8.0 / 1024
 
 
 # --- Gaussian target state ----------------------------------------------------------
