@@ -87,9 +87,9 @@ def check_digits(dims: Sequence[int], digits: np.ndarray) -> None:
         raise ValueError(f"expected {len(dims)} digits per label, got shape {digits.shape}")
     if not np.issubdtype(digits.dtype, np.integer):
         raise ValueError(f"digits must be integers, got dtype {digits.dtype}")
-    bad = np.argwhere((digits < 0) | (digits >= dims))
-    if len(bad):
-        row, wire = bad[0]
+    bad = (digits < 0) | (digits >= dims)
+    if bad.any():
+        row, wire = np.argwhere(bad)[0]
         where = f" in row {row}" if len(digits) > 1 else ""
         raise ValueError(f"digit {digits[row, wire]}{where} invalid on wire {wire} of dimension {dims[wire]}")
 
