@@ -41,7 +41,7 @@ def _failure(circuit: Circuit, layout: arith.RegisterLayout, pairs: list[tuple[i
     or None; ``arith.register_digits`` refuses an operand its register cannot hold."""
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
     inputs = arith.register_digits(circuit, [(layout.a_wires, a), (layout.b_wires, b)])
-    a, b = list(map(int, a)), list(map(int, b))
+    a, b = list(map(int, a)), list(map(int, b))  # exact values for numpy operands
     values = list(map(value, a, b))
     expected = inputs.copy()
     expected[:, out_wires] = arith.register_digits(circuit, [(out_wires, values)])[:, out_wires]
