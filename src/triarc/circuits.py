@@ -137,7 +137,11 @@ class Circuit:
     def __post_init__(self) -> None:
         if not self.wires:
             raise ValueError("circuit needs at least one wire")
-        for gate in self.gates:
+        # a gate object that sits at several positions is validated once;
+        # the dict keeps first-occurrence order, so the first bad gate is
+        # still the one reported. Keyed by identity, not equality: x(1)
+        # equals a gate whose target is True, and only one of them is valid
+        for gate in {id(g): g for g in self.gates}.values():
             validate_gate(gate, self.wires)
 
     @property
@@ -337,27 +341,49 @@ def _json_int(value: object, field: str, *at: int) -> int:
     return value
 
 
+_KINDS = GateKind._value2member_map_
+
+
 def circuit_from_dict(data: dict) -> Circuit:
     """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
-    wire, control value and target must be an int."""
+    wire, control value and target must be an int. Equal gates become one
+    shared ``GateInstance``, which the ``Circuit`` constructor validates once."""
     wires = tuple(
         WireSpec(_json_int(w["dim"], "wires[{}].dim", i)) for i, w in enumerate(data["wires"])
     )
-    gates = tuple(
-        GateInstance(
-            GateKind(g["kind"]),
-            tuple(
-                ControlSpec(
-                    _json_int(c["wire"], "gates[{}].controls[{}].wire", i, j),
-                    _json_int(c["value"], "gates[{}].controls[{}].value", i, j),
-                )
-                for j, c in enumerate(g.get("controls", []))
-            ),
-            tuple(_json_int(t, "gates[{}].targets[{}]", i, j) for j, t in enumerate(g["targets"])),
-        )
-        for i, g in enumerate(data["gates"])
-    )
-    return Circuit(wires, gates)
+    shared: dict[tuple, GateInstance] = {}
+    gates = []
+    for i, g in enumerate(data["gates"]):
+        # the enum's own lookup on a miss, so an unknown kind keeps its message
+        name = g["kind"]
+        kind = _KINDS.get(name) if type(name) is str else None
+        if kind is None:
+            kind = GateKind(name)
+        # _json_int only for a value that is not exactly an int, which it
+        # accepts (a numpy integer) or refuses, in the order of the fields
+        controls = []
+        for j, c in enumerate(g.get("controls", [])):
+            w = c["wire"]
+            if type(w) is not int:
+                _json_int(w, "gates[{}].controls[{}].wire", i, j)
+            v = c["value"]
+            if type(v) is not int:
+                _json_int(v, "gates[{}].controls[{}].value", i, j)
+            controls.append((w, v))
+        targets = tuple(g["targets"])
+        for j, t in enumerate(targets):
+            if type(t) is not int:
+                _json_int(t, "gates[{}].targets[{}]", i, j)
+        # keyed only after _json_int accepted every value, so a bool or a
+        # float can never pick up a cached gate of equal ints
+        key = (kind, tuple(controls), targets)
+        gate = shared.get(key)
+        if gate is None:
+            gate = shared[key] = GateInstance(
+                kind, tuple(ControlSpec(w, v) for w, v in controls), targets
+            )
+        gates.append(gate)
+    return Circuit(wires, tuple(gates))
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -390,7 +416,15 @@ def to_json(circuit: Circuit) -> str:
     written directly: with ``indent`` set, json.dumps runs the pure-Python
     encoder and builds the dict form first."""
     wires = _json_array([f'{{\n      "dim": {int(w.dimension)}\n    }}' for w in circuit.wires], "  ")
-    gates = _json_array([_gate_json(g) for g in circuit.gates], "  ")
+    # a gate object shared by several positions is formatted once
+    texts: dict[int, str] = {}
+    items = []
+    for g in circuit.gates:
+        text = texts.get(id(g))
+        if text is None:
+            text = texts[id(g)] = _gate_json(g)
+        items.append(text)
+    gates = _json_array(items, "  ")
     return f'{{\n  "wires": {wires},\n  "gates": {gates}\n}}'
 
 

@@ -95,9 +95,13 @@ def check_digits(dims: Sequence[int], digits: np.ndarray) -> None:
 
 
 def parse_label(dims: Sequence[int], label: str | Sequence[int]) -> tuple[int, ...]:
-    digits = tuple(int(ch) for ch in label)
-    check_digits(dims, np.array([digits]) if digits else np.zeros((1, 0), dtype=np.int8))
-    return digits
+    """Digits of a basis label, a string of digit characters or a sequence
+    of integers; a sequence of floats or bools fails check_digits' dtype
+    test, as the same digits do in ``run_basis``."""
+    digits = [int(ch) for ch in label] if isinstance(label, str) else label
+    row = np.array([digits]) if len(digits) else np.zeros((1, 0), dtype=np.int8)
+    check_digits(dims, row)
+    return tuple(row[0].tolist())
 
 
 def label_to_index(dims: Sequence[int], label: str | Sequence[int]) -> int:

@@ -129,24 +129,33 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
 
     The qutrit strategy promotes each Toffoli's second control wire to
     dimension 3 (idempotent when wires are shared); other gates and the
-    circuit's action on the qubit subspace are untouched.
+    circuit's action on the qubit subspace are untouched. Equal Toffolis
+    are replaced by the same gate objects, which the result validates once.
     """
     check_strategy(strategy)
     if strategy is LoweringStrategy.SELINGER_COST:
         raise ValueError("SELINGER_COST is accounting-only and cannot lower circuits")
     new_wires = list(circuit.wires)
     new_gates: list[GateInstance] = []
+    # every Toffoli of a Cuccaro adder appears twice (MAJ and UMA), so a
+    # repeated Toffoli reuses the gate objects its first lowering built.
+    # Keying by equality is safe only because the source gates are validated.
+    lowered: dict[GateInstance, list[GateInstance]] = {}
     for gate in circuit.gates:
         if gate.kind is not GateKind.TOFFOLI:
             new_gates.append(gate)
             continue
-        a, b = (c.wire for c in gate.controls)
-        tg = gate.targets[0]
-        if strategy is LoweringStrategy.QUTRIT:
-            new_wires[b] = WireSpec(3)
-            new_gates.extend(decompose_toffoli_qutrit(a, b, tg))
-        else:
-            new_gates.extend(decompose_toffoli_clifford_t(a, b, tg))
+        network = lowered.get(gate)
+        if network is None:
+            a, b = (c.wire for c in gate.controls)
+            tg = gate.targets[0]
+            if strategy is LoweringStrategy.QUTRIT:
+                new_wires[b] = WireSpec(3)
+                network = decompose_toffoli_qutrit(a, b, tg)
+            else:
+                network = decompose_toffoli_clifford_t(a, b, tg)
+            lowered[gate] = network
+        new_gates.extend(network)
     return Circuit(tuple(new_wires), tuple(new_gates))
 
 

@@ -208,6 +208,148 @@ def test_appends_validate_each_new_gate_once(monkeypatch):
     assert circ == C.Circuit(circ.wires, tuple(gates) * 2)
 
 
+def count_validations(monkeypatch):
+    calls = []
+    validate = C.validate_gate
+
+    def counting(gate, wires):
+        calls.append(gate)
+        validate(gate, wires)
+
+    monkeypatch.setattr(C, "validate_gate", counting)
+    return calls
+
+
+def test_a_gate_object_at_many_positions_is_validated_once(monkeypatch):
+    calls = count_validations(monkeypatch)
+    gate = C.cx(1, 0, value=2)
+    circ = C.Circuit(C.new_circuit([2, 3]).wires, (gate,) * 100)
+    assert calls == [gate]
+    assert len(circ.gates) == 100
+
+
+@pytest.mark.parametrize(
+    "strategy, lowered, parsed",
+    [(LoweringStrategy.QUTRIT, 449, 385), (LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 1217, 642)],
+)
+def test_lowering_and_parsing_validate_each_distinct_gate_once(monkeypatch, strategy, lowered,
+                                                               parsed):
+    # build_adder(64) has 128 Toffolis, each once in MAJ and once in UMA
+    adder, _ = arith.build_adder(64)
+    calls = count_validations(monkeypatch)
+    circ = transpile.lower_toffolis(adder, strategy)
+    assert len(calls) == lowered == len({id(g) for g in circ.gates})
+    text = C.to_json(circ)
+    calls.clear()
+    parsed_circ = C.from_json(text)
+    assert len(calls) == parsed == len(set(circ.gates))
+    assert parsed_circ == circ
+
+
+def test_a_bool_wired_gate_equal_to_a_valid_one_is_refused_everywhere():
+    # x(1) and the bool-wired gate are equal and hash alike, so a validation
+    # or a gate cache keyed by equality would let the second one through
+    good, bad = C.x(1), C.GateInstance(GateKind.X, (), (True,))
+    assert good == bad and hash(good) == hash(bad)
+    wires = C.new_circuit([2, 2]).wires
+    message = "wire index must be an integer, got True"
+    with pytest.raises(ValueError, match=message):
+        C.Circuit(wires, (good, C.x(0), bad))
+    with pytest.raises(ValueError, match=message):
+        C.append(C.Circuit(wires, (good,)), bad)
+    with pytest.raises(ValueError, match=message):
+        C.extend(C.Circuit(wires), [good, bad])
+    data = C.circuit_to_dict(C.Circuit(wires, (good,)))
+    data["gates"].append({"kind": "X", "controls": [], "targets": [True]})
+    with pytest.raises(ValueError, match=re.escape("gates[1].targets[0] must be an integer")):
+        C.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda g: g.update(targets=[1.0]), "gates[2].targets[0]"),
+        (lambda g: g.update(targets=[True]), "gates[2].targets[0]"),
+        (lambda g: g["controls"][0].update(wire=False), "gates[2].controls[0].wire"),
+        (lambda g: g["controls"][0].update(value=2.0), "gates[2].controls[0].value"),
+    ],
+)
+def test_from_json_names_the_index_of_a_bad_copy_of_an_earlier_gate(edit, field):
+    # gate 2 repeats gate 0, which is valid and already parsed, before the edit
+    gate = C.cx(0, 1, value=2)
+    data = C.circuit_to_dict(C.extend(C.new_circuit([3, 2]), [gate, C.x(0), gate]))
+    edit(data["gates"][2])
+    with pytest.raises(ValueError, match=re.escape(field) + " must be an integer"):
+        C.from_json(json.dumps(data))
+
+
+def reference_from_dict(data):
+    # the reader before equal gates were shared: one new gate per entry
+    wires = tuple(
+        C.WireSpec(C._json_int(w["dim"], "wires[{}].dim", i)) for i, w in enumerate(data["wires"])
+    )
+    gates = tuple(
+        C.GateInstance(
+            GateKind(g["kind"]),
+            tuple(
+                C.ControlSpec(
+                    C._json_int(c["wire"], "gates[{}].controls[{}].wire", i, j),
+                    C._json_int(c["value"], "gates[{}].controls[{}].value", i, j),
+                )
+                for j, c in enumerate(g.get("controls", []))
+            ),
+            tuple(C._json_int(t, "gates[{}].targets[{}]", i, j) for j, t in enumerate(g["targets"])),
+        )
+        for i, g in enumerate(data["gates"])
+    )
+    return C.Circuit(wires, gates)
+
+
+def outcome(read, data):
+    try:
+        return read(data)
+    except Exception as error:  # compared by type and message
+        return type(error), str(error)
+
+
+BAD_VALUES = [True, False, 1.0, 0.5, "1", None, -1, 0, 1, 2, 7, [1]]
+
+
+@st.composite
+def damaged_dicts(draw):
+    """The dict form of a circuit with repeated gates, with a few fields
+    replaced by values of the wrong type or range, or deleted."""
+    data = C.circuit_to_dict(draw(wide_circuits(max_gates=8)))
+    data["gates"] += [json.loads(json.dumps(g)) for g in draw(st.lists(
+        st.sampled_from(data["gates"]), max_size=4))] if data["gates"] else []
+    for _ in range(draw(st.integers(0, 3))):
+        if not data["gates"]:
+            break
+        gate = draw(st.sampled_from(data["gates"]))
+        spots = [(gate, key) for key in ("kind", "controls", "targets") if key in gate]
+        if isinstance(gate.get("controls"), list):
+            spots += [(c, key) for c in gate["controls"] if isinstance(c, dict)
+                      for key in ("wire", "value") if key in c]
+        if isinstance(gate.get("targets"), list):
+            spots += [(gate["targets"], i) for i in range(len(gate["targets"]))]
+        if not spots:
+            continue
+        holder, key = draw(st.sampled_from(spots))
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        elif key == "kind":
+            holder[key] = draw(st.sampled_from(["Y", "x", 3, ["X"], None, "TOFFOLI"]))
+        else:
+            holder[key] = draw(st.sampled_from(BAD_VALUES))
+    return data
+
+
+@given(damaged_dicts())
+def test_from_json_refuses_as_the_one_gate_per_entry_reader_did(data):
+    # same circuit, or the same exception with the same message, first fault first
+    assert outcome(C.circuit_from_dict, data) == outcome(reference_from_dict, data)
+
+
 # --- metrics --------------------------------------------------------------
 
 def test_gate_count_empty():

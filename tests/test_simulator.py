@@ -83,6 +83,31 @@ def test_simulate_rejects_bad_label():
         S.simulate(qutrit_lowered_toffoli(), "11")  # wrong length
 
 
+@pytest.mark.parametrize(
+    "dims, label",
+    [((2,), [1.9]), ((2, 2), [True, 0.5]), ((2, 2), [True, False]), ((3,), np.array([2.7]))],
+)
+def test_a_label_of_non_integers_is_refused_as_run_basis_refuses_it(dims, label):
+    with pytest.raises(ValueError, match="digits must be integers") as parsed:
+        S.parse_label(dims, label)
+    with pytest.raises(ValueError, match="digits must be integers"):
+        S.basis_state(dims, label)
+    with pytest.raises(ValueError) as batch:
+        S.run_basis(C.new_circuit(dims), np.array([label]))
+    assert str(parsed.value) == str(batch.value)
+
+
+def test_string_and_integer_labels_give_plain_int_digits():
+    dims = (2, 3, 3)
+    labels = ["121", [1, 2, 1], (1, np.int64(2), 1), np.array([1, 2, 1], dtype=np.uint8)]
+    for label in labels:
+        digits = S.parse_label(dims, label)
+        assert digits == (1, 2, 1) and all(type(d) is int for d in digits)
+    assert S.parse_label((), "") == S.parse_label((), []) == ()
+    with pytest.raises(ValueError, match="invalid literal"):
+        S.parse_label((2,), "a")
+
+
 # --- circuit_unitary ------------------------------------------------------
 
 def test_empty_circuit_unitary_is_identity():

@@ -1,6 +1,10 @@
 """Toffoli lowering: structure, cost profiles, and unitary equivalence."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from triarc import arith as A
 from triarc import circuits as C
@@ -155,6 +159,86 @@ def test_one_pass_lowering_matches_two_pass_reference(strategy, build):
     circuit = build()
     lowered = T.lower_toffolis(circuit, strategy)
     assert (lowered.wires, lowered.gates) == two_pass_lowering(circuit, strategy)
+
+
+def reference_lowering(circuit, strategy):
+    """The lowering as one loop that builds a fresh decomposition for every
+    Toffoli, before repeated Toffolis shared their gates."""
+    new_wires = list(circuit.wires)
+    new_gates = []
+    for gate in circuit.gates:
+        if gate.kind is not GateKind.TOFFOLI:
+            new_gates.append(gate)
+            continue
+        a, b = (c.wire for c in gate.controls)
+        tg = gate.targets[0]
+        if strategy is LoweringStrategy.QUTRIT:
+            new_wires[b] = C.WireSpec(3)
+            new_gates.extend(T.decompose_toffoli_qutrit(a, b, tg))
+        else:
+            new_gates.extend(T.decompose_toffoli_clifford_t(a, b, tg))
+    return C.Circuit(tuple(new_wires), tuple(new_gates))
+
+
+@st.composite
+def repeated_toffoli_circuits(draw):
+    """Qubit circuits drawing Toffolis from a small pool, so they repeat, as
+    the same object or as a new equal one. The pool holds one Toffoli and
+    near copies of it (two wires swapped, or one wire replaced), so a wire
+    can be the second control of one Toffoli and a first control, target or
+    CNOT wire of another, and only the whole gate tells two Toffolis apart."""
+    n = draw(st.integers(3, 6))
+    base = draw(st.permutations(range(n)))[:3]
+    pool = [tuple(base)]
+    for _ in range(draw(st.integers(0, 3))):
+        near = list(base)
+        i, j = draw(st.permutations(range(3)))[:2]
+        spare = [w for w in range(n) if w not in base]
+        if spare and draw(st.booleans()):
+            near[i] = draw(st.sampled_from(spare))
+        else:
+            near[i], near[j] = near[j], near[i]
+        pool.append(tuple(near))
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        choice = draw(st.sampled_from(["same", "equal", "cnot", "single"]))
+        toffolis = [g for g in gates if g.kind is GateKind.TOFFOLI]
+        if choice == "same" and toffolis:
+            gates.append(draw(st.sampled_from(toffolis)))
+        elif choice in ("same", "equal"):
+            gates.append(C.toffoli(*draw(st.sampled_from(pool))))
+        elif choice == "cnot":
+            control, target = draw(st.permutations(range(n)))[:2]
+            gates.append(C.cx(control, target))
+        else:
+            kind = draw(st.sampled_from([C.x, C.h, C.t, C.tdg]))
+            gates.append(kind(draw(st.integers(0, n - 1))))
+    return C.extend(C.new_circuit([2] * n), gates)
+
+
+@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@given(circuit=repeated_toffoli_circuits())
+def test_lowering_with_shared_gates_matches_the_per_toffoli_loop(strategy, circuit):
+    lowered = T.lower_toffolis(circuit, strategy)
+    reference = reference_lowering(circuit, strategy)
+    assert (lowered.wires, lowered.gates) == (reference.wires, reference.gates)
+    # the shared gate objects pass a full validation, and serialise and
+    # parse as the one-object-per-position circuit does
+    assert C.Circuit(lowered.wires, lowered.gates) == lowered
+    text = C.to_json(lowered)
+    assert text == json.dumps(C.circuit_to_dict(lowered), indent=2) == C.to_json(reference)
+    assert C.from_json(text) == lowered
+
+
+@pytest.mark.parametrize("strategy, size", [(LoweringStrategy.QUTRIT, 3),
+                                            (LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 15)])
+def test_an_equal_toffoli_reuses_the_gates_of_its_first_lowering(strategy, size):
+    circuit = C.extend(C.new_circuit([2] * 4),
+                       [C.toffoli(0, 1, 2), C.toffoli(1, 2, 3), C.toffoli(0, 1, 2)])
+    gates = T.lower_toffolis(circuit, strategy).gates
+    first, other, again = gates[:size], gates[size:2 * size], gates[2 * size:]
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    assert not any(a is b for a, b in zip(first, other))
 
 
 def test_clifford_t_lowering_t_count():
