@@ -28,8 +28,9 @@ from .circuits import Circuit, GateInstance, WireSpec, check_finite, layers
 from .simulator import (
     DensityMatrix,
     basis_density,
-    basis_state,
+    check_state_dim,
     evolve_density,
+    label_to_index,
 )
 from .transpile import REFERENCE_TOFFOLI, LoweringStrategy, cost_profile, lower_toffolis
 
@@ -62,9 +63,10 @@ def _check_channel_dims(dims: Sequence[int]) -> None:
         raise ValueError("a channel acts on 1 or 2 wires of dimension 2 or 3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Trace-preserving map given by operators with sum K_i^dag K_i = I."""
+    """Trace-preserving map given by operators with sum K_i^dag K_i = I.
+    Channels compare and hash by identity, as states do."""
 
     operators: tuple[np.ndarray, ...]
     dims: tuple[int, ...]
@@ -135,7 +137,9 @@ def census_for(strategy: LoweringStrategy, toffoli_count: int) -> GateCensus:
 
 def generalized_paulis(dim: int) -> list[np.ndarray]:
     """The dim^2 products X^j Z^k, X the cyclic shift and Z the phase gate
-    diag(1, w, ..., w^(dim-1)) with w = exp(2*pi*i/dim)."""
+    diag(1, w, ..., w^(dim-1)) with w = exp(2*pi*i/dim). Refused before
+    anything is built when their dim^4 entries exceed MAX_STATE_DIM."""
+    check_state_dim(dim ** 4, "generalized Pauli entries")
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     omega = np.exp(2j * np.pi / dim)
     phase = np.diag(omega ** np.arange(dim))
@@ -146,11 +150,11 @@ def generalized_paulis(dim: int) -> list[np.ndarray]:
     ]
 
 
-# Channels kept per constructor. A run under one NoiseParams touches at most
+# Channels kept per builder. A run under one NoiseParams touches at most
 # 6 depolarizing keys (p1 on (2,) and (3,), p2 on the four two-wire dims) and
-# one key per damping constructor, so 6 keeps every channel of a run. Each
-# kept two-qutrit channel holds about 210 KiB; 8 raised the noise benchmark's
-# peak RSS above the uncached code, 6 keeps it below.
+# 2 damping keys (the qubit and the qutrit lambdas), so 6 keeps every channel
+# of a run. Each kept two-qutrit channel holds about 210 KiB; 8 raised the
+# noise benchmark's peak RSS above the uncached code, 6 keeps it below.
 _CHANNEL_CACHE_SIZE = 6
 
 
@@ -199,15 +203,7 @@ def amplitude_damping_qubit(lambda1: float) -> KrausChannel:
     lambda1 and shared, read-only."""
     if not 0 <= lambda1 <= 1:
         raise ValueError("damping probability must lie in [0, 1]")
-    return _amplitude_damping_qubit(float(lambda1))
-
-
-@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
-def _amplitude_damping_qubit(lambda1: float) -> KrausChannel:
-    k0 = np.diag([1, np.sqrt(1 - lambda1)]).astype(complex)
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[0, 1] = np.sqrt(lambda1)
-    return _read_only(KrausChannel((k0, k1), (2,)))
+    return _amplitude_damping((float(lambda1),))
 
 
 def amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
@@ -215,17 +211,20 @@ def amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
     lambda2, built once per (lambda1, lambda2) and shared, read-only."""
     if not (0 <= lambda1 <= 1 and 0 <= lambda2 <= 1):
         raise ValueError("damping probabilities must lie in [0, 1]")
-    return _amplitude_damping_qutrit(float(lambda1), float(lambda2))
+    return _amplitude_damping((float(lambda1), float(lambda2)))
 
 
 @lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
-def _amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
-    k0 = np.diag([1, np.sqrt(1 - lambda1), np.sqrt(1 - lambda2)]).astype(complex)
-    k1 = np.zeros((3, 3), dtype=complex)
-    k1[0, 1] = np.sqrt(lambda1)
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[0, 2] = np.sqrt(lambda2)
-    return _read_only(KrausChannel((k0, k1, k2), (3,)))
+def _amplitude_damping(lambdas: tuple[float, ...]) -> KrausChannel:
+    """Damping on a wire of dimension len(lambdas) + 1: level k relaxes to
+    |0> with probability lambdas[k-1]."""
+    dim = len(lambdas) + 1
+    operators = [np.diag([1, *(np.sqrt(1 - lam) for lam in lambdas)]).astype(complex)]
+    for k, lam in enumerate(lambdas, start=1):
+        jump = np.zeros((dim, dim), dtype=complex)
+        jump[0, k] = np.sqrt(lam)
+        operators.append(jump)
+    return _read_only(KrausChannel(tuple(operators), (dim,)))
 
 
 def lambda_from_time(t: float, T1: float) -> float:
@@ -298,11 +297,10 @@ def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> f
         for gate in layer:
             rho = evolve_density(rho, gate)
             rho = _apply_gate_noise(rho, gate, dims, params)
-        if damping is not None:
-            for wire, channel in enumerate(damping):
-                rho = evolve_density(rho, channel, wires=(wire,))
-    ideal = basis_state(dims, "111").amplitudes
-    return float(np.real(ideal.conj() @ rho.entries @ ideal))
+        for wire, channel in enumerate(damping):
+            rho = evolve_density(rho, channel, wires=(wire,))
+    ideal = label_to_index(dims, "111")
+    return float(rho.entries[ideal, ideal].real)
 
 
 def _apply_gate_noise(
@@ -316,9 +314,9 @@ def _apply_gate_noise(
     return evolve_density(rho, channel, wires=wires)
 
 
-def _layer_damping(dims: tuple[int, ...], params: NoiseParams) -> list[KrausChannel] | None:
+def _layer_damping(dims: tuple[int, ...], params: NoiseParams) -> list[KrausChannel]:
     if params.tau_gate == 0:
-        return None
+        return []
     l1 = lambda_from_time(params.tau_gate, params.T1_level1)
     l2 = lambda_from_time(params.tau_gate, params.T1_level2)
     return [

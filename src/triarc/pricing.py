@@ -102,10 +102,26 @@ def gaussian_target_state(spec: GaussianSpec) -> StateVector:
     return StateVector((2,) * spec.n, amplitudes)
 
 
+def _check_labels(labels: list[str]) -> None:
+    """Refuse labels unless all are strings of 0s and 1s of one width >= 1,
+    so ``int(label, 2)`` can neither accept '0b1', ' 1_0' or '-1' nor map
+    '1' and '01' to one value. Valid labels cost three C-level passes; only
+    a refusal walks them in Python, to name the first bad one."""
+    width = len(labels[0])
+    if width and set(map(len, labels)) == {width} and not "".join(labels).encode().translate(None, b"01"):
+        return
+    bad = next(label for label in labels if len(label) != width or not width or label.strip("01"))
+    raise ValueError(
+        f"malformed histogram label {bad!r}: labels must be 0s and 1s, "
+        f"at least 1 wide and as wide as the first label ({width})"
+    )
+
+
 def _weights(counts: Histogram | Mapping[str, float]) -> tuple[dict[int, float], float]:
     mapping = counts.counts if isinstance(counts, Histogram) else counts
     if not mapping:
         raise ValueError("histogram is empty")
+    _check_labels(list(mapping))
     weights = {int(label, 2): float(c) for label, c in mapping.items()}
     total = sum(weights.values())
     if total <= 0:

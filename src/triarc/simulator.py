@@ -31,10 +31,11 @@ DENSITY_WIRE_GUARD = 6           # largest wire count for a density matrix
 MAX_STATE_DIM = 2 ** 26          # largest state-vector dimension for dense simulation
 
 
-def check_state_dim(size: int) -> None:
-    """Refuse a state vector of ``size`` amplitudes above MAX_STATE_DIM."""
+def check_state_dim(size: int, what: str = "state dimension") -> None:
+    """Refuse an array of ``size`` elements above MAX_STATE_DIM, a state
+    vector's amplitudes unless ``what`` names other elements."""
     if size > MAX_STATE_DIM:
-        raise ValueError(f"state dimension {size} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}")
+        raise ValueError(f"{what} {size} exceeds MAX_STATE_DIM = {MAX_STATE_DIM}")
 
 
 def _check_density_wires(dims: Sequence[int]) -> None:
@@ -313,8 +314,6 @@ def _apply_inplace(
                     np.copyto(out, staged[c])
                 else:
                     np.multiply(coeff, staged[c], out=out)
-            elif coeff == 1:
-                np.add(out, staged[c], out=out)
             else:
                 # the product lands in the next row's level, not yet written,
                 # or, in the last row, in the staged source of its first
@@ -408,8 +407,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def qubit_subspace_indices(dims: Sequence[int]) -> np.ndarray:
-    """Indices of basis states whose digits are all 0 or 1."""
+    """Indices of basis states whose digits are all 0 or 1, refused before
+    they are built when their 2^wires exceed MAX_STATE_DIM."""
     dims = tuple(dims)
+    check_state_dim(2 ** len(dims), "qubit subspace dimension")
     idx = np.array([0])
     for dim in dims:
         idx = (idx[:, None] * dim + np.array([0, 1])[None, :]).reshape(-1)
@@ -436,9 +437,11 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
 
 def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     """Sample basis labels with probability |amplitude|^2; deterministic
-    under a fixed seed."""
+    under a fixed seed. More shots than MAX_STATE_DIM are refused before
+    any outcome is drawn."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    check_state_dim(shots, "shot count")
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()

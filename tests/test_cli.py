@@ -468,6 +468,12 @@ def test_config_refuses_a_field_of_the_wrong_type(tmp_path, capsys, name, value,
     assert err.startswith(f"error: config {name} must be ")
 
 
+def test_config_refuses_a_format_other_than_json_or_csv(tmp_path, capsys):
+    argv = ["estimate", "--op", "add", "--n", "8"]
+    code, out, err = run_with_config(tmp_path, capsys, {"format": "xml"}, *argv)
+    assert (code, out, err) == (1, "", "error: format must be json or csv\n")
+
+
 def test_config_takes_an_integer_noise_field(tmp_path, capsys):
     argv = ["noise-curve", "--max-toffoli", "3", "--tau", "0.5"]
     code, from_config, _ = run_with_config(tmp_path, capsys, {"t1a": 50}, *argv)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from triarc import arith as A
 from triarc import circuits as C
 from triarc import noise as N
+from triarc import simulator as S
 from triarc.circuits import GateKind
 from triarc.noise import GateCensus, NoiseParams
 from triarc.transpile import LoweringStrategy, lower_toffolis
@@ -126,6 +127,26 @@ def test_kraus_channel_refuses_bad_wires_and_shapes_before_building(monkeypatch,
         N.KrausChannel(operators, dims)
 
 
+def test_generalized_paulis_refused_above_state_limit_before_building(monkeypatch):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    assert len(N.generalized_paulis(2)) == 4  # 4 matrices of 4 entries
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("generalized_paulis built matrices beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(np, "roll", no_shift)
+    with pytest.raises(ValueError, match="generalized Pauli entries 81 exceeds MAX_STATE_DIM = 16"):
+        N.generalized_paulis(3)
+
+
+def test_kraus_channels_compare_and_hash_by_identity():
+    shared = N.amplitude_damping_qubit(0.3)
+    fresh = N._amplitude_damping.__wrapped__((0.3,))
+    assert shared == shared and shared != fresh
+    assert shared in [shared] and shared not in [fresh]
+    assert hash(shared) == hash(shared) and len({shared, fresh}) == 2
+
+
 def test_depolarizing_refuses_three_wires():
     with pytest.raises(ValueError, match="1 or 2 wires"):
         N.depolarizing_channel([2, 2, 2], 0.0)
@@ -189,17 +210,17 @@ def test_invalid_channel_arguments_raise_on_every_call(build, match):
 
 
 @pytest.mark.parametrize(
-    "public, builder, args",
+    "public, args, builder, key",
     [
-        (N.depolarizing_channel, N._depolarizing_channel, (dims, p))
+        (N.depolarizing_channel, (dims, p), N._depolarizing_channel, (dims, p))
         for dims in [(2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3)]
         for p in (0.0, 1e-4, 3e-3)
     ]
-    + [(N.amplitude_damping_qubit, N._amplitude_damping_qubit, (lam,)) for lam in (0.0, 0.3, 1.0)]
-    + [(N.amplitude_damping_qutrit, N._amplitude_damping_qutrit, (0.2, 0.7))],
+    + [(N.amplitude_damping_qubit, (lam,), N._amplitude_damping, ((lam,),)) for lam in (0.0, 0.3, 1.0)]
+    + [(N.amplitude_damping_qutrit, (0.2, 0.7), N._amplitude_damping, ((0.2, 0.7),))],
 )
-def test_cached_channels_equal_uncached_builder(public, builder, args):
-    cached, fresh = public(*args), builder.__wrapped__(*args)
+def test_cached_channels_equal_uncached_builder(public, args, builder, key):
+    cached, fresh = public(*args), builder.__wrapped__(*key)
     assert fresh is not cached and len(cached.operators) == len(fresh.operators)
     assert all(np.array_equal(k, ref) for k, ref in zip(cached.operators, fresh.operators))
     assert np.array_equal(cached.superoperator, fresh.superoperator)

@@ -1,5 +1,6 @@
 """Pricing-context bounds, Gaussian target states, and energy estimators."""
 import math
+import re
 import sys
 
 import numpy as np
@@ -172,6 +173,22 @@ def test_energy_estimators_reject_empty():
         P.energy_x2({}, m=1.0, dx=1.0, x0=0.0)
     with pytest.raises(ValueError):
         P.energy_p2({}, m=1.0, dp=1.0)
+
+
+@pytest.mark.parametrize("hist, bad", [
+    ({"1": 1, "01": 1, "10": 2}, "01"),  # '01' would overwrite '1'
+    ({"0b1": 1}, "0b1"),
+    ({"101": 1, " 1_0": 1}, " 1_0"),
+    ({"-1": 1}, "-1"),
+    ({"": 1}, ""),
+    ({"01": 1, "0\u00e9": 1}, "0\u00e9"),
+])
+def test_energy_estimators_refuse_malformed_labels(hist, bad):
+    match = f"malformed histogram label {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=match):
+        P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
+    with pytest.raises(ValueError, match=match):
+        P.energy_p2(S.Histogram(hist, sum(hist.values())), m=1.0, dp=1.0)
 
 
 # --- payoff rescaling ---------------------------------------------------------------------

@@ -147,6 +147,28 @@ def test_qubit_subspace_unitary_rejects_measure(monkeypatch):
         S.qubit_subspace_unitary(circ)
 
 
+def test_qubit_subspace_indices_refused_above_state_limit(monkeypatch):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    assert len(S.qubit_subspace_indices([3] * 4)) == 16
+    with pytest.raises(ValueError, match="qubit subspace dimension 32 exceeds MAX_STATE_DIM = 16"):
+        S.qubit_subspace_indices([3] * 5)
+
+
+def test_circuit_unitary_refuses_measure():
+    circ = C.extend(C.new_circuit([2, 2]), [C.x(0), C.measure(1)])
+    with pytest.raises(ValueError, match="requires an all-gate circuit"):
+        S.circuit_unitary(circ)
+
+
+def test_simulate_and_run_basis_skip_measure():
+    gates = [C.x(0), C.controlled(C.xplus1(1), 0)]
+    plain = C.extend(C.new_circuit([2, 3]), gates)
+    measured = C.extend(C.new_circuit([2, 3]), [gates[0], C.measure(0, 1), gates[1], C.measure(1)])
+    assert np.array_equal(S.simulate(measured, "01").amplitudes, S.simulate(plain, "01").amplitudes)
+    digits = np.array([[0, 0], [1, 1], [1, 2]])
+    assert np.array_equal(S.run_basis(measured, digits), S.run_basis(plain, digits))
+
+
 def test_unitary_guard():
     with pytest.raises(ValueError):
         S.circuit_unitary(C.new_circuit([2] * 13))
@@ -175,6 +197,19 @@ def test_measure_deterministic_under_seed():
     a = S.measure_all(state, shots=500, seed=11)
     b = S.measure_all(state, shots=500, seed=11)
     assert a == b
+
+
+def test_measure_all_refuses_shots_above_state_limit_before_sampling(monkeypatch):
+    state = S.basis_state([2], "1")
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    assert S.measure_all(state, shots=16, seed=0).counts == {"1": 16}
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("measure_all sampled beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    with pytest.raises(ValueError, match="shot count 17 exceeds MAX_STATE_DIM = 16"):
+        S.measure_all(state, shots=17, seed=0)
 
 
 def reference_index_to_label(dims, index):
@@ -309,6 +344,11 @@ def test_qutrit_damping_lambda2_full():
     rho = S.basis_density([3], "2")
     out = S.evolve_density(rho, N.amplitude_damping_qutrit(0.0, 1.0), wires=(0,))
     assert np.allclose(out.entries, S.basis_density([3], "0").entries)
+
+
+def test_evolve_density_refuses_measure():
+    with pytest.raises(ValueError, match="MEASURE has no unitary action"):
+        S.evolve_density(S.basis_density([2, 3], "12"), C.measure(0, 1))
 
 
 def test_two_qutrit_depolarizing_no_error_weight():
