@@ -30,7 +30,6 @@ from .simulator import (
     DensityMatrix,
     Histogram,
     StateVector,
-    apply_gate,
     basis_state,
     circuit_unitary,
     evolve_density,
@@ -62,7 +61,6 @@ from .noise import (
 from .resources import (
     ApproxParams,
     BaselineCosts,
-    FixedPointFormat,
     ResourceReport,
     benchmark_report,
     estimate_operation,
@@ -71,10 +69,8 @@ from .pricing import (
     GaussianSpec,
     PricingSetup,
     disc_error,
-    energy_p2,
     energy_x2,
     gaussian_target_state,
-    rescale_payoff,
     trunc_error_bound,
 )
 

@@ -6,8 +6,8 @@ cannot hold.
 
 Register bits are laid out least-significant first inside each register
 (``a_wires[k]`` carries bit k of A). Basis-state labels still read wire 0
-as the most significant label digit; ``register_digits`` and ``operand_label``
-write integers into labels and ``register_value`` reads them back.
+as the most significant label digit; ``register_digits`` writes integers
+into basis digits and ``register_value`` reads them back from a label.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, GateInstance, WireSpec, _is_int, cx, toffoli, x
-from .simulator import digit_labels
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,6 @@ def register_digits(circuit: Circuit,
         for k, w in enumerate(wires):
             digits[:, w] = [(v >> k) & 1 for v in values]
     return digits
-
-
-def operand_label(circuit: Circuit, layout: RegisterLayout, a: int, b: int) -> str:
-    """Basis label preparing integers ``a`` and ``b`` on the input registers."""
-    return digit_labels(register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])]))[0]
 
 
 def register_value(label: str, wires: tuple[int, ...]) -> int:

@@ -114,7 +114,6 @@ def _cmd_noise_curve(args: argparse.Namespace) -> int:
     params = noise.NoiseParams(p1=args.p1, p2=args.p2, T1_level1=args.t1a,
                                T1_level2=args.t1b, tau_gate=args.tau)
     names = ["conventional", "qutrit"] if args.strategy == "both" else [args.strategy]
-    # an int count, so success_curve refuses one below 1
     curves = [noise.success_curve(_STRATEGIES[name], args.max_toffoli, params) for name in names]
     lines = ["toffoli_count," + ",".join(f"p_success_{name}" for name in names)]
     for rows in zip(*curves):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import exp, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,13 +175,15 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     """
     wire_dims = tuple(wire_dims)
     _check_channel_dims(wire_dims)
-    if p < 0:
-        raise ValueError("error probability must be non-negative")
     return _depolarizing_channel(tuple(int(d) for d in wire_dims), float(p))
 
 
 @lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
 def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
+    """Checks p here, so a cache hit pays for no check; a refusal is not cached."""
+    check_finite(p=p)
+    if p < 0:
+        raise ValueError("error probability must be non-negative")
     size = prod(wire_dims)
     stacks = [np.array(generalized_paulis(d)) for d in wire_dims]
     paulis = stacks[0]
@@ -233,6 +235,7 @@ def lambda_from_time(t: float, T1: float) -> float:
     Damping is sometimes quoted as lambda proportional to exp(-t/T1);
     the standard reading with lambda -> 0 at t = 0 is used here.
     """
+    check_finite(t=t, T1=T1)
     if t < 0:
         raise ValueError("duration must be non-negative")
     if T1 <= 0:
@@ -261,16 +264,13 @@ def p_success(census: GateCensus, params: NoiseParams) -> float:
 
 
 def success_curve(
-    strategy: LoweringStrategy,
-    toffoli_counts: int | Iterable[int],
-    params: NoiseParams,
+    strategy: LoweringStrategy, max_toffoli: int, params: NoiseParams
 ) -> list[tuple[int, float]]:
-    """(count, p_success) series for per-Toffoli costs scaled by count."""
-    if isinstance(toffoli_counts, int):
-        if toffoli_counts < 1:
-            raise ValueError("the count range needs at least one entry")
-        toffoli_counts = range(1, toffoli_counts + 1)
-    return [(k, p_success(census_for(strategy, k), params)) for k in toffoli_counts]
+    """(count, p_success) series for per-Toffoli costs scaled by each count
+    from 1 to ``max_toffoli``."""
+    if max_toffoli < 1:
+        raise ValueError("the count range needs at least one entry")
+    return [(k, p_success(census_for(strategy, k), params)) for k in range(1, max_toffoli + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Formula-level derivative-pricing context: truncation/discretization
-error bounds, discretized Gaussian target states, harmonic-oscillator
-energy estimators, and payoff rescaling.
+error bounds, discretized Gaussian target states and the position-term
+harmonic-oscillator energy estimator.
 
 The Gaussian grid follows x_j = x0 - w*sigma + j*dx with dx = 2*w*sigma/2^n
 for j in [0, 2^n); amplitudes are normalized so the squared amplitudes are
-the discretized normal distribution N(x0, sigma). Momentum-basis histograms
-are supplied by the caller (the centering Fourier transform is out of
-scope), so the P^2 estimator only evaluates the quoted sum.
+the discretized normal distribution N(x0, sigma).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, ldexp
+from math import exp, isfinite, ldexp
 from typing import Mapping
 
 import numpy as np
@@ -104,15 +102,20 @@ def gaussian_target_state(spec: GaussianSpec) -> StateVector:
 
 def _check_labels(labels: list[str]) -> None:
     """Refuse labels unless all are strings of 0s and 1s of one width >= 1,
-    so ``int(label, 2)`` can neither accept '0b1', ' 1_0' or '-1' nor map
+    so ``int(label, 2)`` can neither accept '0b1', ' 1_0', '-1' or 1 nor map
     '1' and '01' to one value. Valid labels cost three C-level passes; only
     a refusal walks them in Python, to name the first bad one."""
-    width = len(labels[0])
-    if width and set(map(len, labels)) == {width} and not "".join(labels).encode().translate(None, b"01"):
+    width = len(labels[0]) if isinstance(labels[0], str) else 0
+    try:
+        binary = not "".join(labels).encode().translate(None, b"01")
+    except TypeError:  # a label that is not a string
+        binary = False
+    if width and binary and set(map(len, labels)) == {width}:
         return
-    bad = next(label for label in labels if len(label) != width or not width or label.strip("01"))
+    bad = next(label for label in labels
+               if not isinstance(label, str) or not width or len(label) != width or label.strip("01"))
     raise ValueError(
-        f"malformed histogram label {bad!r}: labels must be 0s and 1s, "
+        f"malformed histogram label {bad!r}: labels must be strings of 0s and 1s, "
         f"at least 1 wide and as wide as the first label ({width})"
     )
 
@@ -124,6 +127,12 @@ def _weights(counts: Histogram | Mapping[str, float]) -> tuple[dict[int, float],
     _check_labels(list(mapping))
     weights = {int(label, 2): float(c) for label, c in mapping.items()}
     total = sum(weights.values())
+    # NaN and infinity reach the total; only a refusal walks the labels, to name one
+    if not (isfinite(total) and min(weights.values()) >= 0):
+        for label, c in mapping.items():
+            if not (isfinite(float(c)) and float(c) >= 0):
+                raise ValueError(f"histogram label {label!r} has weight {c}; weights must be finite and >= 0")
+        raise ValueError(f"histogram total weight {total} is not finite")
     if total <= 0:
         raise ValueError("histogram has zero total weight")
     return weights, total
@@ -137,18 +146,3 @@ def energy_x2(counts: Histogram | Mapping[str, float], m: float, dx: float, x0: 
     """
     weights, total = _weights(counts)
     return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in weights.items()) / total
-
-
-def energy_p2(counts: Histogram | Mapping[str, float], m: float, dp: float) -> float:
-    """Momentum-term estimator: mean of (1/2m)*(j*dp)^2 over counts."""
-    weights, total = _weights(counts)
-    return sum(c * (j * dp) ** 2 / (2.0 * m) for j, c in weights.items()) / total
-
-
-def rescale_payoff(e_tilde: float, f_min: float, f_max: float) -> float:
-    """Affine rescale (f_max - f_min)*e_tilde + f_min of a unit-interval mean."""
-    if not 0.0 <= e_tilde <= 1.0:
-        raise ValueError("normalized expectation must lie in [0, 1]")
-    if f_max < f_min:
-        raise ValueError("payoff bounds must satisfy f_max >= f_min")
-    return (f_max - f_min) * e_tilde + f_min

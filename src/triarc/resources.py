@@ -9,7 +9,8 @@ Each ``cnot_count_*`` docstring keeps its quoted polynomial. The one
 recorded exception is arcsine, whose quoted -26 constant is kept, 20 below
 the derived -6 (``ARCSQ_CNOT_NOTE``).
 
-Subtraction shares the addition counts; division shares multiplication.
+``estimate_operation`` gives subtraction the addition counts and division
+the multiplication counts (``_FORMULAS`` maps them to the same records).
 The symbol ``d`` appearing in the exponential/arcsine counts is kept as an
 explicit parameter defaulting to the polynomial degree ``k``.
 """
@@ -49,35 +50,6 @@ def _check_np(n: int, p: int) -> None:
 def _check_approx(k: int, m: int, d: int, z: int = 1) -> None:
     if k < 1 or m < 1 or d < 1 or z < 1:
         raise ValueError("approximation parameters k, M, d, z must be >= 1")
-
-
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """(n, p) fixed-point layout: n bits total, p left of the binary point."""
-
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.p <= self.n:
-            raise ValueError("fixed-point format needs n >= 1 and 0 <= p <= n")
-
-    @property
-    def resolution(self) -> float:
-        return 2.0 ** (self.p - self.n)
-
-    def decode(self, bits: str) -> float:
-        """Value of an n-bit string, most significant bit first."""
-        if len(bits) != self.n or any(b not in "01" for b in bits):
-            raise ValueError(f"expected {self.n} binary digits, got {bits!r}")
-        return int(bits, 2) * self.resolution
-
-    def encode(self, value: float) -> str:
-        """Nearest representable value as a bit string."""
-        steps = round(value / self.resolution)
-        if not 0 <= steps < 2 ** self.n:
-            raise ValueError(f"{value} is outside the representable range")
-        return format(steps, f"0{self.n}b")
 
 
 @dataclass(frozen=True)
@@ -211,13 +183,6 @@ def t_depth_arcsq(n: int, p: int, z: int, k: int, M: int) -> int:
     return t_depth_sq(n) + t_depth_pp(n, z, k, M) + 8 * n + 6
 
 
-# aliased operations: identical counts by construction
-toffoli_count_sub = toffoli_count_add
-t_depth_sub = t_depth_add
-toffoli_count_div = toffoli_count_mul
-t_depth_div = t_depth_mul
-
-
 # ---------------------------------------------------------------------------
 # ternary CNOT counts (qutrit lowering)
 # ---------------------------------------------------------------------------
@@ -258,10 +223,6 @@ def cnot_count_arcsq(n: int, p: int, k: int, M: int, d: int | None = None) -> fl
     + 6Md(4ceil(log2 M) - 8) + 12Mn - 26, which is the derived count
     minus ``ARCSQ_CNOT_OFFSET``."""
     return _QUTRIT.two_qutrit_gates * toffoli_count_arcsq(n, p, k, M, d) - ARCSQ_CNOT_OFFSET
-
-
-cnot_count_sub = cnot_count_add
-cnot_count_div = cnot_count_mul
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ def digit_labels(digits: np.ndarray) -> list[str]:
     return digits.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
 
 
-def index_to_label(dims: Sequence[int], index: int) -> str:
-    return digit_labels(index_digits(dims, np.array([index])))[0]
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm complex amplitudes over the mixed-radix basis."""
@@ -202,30 +198,23 @@ def basis_state(dims: Sequence[int], label: str | Sequence[int]) -> StateVector:
 
 def basis_density(dims: Sequence[int], label: str | Sequence[int]) -> DensityMatrix:
     _check_density_wires(dims)
-    return density_from_state(basis_state(dims, label))
-
-
-def density_from_state(state: StateVector) -> DensityMatrix:
-    _check_density_wires(state.dims)
+    state = basis_state(dims, label)
     return DensityMatrix(state.dims, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-def dominant_basis_label(state: StateVector, atol: float = 1e-12) -> str:
-    """Label of the single basis state carrying all probability weight."""
+def dominant_basis_label(state: StateVector) -> str:
+    """Label of the single basis state carrying all probability weight
+    to within 1e-12."""
     probs = np.abs(state.amplitudes) ** 2
     idx = int(np.argmax(probs))
-    if abs(probs[idx] - 1.0) > atol:
+    if abs(probs[idx] - 1.0) > 1e-12:
         raise ValueError(f"state is not a basis state (max probability {probs[idx]})")
-    return index_to_label(state.dims, idx)
+    return digit_labels(index_digits(state.dims, np.array([idx])))[0]
 
 
 # ---------------------------------------------------------------------------
 # gate application
 # ---------------------------------------------------------------------------
-
-def _wire_specs(dims: Sequence[int]) -> tuple[WireSpec, ...]:
-    return tuple(WireSpec(d) for d in dims)
-
 
 @dataclass(frozen=True)
 class _Action:
@@ -320,17 +309,6 @@ def _apply_inplace(
                 # term, which no later term reads
                 spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[terms[0][0]]
                 np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
-
-
-def apply_gate(state: StateVector, gate: GateInstance) -> StateVector:
-    """New state with the gate's unitary applied on its targets, conditioned
-    on every control wire holding its activation value."""
-    validate_gate(gate, _wire_specs(state.dims))
-    if gate.kind is GateKind.MEASURE:
-        raise ValueError("MEASURE has no unitary action; use measure_all")
-    tensor = state.amplitudes.reshape(state.dims).copy()
-    _apply_inplace(tensor, gate, state.dims, np.empty(tensor.size, dtype=complex))
-    return StateVector(state.dims, tensor.reshape(-1))
 
 
 def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
@@ -494,7 +472,7 @@ def evolve_density(
     if isinstance(step, GateInstance):
         if wires is not None:
             raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
-        validate_gate(step, _wire_specs(dims))
+        validate_gate(step, tuple(WireSpec(d) for d in dims))
         target = step.targets[0]
         unitary = kind_matrix(step.kind, dims[target])
         # the target's axis within a block, once the control axes before it are fixed

@@ -46,8 +46,6 @@ class LoweringStrategy(Enum):
     SELINGER_COST = "selinger-cost"
 
 
-FUNCTIONAL_STRATEGIES = (LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
-
 # the one Toffoli that profiles, fidelities and equivalence checks lower
 REFERENCE_TOFFOLI = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
 

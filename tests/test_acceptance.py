@@ -122,7 +122,7 @@ def test_criterion_3_multiplier_witness():
         probs = np.abs(state.amplitudes) ** 2
         top = int(np.argmax(probs))
         assert abs(probs[top] - 1.0) <= 1e-12
-        label = S.index_to_label(variant.dims, top)
+        label = S.digit_labels(S.index_digits(variant.dims, np.array([top])))[0]
         assert A.register_value(label, layout.result_wires) == 15
 
 
@@ -217,7 +217,8 @@ def test_criterion_8_channel_properties():
     rng = random.Random(77)
     np_rng = np.random.default_rng(77)
     vec = np_rng.normal(size=12) + 1j * np_rng.normal(size=12)
-    rho = S.density_from_state(S.StateVector(dims, vec / np.linalg.norm(vec)))
+    vec /= np.linalg.norm(vec)
+    rho = S.DensityMatrix(dims, np.outer(vec, vec.conj()))
     single_gates = [C.h(0), C.x(2), C.xplus1(1), C.t(0), C.controlled(C.x(2), 1, 2)]
     for _ in range(100):
         kind = rng.choice(["gate", "depolarize1", "depolarize2", "damp"])

@@ -25,11 +25,16 @@ def test_adder_uses_only_x_cx_toffoli():
     assert all(g.kind in (GateKind.X, GateKind.TOFFOLI) for g in circuit.gates)
 
 
+def operand_digits(circuit, layout, a, b):
+    """Basis digits preparing integers a and b on the input registers."""
+    return A.register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])])[0]
+
+
 def test_adder_examples_n4():
     circuit, layout = A.build_adder(4)
     # 3 + 5 = 8 with carry 0, ancilla 0: A on wires 0-3, sum on 4-7, then c0, carry
-    label = A.operand_label(circuit, layout, 3, 5)
-    assert S.dominant_basis_label(S.simulate(circuit, label)) == "1100" + "0001" + "00"
+    digits = operand_digits(circuit, layout, 3, 5)
+    assert S.dominant_basis_label(S.simulate(circuit, digits)) == "1100" + "0001" + "00"
     assert V.adder_failure(circuit, layout, 4, [(3, 5), (0, 0), (15, 1)]) is None
 
 
@@ -68,12 +73,12 @@ def test_simulate_refuses_4x4_multiplier_before_allocating(monkeypatch):
 
     monkeypatch.setattr(S, "basis_state", no_allocation)
     with pytest.raises(ValueError, match="MAX_STATE_DIM"):
-        S.simulate(circuit, A.operand_label(circuit, layout, 3, 5))
+        S.simulate(circuit, operand_digits(circuit, layout, 3, 5))
 
 
 def test_multiplier_3x2_headline_case():
     circuit, layout = A.build_multiplier(3, 2)
-    label = S.dominant_basis_label(S.simulate(circuit, A.operand_label(circuit, layout, 5, 3)))
+    label = S.dominant_basis_label(S.simulate(circuit, operand_digits(circuit, layout, 5, 3)))
     assert A.register_value(label, layout.result_wires) == 15
     assert all(label[w] == "0" for w in layout.ancilla_wires)
 
@@ -111,7 +116,7 @@ def test_demo_multiplier_structure():
 def test_demo_multiplier_yields_15():
     circuit, layout = A.build_demo_multiplier()
     state = S.simulate(circuit, "0" * 13)
-    label = S.dominant_basis_label(state, atol=1e-12)
+    label = S.dominant_basis_label(state)
     assert A.register_value(label, layout.result_wires) == 15
     assert A.register_value(label, layout.a_wires) == 5
     assert A.register_value(label, layout.b_wires) == 3
@@ -120,7 +125,7 @@ def test_demo_multiplier_yields_15():
 def test_demo_multiplier_lowered_yields_15():
     circuit, layout = A.build_demo_multiplier()
     lowered = T.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
-    label = S.dominant_basis_label(S.simulate(lowered, "0" * 13), atol=1e-12)
+    label = S.dominant_basis_label(S.simulate(lowered, "0" * 13))
     assert A.register_value(label, layout.result_wires) == 15
 
 
@@ -138,21 +143,21 @@ def layout_and_operands(draw):
 
 @given(layout_and_operands())
 @settings(max_examples=60)
-def test_operand_label_round_trips_through_register_value(case):
+def test_register_digits_round_trip_through_register_value(case):
     circuit, layout, a, b = case
-    label = A.operand_label(circuit, layout, a, b)
-    assert len(label) == len(circuit.wires)
-    assert A.register_value(label, layout.a_wires) == a
-    assert A.register_value(label, layout.b_wires) == b
+    digits = operand_digits(circuit, layout, a, b)
+    assert len(digits) == len(circuit.wires)
+    assert A.register_value(digits, layout.a_wires) == a
+    assert A.register_value(digits, layout.b_wires) == b
 
 
 @pytest.mark.parametrize("a", [8, -1, True, 1.9], ids=["too-large", "negative", "bool", "float"])
-def test_operand_label_refuses_an_operand_its_register_cannot_hold(a):
+def test_register_digits_refuses_an_operand_its_register_cannot_hold(a):
     circuit, layout = A.build_adder(3)
     with pytest.raises(ValueError, match="operand"):
-        A.operand_label(circuit, layout, a, 1)
+        operand_digits(circuit, layout, a, 1)
     with pytest.raises(ValueError, match="operand"):
-        A.operand_label(circuit, layout, 1, a)
+        operand_digits(circuit, layout, 1, a)
 
 
 def test_register_digits_takes_numpy_integer_operands():

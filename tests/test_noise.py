@@ -198,7 +198,9 @@ def test_cached_channels_are_read_only(build):
         (lambda: N.depolarizing_channel([2.5], 1e-3), "1 or 2 wires"),
         (lambda: N.depolarizing_channel([2, 2, 2], 1e-3), "1 or 2 wires"),
         (lambda: N.depolarizing_channel([3, 3], 0.02), "exceeds 1"),
-        (lambda: N.depolarizing_channel([2], float("nan")), "sum K"),
+        (lambda: N.depolarizing_channel([2], math.nan), "p must be finite"),
+        (lambda: N.depolarizing_channel([3, 3], math.inf), "p must be finite"),
+        (lambda: N.depolarizing_channel([2, 3], -math.inf), "p must be finite"),
         (lambda: N.amplitude_damping_qubit(1.5), "damping"),
         (lambda: N.amplitude_damping_qutrit(0.1, -0.1), "damping"),
     ],
@@ -264,6 +266,14 @@ def test_lambda_from_time():
     assert N.lambda_from_time(0.0, 100.0) == 0.0
     assert N.lambda_from_time(1e9, 100.0) == pytest.approx(1.0)
     assert N.lambda_from_time(100.0, 100.0) == pytest.approx(1 - math.exp(-1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_lambda_from_time_refuses_a_non_finite_input(value):
+    with pytest.raises(ValueError, match="t must be finite"):
+        N.lambda_from_time(value, 100.0)
+    with pytest.raises(ValueError, match="T1 must be finite"):
+        N.lambda_from_time(1.0, value)
 
 
 # --- p_success ------------------------------------------------------------------
@@ -349,9 +359,10 @@ def test_success_curve_endpoints():
     assert conventional[30] == pytest.approx(0.00786, abs=1e-4)
 
 
-def test_success_curve_count_zero_is_one():
-    series = N.success_curve(LoweringStrategy.QUTRIT, [0], REFERENCE_PARAMS)
-    assert series == [(0, 1.0)]
+def test_zero_toffolis_succeed_and_an_empty_curve_is_refused():
+    assert N.p_success(N.census_for(LoweringStrategy.QUTRIT, 0), REFERENCE_PARAMS) == 1.0
+    with pytest.raises(ValueError, match="at least one entry"):
+        N.success_curve(LoweringStrategy.QUTRIT, 0, REFERENCE_PARAMS)
 
 
 def test_qutrit_curve_dominates_pointwise():

@@ -163,16 +163,9 @@ def test_energy_x2_accepts_histogram():
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0) == pytest.approx(expected)
 
 
-def test_energy_p2_single_count():
-    hist = {"01": 2.0}
-    assert P.energy_p2(hist, m=1.0, dp=2.0) == pytest.approx(2.0)
-
-
-def test_energy_estimators_reject_empty():
+def test_energy_x2_rejects_empty():
     with pytest.raises(ValueError):
         P.energy_x2({}, m=1.0, dx=1.0, x0=0.0)
-    with pytest.raises(ValueError):
-        P.energy_p2({}, m=1.0, dp=1.0)
 
 
 @pytest.mark.parametrize("hist, bad", [
@@ -182,31 +175,38 @@ def test_energy_estimators_reject_empty():
     ({"-1": 1}, "-1"),
     ({"": 1}, ""),
     ({"01": 1, "0\u00e9": 1}, "0\u00e9"),
+    ({1: 1}, 1),
+    ({"01": 1, b"10": 1}, b"10"),
+    ({"01": 1, None: 1}, None),
+    ({("0", "1"): 1}, ("0", "1")),
 ])
-def test_energy_estimators_refuse_malformed_labels(hist, bad):
+def test_energy_x2_refuses_malformed_labels(hist, bad):
     match = f"malformed histogram label {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=match):
         P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
     with pytest.raises(ValueError, match=match):
-        P.energy_p2(S.Histogram(hist, sum(hist.values())), m=1.0, dp=1.0)
+        P.energy_x2(S.Histogram(hist, sum(hist.values())), m=1.0, dx=1.0, x0=0.0)
 
 
-# --- payoff rescaling ---------------------------------------------------------------------
+@pytest.mark.parametrize("hist, bad", [
+    ({"0": math.nan, "1": 1.0}, "0"),
+    ({"0": 1.0, "1": math.inf}, "1"),
+    ({"00": 1.0, "01": -math.inf, "10": math.inf}, "01"),
+    ({"0": -1.0, "1": 2.0}, "0"),
+    ({"00": 1.0, "01": -0.5, "10": 1.0}, "01"),
+])
+def test_energy_x2_refuses_non_finite_and_negative_weights(hist, bad):
+    with pytest.raises(ValueError, match=f"histogram label {re.escape(repr(bad))} has weight"):
+        P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
 
-def test_rescale_payoff_endpoints():
-    assert P.rescale_payoff(0.0, 10.0, 50.0) == 10.0
-    assert P.rescale_payoff(1.0, 10.0, 50.0) == 50.0
+
+def test_energy_x2_refuses_a_total_weight_that_overflows():
+    with pytest.raises(ValueError, match="total weight inf is not finite"):
+        P.energy_x2({"0": 1e308, "1": 1e308}, m=1.0, dx=1.0, x0=0.0)
 
 
-def test_rescale_payoff_interior():
-    assert P.rescale_payoff(0.25, 10.0, 50.0) == 20.0
-
-
-def test_rescale_payoff_domain():
-    with pytest.raises(ValueError):
-        P.rescale_payoff(1.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        P.rescale_payoff(0.5, 1.0, 0.0)
+def test_energy_x2_keeps_zero_weights():
+    assert P.energy_x2({"0": 0.0, "1": 2.0}, m=2.0, dx=3.0, x0=0.0) == 9.0
 
 
 def test_setup_validation():

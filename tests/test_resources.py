@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triarc import resources as R
-from triarc.resources import ApproxParams, BaselineCosts, FixedPointFormat
+from triarc.resources import ApproxParams, BaselineCosts
 from triarc.transpile import LoweringStrategy, cost_profile
 
 
@@ -155,7 +155,7 @@ def test_addition_spot_values():
 def test_multiplication_spot_values():
     assert R.toffoli_count_mul(4, 0) == 30.0
     assert R.t_depth_mul(4, 1) == 68
-    assert R.toffoli_count_div(4, 0) == 30.0
+    assert R.estimate_operation("div", 4).toffoli_count == 30.0
 
 
 def test_square_root_spot_values():
@@ -216,11 +216,12 @@ def test_arcsine_cnot_is_derived_count_minus_quoted_offset():
         assert R.cnot_count_arcsq(n, p, k, M, d) == derived - R.ARCSQ_CNOT_OFFSET
 
 
-def test_aliases_are_identical():
-    assert R.toffoli_count_sub is R.toffoli_count_add
-    assert R.toffoli_count_div is R.toffoli_count_mul
-    assert R.cnot_count_sub is R.cnot_count_add
-    assert R.cnot_count_div is R.cnot_count_mul
+def test_sub_and_div_share_the_add_and_mul_counts():
+    approx = ApproxParams(k=2, M=4, z=2)
+    for strategy in (LoweringStrategy.QUTRIT, LoweringStrategy.SELINGER_COST):
+        for op, same in (("sub", "add"), ("div", "mul")):
+            assert R.estimate_operation(op, 16, 4, approx, strategy) == R.estimate_operation(
+                same, 16, 4, approx, strategy)
 
 
 def test_counts_monotone_in_n():
@@ -254,31 +255,6 @@ def test_domain_errors():
         R.t_depth_mul(4, 0)
     with pytest.raises(ValueError):
         R.toffoli_count_exp(4, 0, 0, 1, 1)
-
-
-# --- fixed point ---------------------------------------------------------------
-
-def test_fixed_point_decode_example():
-    fmt = FixedPointFormat(n=4, p=2)
-    assert fmt.decode("1010") == 2.5
-
-
-def test_fixed_point_encode_example():
-    fmt = FixedPointFormat(n=4, p=2)
-    assert fmt.encode(2.5) == "1010"
-
-
-def test_fixed_point_overflow():
-    with pytest.raises(ValueError):
-        FixedPointFormat(n=4, p=2).encode(4.0)
-
-
-@given(st.integers(1, 12), st.data())
-def test_fixed_point_round_trip(n, data):
-    p = data.draw(st.integers(0, n))
-    fmt = FixedPointFormat(n=n, p=p)
-    bits = format(data.draw(st.integers(0, 2 ** n - 1)), f"0{n}b")
-    assert fmt.encode(fmt.decode(bits)) == bits
 
 
 # --- benchmark report ------------------------------------------------------------

@@ -26,40 +26,22 @@ def toffoli_permutation():
     return matrix
 
 
-# --- apply_gate -----------------------------------------------------------
+# --- single gates ---------------------------------------------------------
+
+def one_gate(dims, gate, label):
+    return S.simulate(C.append(C.new_circuit(dims), gate), label)
+
 
 def test_x_flips_qubit():
-    out = S.apply_gate(S.basis_state([2], "0"), C.x(0))
-    assert S.dominant_basis_label(out) == "1"
+    assert S.dominant_basis_label(one_gate([2], C.x(0), "0")) == "1"
 
 
 def test_xplus1_wraps_2_to_0():
-    out = S.apply_gate(S.basis_state([3], "2"), C.xplus1(0))
-    assert S.dominant_basis_label(out) == "0"
+    assert S.dominant_basis_label(one_gate([3], C.xplus1(0), "2")) == "0"
 
 
 def test_controlled_xplus1_elevates_second_wire():
-    state = S.basis_state([2, 3], "11")
-    out = S.apply_gate(state, C.controlled(C.xplus1(1), 0, 1))
-    assert S.dominant_basis_label(out) == "12"
-
-
-def test_apply_gate_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        S.apply_gate(S.basis_state([2], "0"), C.xplus1(0))
-
-
-def test_apply_gate_rejects_measure():
-    with pytest.raises(ValueError):
-        S.apply_gate(S.basis_state([2], "0"), C.measure(0))
-
-
-def test_apply_gate_leaves_input_state_alone():
-    state = S.apply_gate(S.basis_state([2, 3], "00"), C.h(0))
-    before = state.amplitudes.copy()
-    for gate in (C.h(0), C.t(0), C.controlled(C.xplus1(1), 0, 1), C.cx(1, 0, value=2)):
-        S.apply_gate(state, gate)
-        assert state.amplitudes.tobytes() == before.tobytes()
+    assert S.dominant_basis_label(one_gate([2, 3], C.controlled(C.xplus1(1), 0, 1), "11")) == "12"
 
 
 # --- simulate -------------------------------------------------------------
@@ -186,14 +168,13 @@ def test_measure_basis_state_single_bucket():
 
 
 def test_measure_uniform_superposition_within_binomial_bound():
-    state = S.apply_gate(S.basis_state([2], "0"), C.h(0))
-    hist = S.measure_all(state, shots=100_000, seed=3)
+    hist = S.measure_all(one_gate([2], C.h(0), "0"), shots=100_000, seed=3)
     for label in ("0", "1"):
         assert abs(hist.counts[label] / 100_000 - 0.5) < 0.02
 
 
 def test_measure_deterministic_under_seed():
-    state = S.apply_gate(S.basis_state([2, 2], "00"), C.h(0))
+    state = one_gate([2, 2], C.h(0), "00")
     a = S.measure_all(state, shots=500, seed=11)
     b = S.measure_all(state, shots=500, seed=11)
     assert a == b
@@ -213,7 +194,7 @@ def test_measure_all_refuses_shots_above_state_limit_before_sampling(monkeypatch
 
 
 def reference_index_to_label(dims, index):
-    # the digit loop that index_to_label ran before the basis codec was shared
+    # the digit loop that wrote a label before the basis codec was shared
     digits = []
     for dim in reversed(dims):
         digits.append(index % dim)
@@ -230,9 +211,9 @@ def test_basis_codec_matches_independent_references(dims, data):
     for index in indices:
         label = reference_index_to_label(dims, index)
         assert label == "".join(str(d) for d in np.unravel_index(index, dims))
-        assert S.index_to_label(dims, index) == label
         assert S.label_to_index(dims, label) == index
         labels[index] = label
+    assert S.digit_labels(S.index_digits(dims, np.array(indices))) == [labels[i] for i in indices]
     amplitudes = np.zeros(size, dtype=complex)
     amplitudes[indices] = 1 / np.sqrt(len(indices))
     hist = S.measure_all(S.StateVector(tuple(dims), amplitudes), shots=200, seed=len(indices))
@@ -402,8 +383,6 @@ def test_basis_state_checks_state_limit(monkeypatch):
 
 
 def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
-    state = S.basis_state([2, 2], "00")
-
     def no_state(*args):
         raise AssertionError("basis_density built a state beyond DENSITY_WIRE_GUARD")
 
@@ -411,8 +390,6 @@ def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
     monkeypatch.setattr(S, "basis_state", no_state)
     with pytest.raises(ValueError, match="DENSITY_WIRE_GUARD"):
         S.basis_density([2, 2], "00")
-    with pytest.raises(ValueError, match="DENSITY_WIRE_GUARD"):
-        S.density_from_state(state)
 
 
 # --- invariants (property tests) ------------------------------------------
@@ -421,16 +398,15 @@ def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
 @settings(max_examples=40)
 def test_norm_preserved_by_every_gate(circ, seed_index):
     rng = np.random.default_rng(seed_index)
-    amps = rng.normal(size=len(circ.dims) * 0 + int(np.prod(circ.dims))) + 1j * rng.normal(
-        size=int(np.prod(circ.dims))
-    )
-    amps /= np.linalg.norm(amps)
-    state = S.StateVector(tuple(circ.dims), amps)
+    dims = circ.dims
+    tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    tensor /= np.linalg.norm(tensor)
+    scratch = np.empty(tensor.size, dtype=complex)
     for gate in circ.gates:
         if gate.kind is C.GateKind.MEASURE:
             continue
-        state = S.apply_gate(state, gate)
-        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1) < 1e-12
+        S._apply_inplace(tensor, gate, dims, scratch)
+        assert abs(np.sum(np.abs(tensor) ** 2) - 1) < 1e-12
 
 
 @given(circuits_strategy(max_wires=4, max_gates=8))
@@ -452,7 +428,7 @@ def test_channel_evolution_preserves_invariants(dims, p, seed):
     size = int(np.prod(dims))
     vec = rng.normal(size=size) + 1j * rng.normal(size=size)
     vec /= np.linalg.norm(vec)
-    rho = S.density_from_state(S.StateVector(tuple(dims), vec))
+    rho = S.DensityMatrix(tuple(dims), np.outer(vec, vec.conj()))
     channel = N.depolarizing_channel(dims, p)
     out = S.evolve_density(rho, channel, wires=tuple(range(len(dims))))
     assert abs(np.trace(out.entries) - 1) < 1e-10
@@ -524,7 +500,7 @@ def test_evolve_density_matches_kron_reference(run, seed):
     size = prod(dims)
     vec = rng.normal(size=size) + 1j * rng.normal(size=size)
     vec /= np.linalg.norm(vec)
-    rho = S.density_from_state(S.StateVector(dims, vec))
+    rho = S.DensityMatrix(dims, np.outer(vec, vec.conj()))
     expected = rho.entries
     for step, wires in steps:
         if isinstance(step, C.GateInstance):
@@ -552,7 +528,8 @@ def test_evolve_density_applies_a_complex_channel_as_its_kraus_sum(wires):
     )
     channel = N.KrausChannel(tuple(isometry.reshape(count, size, size)), tuple(dims[w] for w in wires))
     vec = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
-    rho = S.density_from_state(S.StateVector(dims, vec / np.linalg.norm(vec)))
+    vec /= np.linalg.norm(vec)
+    rho = S.DensityMatrix(dims, np.outer(vec, vec.conj()))
     out = S.evolve_density(rho, channel, wires=wires)
     fulls = [embedded_reference(k, wires, dims) for k in channel.operators]
     expected = sum(full @ rho.entries @ full.conj().T for full in fulls)
@@ -647,18 +624,19 @@ def test_simulate_is_bit_identical_to_slice_copy_kernel(circ, data):
 
 @given(mixed_circuits(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_apply_gate_is_bit_identical_on_a_superposition(circ, data):
+def test_apply_inplace_is_bit_identical_on_a_superposition(circ, data):
     dims = circ.dims
-    state = S.basis_state(dims, "0" * len(dims))
+    tensor = S.basis_state(dims, "0" * len(dims)).amplitudes.reshape(dims)
+    scratch = np.empty(tensor.size, dtype=complex)
     for w, d in enumerate(dims):
-        state = S.apply_gate(state, C.h(w))
+        S._apply_inplace(tensor, C.h(w), dims, scratch)
         if d == 3:
-            state = S.apply_gate(state, C.controlled(C.xplus1(w), 0, 1) if w else C.xplus1(w))
+            S._apply_inplace(tensor, C.controlled(C.xplus1(w), 0, 1) if w else C.xplus1(w), dims, scratch)
     for gate in circ.gates + (data.draw(any_unitary_gate(dims)),):
-        expected = state.amplitudes.reshape(dims).copy()
+        expected = tensor.copy()
         slice_copy_reference(expected, gate, dims)
-        state = S.apply_gate(state, gate)
-        assert_bit_identical(state.amplitudes, expected.reshape(-1))
+        S._apply_inplace(tensor, gate, dims, scratch)
+        assert_bit_identical(tensor.reshape(-1), expected.reshape(-1))
 
 
 def two_contraction_reference(entries, gate, dims):

@@ -14,6 +14,8 @@ from triarc import transpile as T
 from triarc.circuits import GateKind
 from triarc.transpile import LoweringStrategy
 
+FUNCTIONAL = (LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
+
 
 def single_toffoli_circuit():
     return C.append(C.new_circuit([2, 2, 2]), C.toffoli(0, 1, 2))
@@ -70,7 +72,7 @@ def test_lowering_promotes_second_control():
 
 def test_lowering_without_toffolis_is_identity():
     circ = C.extend(C.new_circuit([2, 2]), [C.h(0), C.cx(0, 1)])
-    for strategy in T.FUNCTIONAL_STRATEGIES:
+    for strategy in FUNCTIONAL:
         assert T.lower_toffolis(circ, strategy) == circ
 
 
@@ -146,7 +148,7 @@ def shared_wire_circuit(seed, n_wires=6):
     return C.extend(C.new_circuit([2] * n_wires), gates)
 
 
-@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize("strategy", FUNCTIONAL)
 @pytest.mark.parametrize(
     "build",
     [lambda n=n: A.build_adder(n)[0] for n in range(1, 9)]
@@ -216,7 +218,7 @@ def repeated_toffoli_circuits(draw):
     return C.extend(C.new_circuit([2] * n), gates)
 
 
-@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize("strategy", FUNCTIONAL)
 @given(circuit=repeated_toffoli_circuits())
 def test_lowering_with_shared_gates_matches_the_per_toffoli_loop(strategy, circuit):
     lowered = T.lower_toffolis(circuit, strategy)
@@ -249,7 +251,7 @@ def test_clifford_t_lowering_t_count():
 
 # --- equivalence and closure properties -------------------------------------
 
-@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize("strategy", FUNCTIONAL)
 @pytest.mark.parametrize("seed", range(5))
 def test_functional_equivalence_small_random(strategy, seed):
     rng = np.random.default_rng(seed)
@@ -260,7 +262,7 @@ def test_functional_equivalence_small_random(strategy, seed):
     )
 
 
-@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize("strategy", FUNCTIONAL)
 def test_functional_equivalence_ten_wires_four_toffolis(strategy):
     rng = np.random.default_rng(2024)
     circ = random_toffoli_circuit(rng, n_wires=10, n_toffolis=4, n_extra=6)
@@ -328,7 +330,7 @@ def test_clifford_t_profile_measured_from_network():
     assert profile.two_qutrit_gates == 0
 
 
-@pytest.mark.parametrize("strategy", T.FUNCTIONAL_STRATEGIES)
+@pytest.mark.parametrize("strategy", FUNCTIONAL)
 def test_functional_profile_accounts_for_every_gate_of_the_lowering(strategy):
     lowered = T.lower_toffolis(single_toffoli_circuit(), strategy)
     profile = T.cost_profile(strategy)

@@ -52,10 +52,12 @@ def test_x_on_qutrit_leaves_2_alone(digit):
 def test_qutrit_adder_3bit_all_inputs_match_dense():
     circuit, layout = A.build_adder(3)
     lowered = qutrit(circuit)
-    labels = [A.operand_label(lowered, layout, a, b) for a in range(8) for b in range(8)]
-    out = S.run_basis(lowered, np.array([[int(ch) for ch in label] for label in labels]))
-    for label, row in zip(labels, out):
-        assert "".join(map(str, row)) == S.dominant_basis_label(S.simulate(lowered, label))
+    pairs = [(a, b) for a in range(8) for b in range(8)]
+    digits = A.register_digits(lowered, [(layout.a_wires, [a for a, _ in pairs]),
+                                         (layout.b_wires, [b for _, b in pairs])])
+    out = S.run_basis(lowered, digits)
+    for row_in, row in zip(digits, out):
+        assert "".join(map(str, row)) == S.dominant_basis_label(S.simulate(lowered, row_in))
 
 
 @pytest.mark.parametrize("gate", [C.h(0), C.t(0), C.s(0), C.z(0)])
