@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -205,16 +206,22 @@ def test_estimate_csv_format(capsys):
     assert values["toffoli_count"] == "30.0"
 
 
-@pytest.mark.parametrize("fmt, golden", [("json", "estimate_n16_p4_k2_M4.txt"),
-                                          ("csv", "estimate_n16_p4_k2_M4.csv")])
+@pytest.mark.parametrize("fmt, golden", [
+    (fmt, f"{stem}.{ext}")
+    for stem in ("estimate_n16_p4_k2_M4", "estimate_n5_p0_k1_M1_d3_z2",
+                 "estimate_n2_p2_k3_M3_z4")
+    for fmt, ext in (("json", "txt"), ("csv", "csv"))
+])
 def test_estimate_matches_golden(capsys, fmt, golden):
-    # every operation under both strategies, concatenated in OPERATIONS order
+    # every operation under both strategies, concatenated in OPERATIONS order;
+    # the file name spells the flags: estimate_n16_p4 -> --n 16 --p 4
+    flags = [arg for name, value in re.findall(r"_([a-zA-Z]+)(\d+)", golden)
+             for arg in (f"--{name}", value)]
     outputs = []
     for op in R.OPERATIONS:
         for strategy in ("qutrit", "baseline"):
-            code, out, _ = run_cli(capsys, "estimate", "--op", op, "--n", "16", "--p", "4",
-                                   "--k", "2", "--M", "4", "--strategy", strategy,
-                                   "--format", fmt)
+            code, out, _ = run_cli(capsys, "estimate", "--op", op, *flags,
+                                   "--strategy", strategy, "--format", fmt)
             assert code == 0
             outputs.append(out)
     assert "".join(outputs).encode() == (DATA / golden).read_bytes()
