@@ -40,6 +40,14 @@ def _is_int(value: object) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+def check_int(**values: object) -> None:
+    """Refuse a bool or non-integer value with a ValueError naming its field."""
+    for name, value in values.items():
+        # the exact-int test first keeps the common case off the _is_int call
+        if type(value) is not int and not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_finite(**values: float) -> None:
     """Refuse a NaN or infinite value with a ValueError naming its field."""
     for name, value in values.items():

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, check_finite, layers
+from .circuits import Circuit, GateInstance, WireSpec, check_finite, check_int, layers
 from .simulator import (
     DensityMatrix,
     basis_density,
@@ -120,6 +120,7 @@ def census_for(strategy: LoweringStrategy, toffoli_count: int) -> GateCensus:
     256 at n = 1, 16, 32) and ``build_multiplier(8, 8)`` has 845 for 240
     Toffolis, against the 3 per Toffoli charged here.
     """
+    check_int(toffoli_count=toffoli_count)
     if toffoli_count < 0:
         raise ValueError("toffoli_count must be non-negative")
     profile = cost_profile(strategy)
@@ -268,6 +269,7 @@ def success_curve(
 ) -> list[tuple[int, float]]:
     """(count, p_success) series for per-Toffoli costs scaled by each count
     from 1 to ``max_toffoli``."""
+    check_int(max_toffoli=max_toffoli)
     if max_toffoli < 1:
         raise ValueError("the count range needs at least one entry")
     return [(k, p_success(census_for(strategy, k), params)) for k in range(1, max_toffoli + 1)]

@@ -2,15 +2,26 @@
 
 Toffoli counts and T-depths describe the conventional qubit-only
 constructions, kept exactly as quoted: logarithms of non-powers-of-two are
-evaluated as reals unless ``floor_logs`` is set. The ternary CNOT counts
-are derived: the Toffoli count times the two-qutrit gates per Toffoli
-(three) that ``transpile.cost_profile`` measures off the qutrit lowering.
-Each ``cnot_count_*`` docstring keeps its quoted polynomial. The one
-recorded exception is arcsine, whose quoted -26 constant is kept, 20 below
-the derived -6 (``ARCSQ_CNOT_NOTE``).
+evaluated as reals unless ``floor_logs`` is set. ``estimate_operation`` is
+the one place that derives a ternary CNOT count: the Toffoli count times
+the two-qutrit gates per Toffoli (three) that ``transpile.cost_profile``
+measures off the qutrit lowering, which keeps the exact 3x rule through
+the irrational log terms in floating point. The quoted ternary-CNOT
+polynomials, with w(n) the number of ones in the binary expansion of n:
+
+    add, sub  30n - 9w(n) - 9w(n-1) - 9log2(n) - 9log2(n-1) - 21
+    mul, div  4.5n^2 + 9np + 4.5n - 9p^2 + 9p
+    sqrt      1.5n^2 + 9n - 12
+    exp       4.5n^2k + 9npk + 10.5nk - 9p^2d + 9pk - 3d
+              + 6Md(4ceil(log2 M) - 8) + 12Mn
+    arcsine   3k(1.5n^2 + n(3p + 3.5) - 3(p - 1)p - 1) + 1.5n^2 + 33n
+              + 6Md(4ceil(log2 M) - 8) + 12Mn - 26
+
+The one recorded exception is arcsine, whose quoted -26 constant is kept,
+``ARCSQ_CNOT_OFFSET`` = 20 below the derived -6 (``ARCSQ_CNOT_NOTE``).
 
 ``estimate_operation`` gives subtraction the addition counts and division
-the multiplication counts (``_FORMULAS`` maps them to the same records).
+the multiplication counts (``_FORMULAS`` shares their entries).
 The symbol ``d`` appearing in the exponential/arcsine counts is kept as an
 explicit parameter defaulting to the polynomial degree ``k``.
 """
@@ -19,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor, log2
 
-from .circuits import check_finite
+from .circuits import check_finite, check_int
 from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
@@ -37,17 +48,20 @@ def _log2(value: float, floored: bool) -> float:
 
 
 def _check_n(n: int) -> None:
+    check_int(n=n)
     if n < 2:
         raise ValueError("register size n must be >= 2")
 
 
 def _check_np(n: int, p: int) -> None:
     _check_n(n)
+    check_int(p=p)
     if not 0 <= p <= n:
         raise ValueError("integer-bit count p must satisfy 0 <= p <= n")
 
 
 def _check_approx(k: int, m: int, d: int, z: int = 1) -> None:
+    check_int(k=k, M=m, d=d, z=z)
     if k < 1 or m < 1 or d < 1 or z < 1:
         raise ValueError("approximation parameters k, M, d, z must be >= 1")
 
@@ -122,6 +136,7 @@ def toffoli_count_mul(n: int, p: int) -> float:
 
 def t_depth_mul(n: int, z: int) -> int:
     _check_n(n)
+    check_int(z=z)
     if z < 1:
         raise ValueError("parallelization factor z must be >= 1")
     return ceil(n / z) * (t_depth_add(n) + 6) + ceil(log2(z)) * t_depth_add(n)
@@ -184,48 +199,6 @@ def t_depth_arcsq(n: int, p: int, z: int, k: int, M: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ternary CNOT counts (qutrit lowering)
-# ---------------------------------------------------------------------------
-
-def cnot_count_add(n: int, floor_logs: bool = False) -> float:
-    """Quoted as 30n - 9w(n) - 9w(n-1) - 9log2(n) - 9log2(n-1) - 21;
-    evaluated as three times the Toffoli count so the exact 3x rule
-    survives the irrational log terms in floating point."""
-    return _QUTRIT.two_qutrit_gates * toffoli_count_add(n, floor_logs)
-
-
-def cnot_count_mul(n: int, p: int) -> float:
-    """Quoted as 4.5n^2 + 9np + 4.5n - 9p^2 + 9p."""
-    return _QUTRIT.two_qutrit_gates * toffoli_count_mul(n, p)
-
-
-def cnot_count_sq(n: int) -> float:
-    """Quoted as 1.5n^2 + 9n - 12."""
-    return _QUTRIT.two_qutrit_gates * toffoli_count_sq(n)
-
-
-def cnot_count_exp(n: int, p: int, k: int, M: int, d: int | None = None) -> float:
-    """Quoted as 4.5n^2k + 9npk + 10.5nk - 9p^2d + 9pk - 3d
-    + 6Md(4ceil(log2 M) - 8) + 12Mn."""
-    return _QUTRIT.two_qutrit_gates * toffoli_count_exp(n, p, k, M, d)
-
-
-ARCSQ_CNOT_NOTE = (
-    "arcsine ternary-CNOT count kept as quoted: its -26 constant differs from "
-    "3x the Toffoli formula's -2 (which would give -6), so the exact 3x rule "
-    "does not hold for arcsine"
-)
-ARCSQ_CNOT_OFFSET = 20
-
-
-def cnot_count_arcsq(n: int, p: int, k: int, M: int, d: int | None = None) -> float:
-    """Quoted as 3k(1.5n^2 + n(3p + 3.5) - 3(p - 1)p - 1) + 1.5n^2 + 33n
-    + 6Md(4ceil(log2 M) - 8) + 12Mn - 26, which is the derived count
-    minus ``ARCSQ_CNOT_OFFSET``."""
-    return _QUTRIT.two_qutrit_gates * toffoli_count_arcsq(n, p, k, M, d) - ARCSQ_CNOT_OFFSET
-
-
-# ---------------------------------------------------------------------------
 # benchmark-level report
 # ---------------------------------------------------------------------------
 
@@ -280,29 +253,23 @@ def benchmark_report(strategy: LoweringStrategy, baseline: BaselineCosts) -> Res
 # per-operation estimation (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _add_record(n: int, p: int, ap: ApproxParams) -> tuple:
-    return toffoli_count_add(n), cnot_count_add(n), t_depth_add(n)
+ARCSQ_CNOT_NOTE = (
+    "arcsine ternary-CNOT count kept as quoted: its -26 constant differs from "
+    "3x the Toffoli formula's -2 (which would give -6), so the exact 3x rule "
+    "does not hold for arcsine"
+)
+ARCSQ_CNOT_OFFSET = 20
 
-
-def _mul_record(n: int, p: int, ap: ApproxParams) -> tuple:
-    return toffoli_count_mul(n, p), cnot_count_mul(n, p), t_depth_mul(n, ap.z)
-
-
-# op -> f(n, p, approx) = (Toffoli count, ternary-CNOT count, T-depth or None)
+# op -> f(n, p, approx) = (Toffoli count, T-depth or None)
 _FORMULAS = {
-    "add": _add_record,
-    "sub": _add_record,
-    "mul": _mul_record,
-    "div": _mul_record,
-    "sqrt": lambda n, p, ap: (toffoli_count_sq(n), cnot_count_sq(n), t_depth_sq(n)),
-    "exp": lambda n, p, ap: (
-        toffoli_count_exp(n, p, ap.k, ap.M, ap.d_value),
-        cnot_count_exp(n, p, ap.k, ap.M, ap.d_value),
-        None,
-    ),
+    "add": lambda n, p, ap: (toffoli_count_add(n), t_depth_add(n)),
+    "sub": lambda n, p, ap: _FORMULAS["add"](n, p, ap),
+    "mul": lambda n, p, ap: (toffoli_count_mul(n, p), t_depth_mul(n, ap.z)),
+    "div": lambda n, p, ap: _FORMULAS["mul"](n, p, ap),
+    "sqrt": lambda n, p, ap: (toffoli_count_sq(n), t_depth_sq(n)),
+    "exp": lambda n, p, ap: (toffoli_count_exp(n, p, ap.k, ap.M, ap.d_value), None),
     "arcsine": lambda n, p, ap: (
         toffoli_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
-        cnot_count_arcsq(n, p, ap.k, ap.M, ap.d_value),
         t_depth_arcsq(n, p, ap.z, ap.k, ap.M),
     ),
 }
@@ -321,13 +288,16 @@ def estimate_operation(
     check_strategy(strategy)
     if op not in OPERATIONS:
         raise ValueError(f"unknown operation {op!r}; choose from {OPERATIONS}")
-    notes: list[str] = []
-    if op == "sqrt":
-        notes.append(f"requires 2n+1 = {2 * n + 1} qubits")
+    toffolis, t_depth = _FORMULAS[op](n, p, approx)
+    notes = [f"requires 2n+1 = {2 * n + 1} qubits"] if op == "sqrt" else []
+    offset = 0
     if op == "arcsine":
         notes.append(ARCSQ_CNOT_NOTE)
-    toffolis, cnots, t_depth = _FORMULAS[op](n, p, approx)
+        offset = ARCSQ_CNOT_OFFSET
     if strategy is LoweringStrategy.QUTRIT:
+        # the one ternary-CNOT derivation: two-qutrit gates per Toffoli times
+        # the Toffoli count, less the quoted arcsine offset
+        cnots = _QUTRIT.two_qutrit_gates * toffolis - offset
         return ResourceReport(
             t_count=0.0, t_depth=0.0, cnot_count_ternary=cnots, notes=tuple(notes)
         )

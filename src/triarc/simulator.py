@@ -20,6 +20,7 @@ from .circuits import (
     QUTRIT_ONLY_KINDS,
     WireSpec,
     _is_int,
+    check_int,
     validate_gate,
 )
 
@@ -417,6 +418,7 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     """Sample basis labels with probability |amplitude|^2; deterministic
     under a fixed seed. More shots than MAX_STATE_DIM are refused before
     any outcome is drawn."""
+    check_int(shots=shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     check_state_dim(shots, "shot count")

@@ -29,9 +29,8 @@ def _pairs(circuit: Circuit, na: int, nb: int,
     if pairs is not None:
         pairs = list(pairs)
     count = 2 ** (na + nb) if pairs is None else len(pairs)
-    if count * len(circuit.wires) > simulator.MAX_STATE_DIM:
-        raise ValueError(f"{count} operand pairs on {len(circuit.wires)} wires exceed "
-                         f"MAX_STATE_DIM = {simulator.MAX_STATE_DIM} digits")
+    wires = len(circuit.wires)
+    simulator.check_state_dim(count * wires, f"operand-pair digits ({count} pairs x {wires} wires)")
     return list(product(range(2 ** na), range(2 ** nb))) if pairs is None else pairs
 
 

@@ -38,7 +38,9 @@ from test_resources import (
     alt_toffoli_exp,
     alt_toffoli_mul,
     alt_toffoli_sq,
+    assert_cnots,
     random_tuples,
+    ternary_cnots,
 )
 
 REFERENCE_PARAMS = N.NoiseParams(p1=1e-4, p2=1e-2, T1_level1=100.0, T1_level2=30.0, tau_gate=0.0)
@@ -153,23 +155,24 @@ def test_criterion_5_formula_cross_check():
             (R.comparator_t_depth(n), alt_comparator(n)),
             (R.t_depth_pp(n, z, k, M), alt_t_depth_pp(n, z, k, M)),
             (R.t_depth_arcsq(n, p, z, k, M), alt_t_depth_arcsq(n, p, z, k, M)),
-            (R.cnot_count_add(n), alt_cnot_add(n)),
-            (R.cnot_count_mul(n, p), alt_cnot_mul(n, p)),
-            (R.cnot_count_sq(n), alt_cnot_sq(n)),
-            (R.cnot_count_exp(n, p, k, M, d), alt_cnot_exp(n, p, k, M, d)),
-            (R.cnot_count_arcsq(n, p, k, M, d), alt_cnot_arcsq(n, p, k, M, d)),
         ]
         for got, expected in pairs:
             assert got == pytest.approx(expected, rel=1e-9)
+        args = (n, p, k, M, d, z)
+        assert_cnots(alt_cnot_add(n), "add", *args)
+        assert_cnots(alt_cnot_mul(n, p), "mul", *args)
+        assert_cnots(alt_cnot_sq(n), "sqrt", *args)
+        assert_cnots(alt_cnot_exp(n, p, k, M, d), "exp", *args)
+        assert_cnots(alt_cnot_arcsq(n, p, k, M, d), "arcsine", *args)
         # exact 3x law for add/mul/sq/exp
-        assert R.cnot_count_add(n) == 3 * R.toffoli_count_add(n)
-        assert R.cnot_count_mul(n, p) == 3 * R.toffoli_count_mul(n, p)
-        assert R.cnot_count_sq(n) == 3 * R.toffoli_count_sq(n)
-        assert R.cnot_count_exp(n, p, k, M, d) == 3 * R.toffoli_count_exp(n, p, k, M, d)
+        assert_cnots(3 * R.toffoli_count_add(n), "add", *args, exact=True)
+        assert_cnots(3 * R.toffoli_count_mul(n, p), "mul", *args, exact=True)
+        assert_cnots(3 * R.toffoli_count_sq(n), "sqrt", *args, exact=True)
+        assert_cnots(3 * R.toffoli_count_exp(n, p, k, M, d), "exp", *args, exact=True)
 
     # the arcsine discrepancy is reproduced and flagged
     assert R.toffoli_count_arcsq(4, 0, 1, 1, 1) == 87.0
-    assert R.cnot_count_arcsq(4, 0, 1, 1, 1) == 241.0
+    assert ternary_cnots("arcsine", 4, 0, 1, 1, 1) == 241.0
     assert 3 * 87.0 == 261.0 != 241.0
     report = R.estimate_operation("arcsine", 4, strategy=LoweringStrategy.QUTRIT)
     assert any("-26" in note for note in report.notes)

@@ -365,6 +365,17 @@ def test_zero_toffolis_succeed_and_an_empty_curve_is_refused():
         N.success_curve(LoweringStrategy.QUTRIT, 0, REFERENCE_PARAMS)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("call, name", [
+    (lambda count: N.census_for(LoweringStrategy.QUTRIT, count), "toffoli_count"),
+    (lambda count: N.success_curve(LoweringStrategy.QUTRIT, count, REFERENCE_PARAMS),
+     "max_toffoli"),
+])
+def test_counts_refuse_a_non_integer(call, name, count):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(count)
+
+
 def test_qutrit_curve_dominates_pointwise():
     qutrit = N.success_curve(LoweringStrategy.QUTRIT, 50, REFERENCE_PARAMS)
     conventional = N.success_curve(LoweringStrategy.SELINGER_COST, 50, REFERENCE_PARAMS)

@@ -7,6 +7,7 @@ relative on randomized argument tuples.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,6 +109,25 @@ def alt_cnot_arcsq(n, p, k, M, d):
     return 3 * k * inner + 1.5 * n * n + 33 * n + 3 * alt_segment_term(M, d) + 12 * M * n - 26
 
 
+def ternary_cnots(op, n, p=0, k=1, M=1, d=None, z=1):
+    """The ternary CNOT count that estimate_operation derives."""
+    return R.estimate_operation(
+        op, n, p, ApproxParams(k, M, d, z), LoweringStrategy.QUTRIT
+    ).cnot_count_ternary
+
+
+def assert_cnots(expected, op, *args, exact=False):
+    """The derived count equals ``expected`` (to 1e-9 relative unless
+    ``exact``); where ``expected`` is negative, the report refuses it."""
+    if expected < 0:
+        with pytest.raises(ValueError, match="cnot_count_ternary must be non-negative"):
+            ternary_cnots(op, *args)
+    elif exact:
+        assert ternary_cnots(op, *args) == expected, (op, args)
+    else:
+        assert ternary_cnots(op, *args) == pytest.approx(expected, rel=1e-9), (op, args)
+
+
 def random_tuples(count, seed=20240901):
     rng = random.Random(seed)
     for _ in range(count):
@@ -134,14 +154,14 @@ def test_formulas_match_independent_recoding_on_100_tuples():
             (R.comparator_t_depth(n), alt_comparator(n)),
             (R.t_depth_pp(n, z, k, M), alt_t_depth_pp(n, z, k, M)),
             (R.t_depth_arcsq(n, p, z, k, M), alt_t_depth_arcsq(n, p, z, k, M)),
-            (R.cnot_count_add(n), alt_cnot_add(n)),
-            (R.cnot_count_mul(n, p), alt_cnot_mul(n, p)),
-            (R.cnot_count_sq(n), alt_cnot_sq(n)),
-            (R.cnot_count_exp(n, p, k, M, d), alt_cnot_exp(n, p, k, M, d)),
-            (R.cnot_count_arcsq(n, p, k, M, d), alt_cnot_arcsq(n, p, k, M, d)),
         ]
         for got, expected in pairs:
             assert got == pytest.approx(expected, rel=1e-9), (n, p, k, M, d, z)
+        assert_cnots(alt_cnot_add(n), "add", n, p, k, M, d, z)
+        assert_cnots(alt_cnot_mul(n, p), "mul", n, p, k, M, d, z)
+        assert_cnots(alt_cnot_sq(n), "sqrt", n, p, k, M, d, z)
+        assert_cnots(alt_cnot_exp(n, p, k, M, d), "exp", n, p, k, M, d, z)
+        assert_cnots(alt_cnot_arcsq(n, p, k, M, d), "arcsine", n, p, k, M, d, z)
 
 
 # --- frozen spot values -------------------------------------------------------
@@ -178,15 +198,15 @@ def test_arcsine_spot_values():
 
 
 def test_cnot_spot_values():
-    assert R.cnot_count_mul(4, 0) == 90.0
-    assert R.cnot_count_sq(4) == 48.0
-    assert R.cnot_count_arcsq(4, 0, 1, 1, 1) == 241.0
+    assert ternary_cnots("mul", 4) == 90.0
+    assert ternary_cnots("sqrt", 4) == 48.0
+    assert ternary_cnots("arcsine", 4, 0, 1, 1, 1) == 241.0
 
 
 def test_arcsine_three_times_discrepancy():
     # quoted -26 constant instead of 3*(-2): 241 != 3*87 = 261
     toffoli = R.toffoli_count_arcsq(4, 0, 1, 1, 1)
-    cnot = R.cnot_count_arcsq(4, 0, 1, 1, 1)
+    cnot = ternary_cnots("arcsine", 4, 0, 1, 1, 1)
     assert cnot != 3 * toffoli
     assert 3 * toffoli - cnot == 20.0
     assert R.ARCSQ_CNOT_NOTE in R.estimate_operation(
@@ -202,10 +222,15 @@ def test_factor_of_three_law(n, data):
     k = data.draw(st.integers(1, 8))
     M = data.draw(st.integers(1, 64))
     d = data.draw(st.integers(1, 8))
-    assert R.cnot_count_add(n) == 3 * R.toffoli_count_add(n)
-    assert R.cnot_count_mul(n, p) == 3 * R.toffoli_count_mul(n, p)
-    assert R.cnot_count_sq(n) == 3 * R.toffoli_count_sq(n)
-    assert R.cnot_count_exp(n, p, k, M, d) == 3 * R.toffoli_count_exp(n, p, k, M, d)
+    for op, toffolis in (
+        ("add", R.toffoli_count_add(n)),
+        ("sub", R.toffoli_count_add(n)),
+        ("mul", R.toffoli_count_mul(n, p)),
+        ("div", R.toffoli_count_mul(n, p)),
+        ("sqrt", R.toffoli_count_sq(n)),
+        ("exp", R.toffoli_count_exp(n, p, k, M, d)),
+    ):
+        assert_cnots(3 * toffolis, op, n, p, k, M, d, exact=True)
 
 
 def test_arcsine_cnot_is_derived_count_minus_quoted_offset():
@@ -213,7 +238,7 @@ def test_arcsine_cnot_is_derived_count_minus_quoted_offset():
     assert R.ARCSQ_CNOT_OFFSET == 20
     for n, p, k, M, d, z in random_tuples(100):
         derived = per_toffoli * R.toffoli_count_arcsq(n, p, k, M, d)
-        assert R.cnot_count_arcsq(n, p, k, M, d) == derived - R.ARCSQ_CNOT_OFFSET
+        assert_cnots(derived - R.ARCSQ_CNOT_OFFSET, "arcsine", n, p, k, M, d, z, exact=True)
 
 
 def test_sub_and_div_share_the_add_and_mul_counts():
@@ -225,7 +250,7 @@ def test_sub_and_div_share_the_add_and_mul_counts():
 
 
 def test_counts_monotone_in_n():
-    for fn in (R.toffoli_count_add, R.toffoli_count_sq, R.cnot_count_add):
+    for fn in (R.toffoli_count_add, R.toffoli_count_sq, lambda n: ternary_cnots("add", n)):
         values = [fn(n) for n in range(4, 40)]
         assert all(b > a for a, b in zip(values, values[1:]))
     values = [R.toffoli_count_mul(n, 2) for n in range(4, 40)]
@@ -243,7 +268,8 @@ def test_floored_log_mode():
     floored = R.toffoli_count_add(6, floor_logs=True)
     assert floored == 10 * 6 - 3 * 2 - 3 * 2 - 3 * 2 - 3 * 2 - 7
     assert floored != as_printed
-    assert R.cnot_count_add(6, floor_logs=True) == 3 * floored
+    # the quoted ternary-CNOT polynomial with the same floored logs
+    assert 3 * floored == 30 * 6 - 9 * 2 - 9 * 2 - 9 * 2 - 9 * 2 - 21
 
 
 def test_domain_errors():
@@ -255,6 +281,28 @@ def test_domain_errors():
         R.t_depth_mul(4, 0)
     with pytest.raises(ValueError):
         R.toffoli_count_exp(4, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: R.estimate_operation("mul", 4, 2.5), "p"),
+    (lambda: R.estimate_operation("add", 4.0), "n"),
+    (lambda: R.toffoli_count_sq(True), "n"),
+    (lambda: R.t_depth_mul(4, 2.0), "z"),
+    (lambda: ApproxParams(k=1.5), "k"),
+    (lambda: ApproxParams(M=True), "M"),
+    (lambda: ApproxParams(d=2.0), "d"),
+    (lambda: ApproxParams(z="2"), "z"),
+])
+def test_count_arguments_refuse_a_non_integer(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    approx = ApproxParams(np.int64(2), np.int64(4), z=np.int64(2))
+    for op in R.OPERATIONS:
+        assert R.estimate_operation(op, np.int64(16), np.int64(4), approx) == R.estimate_operation(
+            op, 16, 4, ApproxParams(2, 4, z=2))
 
 
 # --- benchmark report ------------------------------------------------------------

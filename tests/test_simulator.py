@@ -193,6 +193,14 @@ def test_measure_all_refuses_shots_above_state_limit_before_sampling(monkeypatch
         S.measure_all(state, shots=17, seed=0)
 
 
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, "3"])
+def test_measure_all_refuses_a_non_integer_shot_count(shots):
+    state = S.basis_state([2], "1")
+    with pytest.raises(ValueError, match="^shots must be an integer, got "):
+        S.measure_all(state, shots, seed=0)
+    assert S.measure_all(state, np.int64(3), seed=0).counts == {"1": 3}
+
+
 def reference_index_to_label(dims, index):
     # the digit loop that wrote a label before the basis codec was shared
     digits = []
