@@ -1,15 +1,19 @@
 """State-vector and density-matrix simulation against independent oracles."""
+import hashlib
 import json
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triarc import arith
 from triarc import circuits as C
 from triarc import noise as N
 from triarc import simulator as S
+from triarc import transpile
 
 from test_circuits import circuits_strategy, triple_lowering_gates
 
@@ -701,3 +705,34 @@ def test_evolve_density_takes_a_numpy_integer_channel_wire():
     channel = N.amplitude_damping_qutrit(0.5, 0.5)
     out = S.evolve_density(rho, channel, wires=(np.int64(1),))
     assert np.array_equal(out.entries, S.evolve_density(rho, channel, wires=(1,)).entries)
+
+
+# --- simulate goldens --------------------------------------------------------
+
+SIMULATE_SHA256 = Path(__file__).parent / "data" / "simulate_sha256.txt"
+
+
+def simulate_golden_lines():
+    """(sha256, bits, label, form) of each line of the golden file, in
+    ``sha256sum`` format over names ``adder{bits}_cliffordt_{label}.{form}``."""
+    lines = []
+    for line in SIMULATE_SHA256.read_text().splitlines():
+        digest, name = line.split()
+        adder, _, rest = name.split("_")
+        label, form = rest.split(".")
+        lines.append((digest, int(adder.removeprefix("adder")), label, form))
+    return lines
+
+
+def test_simulate_goldens_of_the_clifford_t_adders():
+    """The ``.json`` lines hash what ``triarc simulate`` prints, the
+    ``.amplitudes`` lines the raw amplitude bytes, so every value and sign
+    bit of the state is pinned."""
+    circuits = {}
+    for digest, bits, label, form in simulate_golden_lines():
+        if bits not in circuits:
+            adder, _ = arith.build_adder(bits)
+            circuits[bits] = transpile.lower_toffolis(adder, transpile.LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
+        state = S.simulate(circuits[bits], label)
+        data = (S.state_to_json(state) + "\n").encode() if form == "json" else state.amplitudes.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (bits, label, form)
