@@ -1,4 +1,4 @@
-"""Dense state-vector and density-matrix simulation for mixed-radix circuits.
+"""State-vector and density-matrix simulation for mixed-radix circuits.
 
 Amplitudes are indexed in mixed radix with wire 0 as the most significant
 digit, so the basis label "120" on dims (2, 3, 2) is index 1*6 + 2*2 + 0.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from math import pi, prod, sqrt
 from typing import TYPE_CHECKING, Sequence
 
@@ -225,11 +226,14 @@ class _Action:
     (row, ((col, coeff), ...)) with nonzero terms in column order, so sums
     keep the order of a matrix-vector product; ``sources`` are the columns
     those rows read. A diagonal action scales each of its rows in place.
+    ``keeps_zero`` says whether the rows, summed in that order, map a column
+    of +0 to +0 bit for bit; a -1 or -1j factor (Z, SDG) writes -0.
     """
 
     rows: tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]
     sources: tuple[int, ...]
     diagonal: bool
+    keeps_zero: bool
 
 
 def _action(kind: GateKind, dim: int) -> _Action:
@@ -241,7 +245,12 @@ def _action(kind: GateKind, dim: int) -> _Action:
     )
     sources = tuple(sorted({c for _, terms in rows for c, _ in terms}))
     diagonal = all(len(terms) == 1 and terms[0][0] == r for r, terms in rows)
-    return _Action(rows, sources, diagonal)
+    zero = np.zeros(1, dtype=complex)
+    keeps_zero = True
+    for _, terms in rows:
+        column = [zero if coeff == 1 else np.multiply(coeff, zero) for _, coeff in terms]
+        keeps_zero &= not np.signbit(reduce(np.add, column).view(float)).any()
+    return _Action(rows, sources, diagonal, keeps_zero)
 
 
 _ACTIONS = {
@@ -312,22 +321,97 @@ def _apply_inplace(
                 np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
 
 
+# The sparse start hands the state to the dense kernel once
+# support * _SWITCH_FRACTION > size.
+_SWITCH_FRACTION = 16
+
+
+def _apply_sparse(
+    idx: np.ndarray, amp: np.ndarray, gate: GateInstance, dims: Sequence[int], strides: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``gate`` to the state holding ``amp`` at the distinct indices
+    ``idx`` and +0 everywhere else, as ``_apply_inplace`` applies it to the
+    dense tensor, bit for bit; ``amp`` may be overwritten.
+
+    The gate's action must keep zeros, so every index the gate reads only
+    as absent stays +0. The rows run in the dense kernel's term order on a
+    (levels, bases) block of the touched bases, and an output is dropped
+    only when both its words are +0.
+    """
+    target = gate.targets[0]
+    dim, stride = dims[target], strides[target]
+    action = _ACTIONS[gate.kind, dim]
+    if gate.controls:
+        on = np.logical_and.reduce(
+            [idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls]
+        )
+        idle_idx, idle_amp = idx[~on], amp[~on]
+        idx, amp = idx[on], amp[on]
+    digit = idx // stride % dim
+    if action.diagonal:
+        # the dense kernel scales a level of one element in place, which
+        # numpy rounds without fused multiply-add; every other call fuses
+        in_place = prod(dims) == dim * prod(dims[c.wire] for c in gate.controls)
+        for r, ((_, coeff),) in action.rows:
+            at = digit == r
+            level = amp[at]
+            amp[at] = np.multiply(coeff, level, out=level if in_place else None)
+    else:
+        bases, slot = np.unique(idx - digit * stride, return_inverse=True)
+        block = np.zeros((dim, len(bases)), dtype=complex)
+        block[digit, slot] = amp
+        out = block.copy()
+        for r, terms in action.rows:
+            products = [block[c] if coeff == 1 else np.multiply(coeff, block[c]) for c, coeff in terms]
+            out[r] = reduce(np.add, products)
+        keep = out.view(np.uint64).reshape(dim, -1, 2).any(axis=2)
+        idx = (bases + stride * np.arange(dim)[:, None])[keep]
+        amp = out[keep]
+    if gate.controls:
+        idx, amp = np.concatenate([idle_idx, idx]), np.concatenate([idle_amp, amp])
+    return idx, amp
+
+
+def _evolve(circuit: Circuit, index: int) -> np.ndarray:
+    """Flat amplitudes of ``circuit`` run from basis index ``index``.
+
+    The run starts on the sparse support, which holds the one index, and
+    scatters into the dense tensor for the rest of the circuit once the
+    support exceeds 1/_SWITCH_FRACTION of the state, or before a gate that
+    does not keep zeros. Either way the amplitudes equal a dense run's bit
+    for bit. MEASURE gates are skipped.
+    """
+    dims = circuit.dims
+    size = prod(dims)
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    gates = [g for g in circuit.gates if g.kind is not GateKind.MEASURE]
+    idx, amp = np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
+    done = 0
+    for gate in gates:
+        if len(idx) * _SWITCH_FRACTION > size or not _ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
+            break
+        idx, amp = _apply_sparse(idx, amp, gate, dims, strides)
+        done += 1
+    amplitudes = np.zeros(size, dtype=complex)
+    amplitudes[idx] = amp
+    if done < len(gates):
+        tensor = amplitudes.reshape(dims)
+        scratch = np.empty(size, dtype=complex)
+        for gate in gates[done:]:
+            _apply_inplace(tensor, gate, dims, scratch)
+    return amplitudes
+
+
 def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     """Run all gates on the given basis-state label. MEASURE gates are
     skipped; sampling lives in measure_all.
 
-    Raises ValueError before allocating when the state dimension exceeds
-    MAX_STATE_DIM.
+    Raises ValueError before the first gate when the state dimension
+    exceeds MAX_STATE_DIM.
     """
     dims = circuit.dims
     check_state_dim(prod(dims))
-    tensor = basis_state(dims, input).amplitudes.reshape(dims)
-    scratch = np.empty(tensor.size, dtype=complex)
-    for gate in circuit.gates:
-        if gate.kind is GateKind.MEASURE:
-            continue
-        _apply_inplace(tensor, gate, dims, scratch)
-    return StateVector(dims, tensor.reshape(-1))
+    return StateVector(dims, _evolve(circuit, label_to_index(dims, input)))
 
 
 # Digit maps of the basis-permuting kinds: new digit = table[old digit],
@@ -367,11 +451,11 @@ def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
 
 
 def _unitary_on(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
-    """Unitary restricted to the given basis indices: simulate each of them
-    as a column and keep its amplitudes on the same indices as rows."""
+    """Unitary restricted to the given basis indices: run each of them as a
+    column and keep its amplitudes on the same indices as rows."""
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, digits in enumerate(index_digits(circuit.dims, basis)):
-        matrix[:, col] = simulate(circuit, digits).amplitudes[basis]
+    for col, index in enumerate(basis.tolist()):
+        matrix[:, col] = _evolve(circuit, index)[basis]
     return matrix
 
 

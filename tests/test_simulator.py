@@ -634,6 +634,85 @@ def test_simulate_is_bit_identical_to_slice_copy_kernel(circ, data):
     assert_bit_identical(S.simulate(circ, label).amplitudes, expected.reshape(-1))
 
 
+def dense_run(circ, label):
+    """``simulate`` as the dense kernel alone runs it: every gate through
+    ``_apply_inplace`` on the full tensor, from the first gate on."""
+    dims = circ.dims
+    tensor = S.basis_state(dims, label).amplitudes.reshape(dims)
+    scratch = np.empty(tensor.size, dtype=complex)
+    for gate in circ.gates:
+        S._apply_inplace(tensor, gate, dims, scratch)
+    return tensor.reshape(-1)
+
+
+# 1 never leaves the sparse support except before Z or SDG; 2 ** 40 goes
+# dense before the first gate; the others switch part way through
+SWITCH_FRACTIONS = [1, 2, 4, 16, 2 ** 40]
+
+
+@given(mixed_circuits(), st.sampled_from(SWITCH_FRACTIONS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_simulate_is_bit_identical_to_the_dense_kernel_at_any_switch(circ, fraction, data):
+    label = "".join(str(data.draw(st.integers(0, d - 1))) for d in circ.dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_SWITCH_FRACTION", fraction)
+        assert_bit_identical(S.simulate(circ, label).amplitudes, dense_run(circ, label))
+
+
+@pytest.mark.parametrize("fraction", SWITCH_FRACTIONS)
+def test_sparse_t_on_a_one_element_level_rounds_as_the_dense_kernel(fraction, monkeypatch):
+    """A T on a one-qubit circuit scales a dense level of one element in
+    place, which numpy rounds without fused multiply-add: T.T|1> has real
+    part 2.2e-16 there, against 1.79e-16 from an out-of-place product."""
+    gates = [C.x(0), C.x(0), C.t(0), C.x(0), C.x(0), C.x(0), C.x(0), C.t(0)]
+    circ = C.extend(C.new_circuit((2,)), gates)
+    monkeypatch.setattr(S, "_SWITCH_FRACTION", fraction)
+    assert_bit_identical(S.simulate(circ, "1").amplitudes, dense_run(circ, "1"))
+
+
+@given(mixed_circuits(), st.integers(0, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
+    """Present entries may hold +0 or -0 in either word; absent ones are +0."""
+    dims = circ.dims
+    size = prod(dims)
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    rng = np.random.default_rng(seed)
+    words = rng.choice([0.0, -0.0, 0.5, -1.25, 3e-17], size=(size, 2))
+    idx = np.flatnonzero(rng.random(size) < 0.5)
+    amp = words[idx].view(complex).reshape(-1)
+    tensor = np.zeros(size, dtype=complex)
+    tensor[idx] = amp
+    tensor = tensor.reshape(dims)
+    scratch = np.empty(size, dtype=complex)
+    for gate in circ.gates:
+        if not S._ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
+            continue
+        idx, amp = S._apply_sparse(idx, amp, gate, dims, strides)
+        S._apply_inplace(tensor, gate, dims, scratch)
+        assert len(np.unique(idx)) == len(idx)
+        scattered = np.zeros(size, dtype=complex)
+        scattered[idx] = amp
+        assert_bit_identical(scattered, tensor.reshape(-1))
+
+
+def test_only_z_and_sdg_turn_a_zero_column_negative():
+    lacking = {kind for (kind, _), action in S._ACTIONS.items() if not action.keeps_zero}
+    assert lacking == {C.GateKind.Z, C.GateKind.SDG}
+
+
+def test_simulate_refuses_above_the_state_limit_before_the_first_gate(monkeypatch):
+    def no_gate(*args):
+        raise AssertionError("simulate ran a gate beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 4)
+    monkeypatch.setattr(S, "_apply_sparse", no_gate)
+    monkeypatch.setattr(S, "_apply_inplace", no_gate)
+    circ = C.extend(C.new_circuit((2, 2, 2)), [C.h(0), C.z(1)])
+    with pytest.raises(ValueError, match="MAX_STATE_DIM = 4"):
+        S.simulate(circ, "000")
+
+
 @given(mixed_circuits(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_apply_inplace_is_bit_identical_on_a_superposition(circ, data):
