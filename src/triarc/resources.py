@@ -294,12 +294,19 @@ def estimate_operation(
     if op == "arcsine":
         notes.append(ARCSQ_CNOT_NOTE)
         offset = ARCSQ_CNOT_OFFSET
+    count, unit = toffolis, "Toffolis"
     if strategy is LoweringStrategy.QUTRIT:
         # the one ternary-CNOT derivation: two-qutrit gates per Toffoli times
         # the Toffoli count, less the quoted arcsine offset
-        cnots = _QUTRIT.two_qutrit_gates * toffolis - offset
+        count, unit = _QUTRIT.two_qutrit_gates * toffolis - offset, "ternary CNOTs"
+    if count < 0:
+        raise ValueError(
+            f"{op} at n={n}, p={p}, k={approx.k}, M={approx.M}, d={approx.d_value}, z={approx.z}: "
+            f"the quoted formulas give {count:g} {unit}, below 0"
+        )
+    if strategy is LoweringStrategy.QUTRIT:
         return ResourceReport(
-            t_count=0.0, t_depth=0.0, cnot_count_ternary=cnots, notes=tuple(notes)
+            t_count=0.0, t_depth=0.0, cnot_count_ternary=count, notes=tuple(notes)
         )
     if op == "exp":
         notes.append("no quoted T-depth formula for the exponential")

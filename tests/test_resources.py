@@ -118,9 +118,9 @@ def ternary_cnots(op, n, p=0, k=1, M=1, d=None, z=1):
 
 def assert_cnots(expected, op, *args, exact=False):
     """The derived count equals ``expected`` (to 1e-9 relative unless
-    ``exact``); where ``expected`` is negative, the report refuses it."""
+    ``exact``); where ``expected`` is negative, estimate_operation refuses it."""
     if expected < 0:
-        with pytest.raises(ValueError, match="cnot_count_ternary must be non-negative"):
+        with pytest.raises(ValueError, match=f"^{op} at n=.* ternary CNOTs, below 0$"):
             ternary_cnots(op, *args)
     elif exact:
         assert ternary_cnots(op, *args) == expected, (op, args)
@@ -162,6 +162,29 @@ def test_formulas_match_independent_recoding_on_100_tuples():
         assert_cnots(alt_cnot_sq(n), "sqrt", n, p, k, M, d, z)
         assert_cnots(alt_cnot_exp(n, p, k, M, d), "exp", n, p, k, M, d, z)
         assert_cnots(alt_cnot_arcsq(n, p, k, M, d), "arcsine", n, p, k, M, d, z)
+
+
+@pytest.mark.parametrize("strategy, count", [
+    (LoweringStrategy.SELINGER_COST, "-202 Toffolis"),
+    (LoweringStrategy.QUTRIT, "-606 ternary CNOTs"),
+])
+def test_a_negative_quoted_count_is_refused_naming_the_operation_and_inputs(strategy, count):
+    with pytest.raises(ValueError) as caught:
+        R.estimate_operation("exp", 15, 11, ApproxParams(k=1, M=7, d=5), strategy)
+    assert str(caught.value) == (
+        f"exp at n=15, p=11, k=1, M=7, d=5, z=1: the quoted formulas give {count}, below 0"
+    )
+
+
+def test_arcsine_qutrit_count_below_the_offset_is_refused_where_the_baseline_is_not():
+    args = ("arcsine", 2, 0, ApproxParams(k=1, M=2, d=3))
+    toffolis = R.estimate_operation(*args).toffoli_count
+    assert 0 <= toffolis < R.ARCSQ_CNOT_OFFSET / 3
+    with pytest.raises(ValueError) as caught:
+        R.estimate_operation(*args, LoweringStrategy.QUTRIT)
+    assert str(caught.value) == (
+        "arcsine at n=2, p=0, k=1, M=2, d=3, z=1: the quoted formulas give -14 ternary CNOTs, below 0"
+    )
 
 
 # --- frozen spot values -------------------------------------------------------
