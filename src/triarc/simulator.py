@@ -349,8 +349,9 @@ def _apply_sparse(
         idx, amp = idx[on], amp[on]
     digit = idx // stride % dim
     if action.diagonal:
-        # the dense kernel scales a level of one element in place, which
-        # numpy rounds without fused multiply-add; every other call fuses
+        # numpy rounds a one-element in-place complex product without fused
+        # multiply-add, and every other product with it, so scale in place
+        # exactly where the dense kernel's level has one element
         in_place = prod(dims) == dim * prod(dims[c.wire] for c in gate.controls)
         for r, ((_, coeff),) in action.rows:
             at = digit == r
@@ -394,6 +395,7 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
         done += 1
     amplitudes = np.zeros(size, dtype=complex)
     amplitudes[idx] = amp
+    del idx, amp  # freed before the dense scratch is allocated
     if done < len(gates):
         tensor = amplitudes.reshape(dims)
         scratch = np.empty(size, dtype=complex)

@@ -713,6 +713,17 @@ def test_simulate_refuses_above_the_state_limit_before_the_first_gate(monkeypatc
         S.simulate(circ, "000")
 
 
+def test_unitary_columns_run_from_their_indices_without_a_label(monkeypatch):
+    def no_label(*args):
+        raise AssertionError("a unitary column went through parse_label")
+
+    circ = C.extend(C.new_circuit((2, 3, 2)), [C.h(0), C.controlled(C.xplus1(1), 0, 1), C.t(2)])
+    full, subspace = S.circuit_unitary(circ), S.qubit_subspace_unitary(circ)
+    monkeypatch.setattr(S, "parse_label", no_label)
+    assert_bit_identical(S.circuit_unitary(circ), full)
+    assert_bit_identical(S.qubit_subspace_unitary(circ), subspace)
+
+
 @given(mixed_circuits(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_apply_inplace_is_bit_identical_on_a_superposition(circ, data):
