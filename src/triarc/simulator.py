@@ -333,10 +333,10 @@ def _apply_sparse(
     ``idx`` and +0 everywhere else, as ``_apply_inplace`` applies it to the
     dense tensor, bit for bit; ``amp`` may be overwritten.
 
-    The gate's action must keep zeros, so every index the gate reads only
-    as absent stays +0. The rows run in the dense kernel's term order on a
-    (levels, bases) block of the touched bases, and an output is dropped
-    only when both its words are +0.
+    The gate's action must keep zeros, so that a base holding no entry
+    stays +0 in the dense kernel too. The rows run in the dense kernel's
+    term order on a (levels, bases) block of the bases that hold entries,
+    and an output is dropped only when both its words are +0.
     """
     target = gate.targets[0]
     dim, stride = dims[target], strides[target]
