@@ -19,7 +19,6 @@ from .circuits import (
     from_json,
     gate_count,
     layers,
-    measure,
     new_circuit,
     t_metrics,
     to_json,

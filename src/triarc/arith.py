@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, _is_int, cx, toffoli, x
+from .circuits import Circuit, GateInstance, WireSpec, _is_int, check_int, cx, toffoli, x
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ def build_adder(n: int) -> tuple[Circuit, RegisterLayout]:
     Maps (A, B, 0, 0) to (A, A+B mod 2^n, 0, carry): the sum lands in-place
     on register B, A is untouched, and the single ancilla is restored.
     """
+    check_int(n=n)
     if n < 1:
         raise ValueError("adder needs n >= 1 bits")
     a_wires = list(range(n))
@@ -108,6 +109,7 @@ def build_multiplier(na: int, nb: int) -> tuple[Circuit, RegisterLayout]:
     products are then uncomputed, so for basis inputs the result register
     reads A*B and every ancilla is back to 0.
     """
+    check_int(na=na, nb=nb)
     if na < 1 or nb < 1:
         raise ValueError("multiplier needs na, nb >= 1")
     total = na + nb + na * nb + (na + nb) + 1

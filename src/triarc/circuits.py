@@ -28,7 +28,6 @@ class GateKind(Enum):
     SDG = "SDG"
     Z = "Z"
     TOFFOLI = "TOFFOLI"  # two |1>-controls, one target, qubit wires only
-    MEASURE = "MEASURE"
 
 
 QUTRIT_ONLY_KINDS = frozenset({GateKind.XPLUS1, GateKind.XMINUS1})
@@ -100,28 +99,22 @@ def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
     """Raise ValueError unless ``gate`` is well-formed for ``wires``."""
     n = len(wires)
     touched = gate.wires
-    # the exact-int test first keeps the common case off the _is_int call
+    # check_int only for a value that is not exactly an int
     for w in touched:
-        if type(w) is not int and not _is_int(w):
-            raise ValueError(f"wire index must be an integer, got {w!r}")
+        if type(w) is not int:
+            check_int(**{"wire index": w})
         if not (0 <= w < n):
             raise ValueError(f"wire {w} out of range for {n}-wire circuit")
     if len(set(touched)) != len(touched):
         raise ValueError(f"gate touches a wire more than once: {touched}")
     for c in gate.controls:
-        if type(c.value) is not int and not _is_int(c.value):
-            raise ValueError(f"control value must be an integer, got {c.value!r}")
+        if type(c.value) is not int:
+            check_int(**{"control value": c.value})
         if not (1 <= c.value < wires[c.wire].dimension):
             raise ValueError(
                 f"control value {c.value} invalid on wire {c.wire} "
                 f"of dimension {wires[c.wire].dimension}"
             )
-    if gate.kind is GateKind.MEASURE:
-        if gate.controls:
-            raise ValueError("MEASURE cannot carry controls")
-        if not gate.targets:
-            raise ValueError("MEASURE needs at least one target")
-        return
     if len(gate.targets) != 1:
         raise ValueError(f"{gate.kind.value} takes exactly one target")
     if gate.kind in QUTRIT_ONLY_KINDS and wires[gate.targets[0]].dimension != 3:
@@ -209,10 +202,6 @@ def toffoli(control_a: int, control_b: int, target: int) -> GateInstance:
     )
 
 
-def measure(*wires: int) -> GateInstance:
-    return GateInstance(GateKind.MEASURE, (), tuple(wires))
-
-
 def controlled(gate: GateInstance, wire: int, value: int = 1) -> GateInstance:
     """Attach one more control to an existing gate."""
     return replace(gate, controls=gate.controls + (ControlSpec(wire, value),))
@@ -251,20 +240,17 @@ def extend(circuit: Circuit, gates: Iterable[GateInstance]) -> Circuit:
 
 
 def gate_count(circuit: Circuit, kind: GateKind | None = None) -> int:
-    """Number of gates, MEASURE excluded unless asked for explicitly."""
+    """Number of gates, or of gates of ``kind`` when it is given."""
     if kind is None:
-        return sum(1 for g in circuit.gates if g.kind is not GateKind.MEASURE)
+        return len(circuit.gates)
     return sum(1 for g in circuit.gates if g.kind is kind)
 
 
 def _asap(circuit: Circuit) -> Iterator[tuple[GateInstance, int]]:
-    """(gate, layer) for each gate in order, MEASURE gates skipped: ASAP
-    greedy layering puts each gate in the earliest layer where none of its
-    wires is occupied."""
+    """(gate, layer) for each gate in order: ASAP greedy layering puts each
+    gate in the earliest layer where none of its wires is occupied."""
     next_free = [0] * len(circuit.wires)
     for gate in circuit.gates:
-        if gate.kind is GateKind.MEASURE:
-            continue
         wires = gate.wires
         layer = 0
         for w in wires:
@@ -277,7 +263,7 @@ def _asap(circuit: Circuit) -> Iterator[tuple[GateInstance, int]]:
 
 
 def layers(circuit: Circuit) -> list[list[GateInstance]]:
-    """The ASAP layers of ``circuit``, MEASURE gates skipped."""
+    """The ASAP layers of ``circuit``."""
     layers: list[list[GateInstance]] = []
     for gate, layer in _asap(circuit):
         if layer == len(layers):
@@ -287,7 +273,7 @@ def layers(circuit: Circuit) -> list[list[GateInstance]]:
 
 
 def depth(circuit: Circuit) -> int:
-    """Number of ASAP layers, MEASURE gates skipped."""
+    """Number of ASAP layers."""
     return max((layer for _, layer in _asap(circuit)), default=-1) + 1
 
 
@@ -307,7 +293,7 @@ def t_metrics(circuit: Circuit) -> tuple[int, int]:
     # keeps XPLUS1 and XMINUS1 off qubit targets
     if any(w.dimension == 3 for w in circuit.wires):
         for gate in circuit.gates:
-            if gate.kind is not GateKind.MEASURE and is_qutrit_gate(gate, circuit.wires):
+            if is_qutrit_gate(gate, circuit.wires):
                 raise ValueError("t_metrics is defined for qubit-only circuits")
     t_count = 0
     t_layers = set()
@@ -340,14 +326,6 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
-def _json_int(value: object, field: str, *at: int) -> int:
-    """``value`` if it is an int and not a bool; otherwise ValueError naming
-    the field, ``field`` formatted with the indices ``at``."""
-    if type(value) is not int and not _is_int(value):
-        raise ValueError(f"{field.format(*at)} must be an integer, got {value!r}")
-    return value
-
-
 _KINDS = GateKind._value2member_map_
 
 
@@ -355,9 +333,14 @@ def circuit_from_dict(data: dict) -> Circuit:
     """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
     wire, control value and target must be an int. Equal gates become one
     shared ``GateInstance``, which the ``Circuit`` constructor validates once."""
-    wires = tuple(
-        WireSpec(_json_int(w["dim"], "wires[{}].dim", i)) for i, w in enumerate(data["wires"])
-    )
+    # check_int only for a value that is not exactly an int, which it
+    # accepts (a numpy integer) or refuses, in the order of the fields
+    wires = []
+    for i, w in enumerate(data["wires"]):
+        dim = w["dim"]
+        if type(dim) is not int:
+            check_int(**{f"wires[{i}].dim": dim})
+        wires.append(WireSpec(dim))
     shared: dict[tuple, GateInstance] = {}
     gates = []
     for i, g in enumerate(data["gates"]):
@@ -366,22 +349,20 @@ def circuit_from_dict(data: dict) -> Circuit:
         kind = _KINDS.get(name) if type(name) is str else None
         if kind is None:
             kind = GateKind(name)
-        # _json_int only for a value that is not exactly an int, which it
-        # accepts (a numpy integer) or refuses, in the order of the fields
         controls = []
         for j, c in enumerate(g.get("controls", [])):
             w = c["wire"]
             if type(w) is not int:
-                _json_int(w, "gates[{}].controls[{}].wire", i, j)
+                check_int(**{f"gates[{i}].controls[{j}].wire": w})
             v = c["value"]
             if type(v) is not int:
-                _json_int(v, "gates[{}].controls[{}].value", i, j)
+                check_int(**{f"gates[{i}].controls[{j}].value": v})
             controls.append((w, v))
         targets = tuple(g["targets"])
         for j, t in enumerate(targets):
             if type(t) is not int:
-                _json_int(t, "gates[{}].targets[{}]", i, j)
-        # keyed only after _json_int accepted every value, so a bool or a
+                check_int(**{f"gates[{i}].targets[{j}]": t})
+        # keyed only after check_int accepted every value, so a bool or a
         # float can never pick up a cached gate of equal ints
         key = (kind, tuple(controls), targets)
         gate = shared.get(key)
@@ -390,7 +371,7 @@ def circuit_from_dict(data: dict) -> Circuit:
                 kind, tuple(ControlSpec(w, v) for w, v in controls), targets
             )
         gates.append(gate)
-    return Circuit(wires, tuple(gates))
+    return Circuit(tuple(wires), tuple(gates))
 
 
 def _json_array(items: list[str], indent: str) -> str:

@@ -14,7 +14,7 @@ from numbers import Real
 from pathlib import Path
 
 from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
-from .circuits import _is_int
+from .circuits import check_int
 from .transpile import LoweringStrategy
 
 _STRATEGIES = {
@@ -40,8 +40,8 @@ class Config:
     def __post_init__(self) -> None:
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-        if not _is_int(self.seed):
-            raise ValueError(f"config seed must be an integer, got {self.seed!r}")
+        if type(self.seed) is not int:
+            check_int(**{"config seed": self.seed})
         for name in ("p1", "p2", "t1a", "t1b", "tau"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):

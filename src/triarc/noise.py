@@ -268,10 +268,12 @@ def success_curve(
     strategy: LoweringStrategy, max_toffoli: int, params: NoiseParams
 ) -> list[tuple[int, float]]:
     """(count, p_success) series for per-Toffoli costs scaled by each count
-    from 1 to ``max_toffoli``."""
+    from 1 to ``max_toffoli``; more points than MAX_STATE_DIM are refused
+    before the first is computed."""
     check_int(max_toffoli=max_toffoli)
     if max_toffoli < 1:
         raise ValueError("the count range needs at least one entry")
+    check_state_dim(max_toffoli, "success-curve points")
     return [(k, p_success(census_for(strategy, k), params)) for k in range(1, max_toffoli + 1)]
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuits import check_finite
+from .circuits import check_finite, check_int
 from .simulator import Histogram, StateVector, check_state_dim
 
 
@@ -31,6 +31,7 @@ class PricingSetup:
     B_u: float = 0.0      # upper integration bound
 
     def __post_init__(self) -> None:
+        check_int(d=self.d, T=self.T, n=self.n)
         check_finite(w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
         if self.d < 1 or self.T < 1 or self.n < 1:
             raise ValueError("d, T and n must be >= 1")
@@ -50,6 +51,7 @@ class GaussianSpec:
     w: float = 4.0
 
     def __post_init__(self) -> None:
+        check_int(n=self.n)
         check_finite(x0=self.x0, sigma=self.sigma, w=self.w)
         if self.n < 1:
             raise ValueError("register size n must be >= 1")
@@ -65,11 +67,12 @@ class GaussianSpec:
 
     @property
     def dx(self) -> float:
-        return ldexp(2.0 * self.w * self.sigma, -self.n)
+        return ldexp(2.0 * self.w * self.sigma, -int(self.n))
 
     def grid(self) -> np.ndarray:
-        check_state_dim(2 ** self.n)
-        return self.x0 - self.w * self.sigma + self.dx * np.arange(2 ** self.n)
+        size = 2 ** int(self.n)
+        check_state_dim(size)
+        return self.x0 - self.w * self.sigma + self.dx * np.arange(size)
 
 
 def trunc_error_bound(setup: PricingSetup) -> float:
@@ -80,7 +83,7 @@ def trunc_error_bound(setup: PricingSetup) -> float:
 def disc_error(setup: PricingSetup) -> float:
     """Grid-discretization error beta*(B_u-B_l)^(dT+2) / (24 * 2^(2n))."""
     width = setup.B_u - setup.B_l
-    exponent = setup.d * setup.T + 2
+    exponent = int(setup.d) * int(setup.T) + 2
     try:
         power = width ** exponent
     except OverflowError:
@@ -89,7 +92,7 @@ def disc_error(setup: PricingSetup) -> float:
             "overflows a float"
         ) from None
     # scaling by 2^-2n with ldexp: a large n underflows to 0 instead of overflowing the divisor
-    return ldexp(setup.beta * power / 24.0, -2 * setup.n)
+    return ldexp(setup.beta * power / 24.0, -2 * int(setup.n))
 
 
 def gaussian_target_state(spec: GaussianSpec) -> StateVector:

@@ -20,7 +20,6 @@ from .circuits import (
     GateKind,
     QUTRIT_ONLY_KINDS,
     WireSpec,
-    _is_int,
     check_int,
     validate_gate,
 )
@@ -70,8 +69,6 @@ def kind_matrix(kind: GateKind, dim: int) -> np.ndarray:
         return _XPLUS1.copy()
     if kind is GateKind.XMINUS1:
         return _XPLUS1.conj().T.copy()
-    if kind is GateKind.MEASURE:
-        raise ValueError("MEASURE has no unitary action")
     u2 = _QUBIT_MATRICES[kind]
     if dim == 2:
         return u2.copy()
@@ -256,7 +253,6 @@ def _action(kind: GateKind, dim: int) -> _Action:
 _ACTIONS = {
     (kind, dim): _action(kind, dim)
     for kind in GateKind
-    if kind is not GateKind.MEASURE
     for dim in (2, 3)
     if dim == 3 or kind not in QUTRIT_ONLY_KINDS
 }
@@ -380,12 +376,12 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
     scatters into the dense tensor for the rest of the circuit once the
     support exceeds 1/_SWITCH_FRACTION of the state, or before a gate that
     does not keep zeros. Either way the amplitudes equal a dense run's bit
-    for bit. MEASURE gates are skipped.
+    for bit.
     """
     dims = circuit.dims
     size = prod(dims)
     strides = [prod(dims[w + 1:]) for w in range(len(dims))]
-    gates = [g for g in circuit.gates if g.kind is not GateKind.MEASURE]
+    gates = circuit.gates
     idx, amp = np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
     done = 0
     for gate in gates:
@@ -405,8 +401,8 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
 
 
 def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
-    """Run all gates on the given basis-state label. MEASURE gates are
-    skipped; sampling lives in measure_all.
+    """Run all gates on the given basis-state label; sampling lives in
+    measure_all.
 
     Raises ValueError before the first gate when the state dimension
     exceeds MAX_STATE_DIM.
@@ -430,16 +426,13 @@ def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
     ``digits`` has shape (batch, wires), one basis label per row; the
     result is a new int8 array of the same shape and the input is left
     alone. Each gate is one masked update of its target column, so the
-    cost is batch x gates instead of a dense state per input. MEASURE
-    gates are skipped, as in ``simulate``; any gate that does not permute
-    basis states (H, T, S, Z, ...) raises ValueError.
+    cost is batch x gates instead of a dense state per input. Any gate
+    that does not permute basis states (H, T, S, Z, ...) raises ValueError.
     """
     digits = np.asarray(digits)
     check_digits(circuit.dims, digits)
     state = digits.astype(np.int8)
     for index, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.MEASURE:
-            continue
         table = _BASIS_TABLES.get(gate.kind)
         if table is None:
             raise ValueError(f"gate {index} ({gate.kind.value}) does not permute basis states")
@@ -466,8 +459,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     size = prod(circuit.dims)
     if size > UNITARY_DIM_GUARD:
         raise ValueError(f"unitary extraction guarded at dimension {UNITARY_DIM_GUARD}")
-    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        raise ValueError("circuit_unitary requires an all-gate circuit")
     return _unitary_on(circuit, np.arange(size))
 
 
@@ -491,8 +482,6 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
     """
     if 2 ** len(circuit.dims) > UNITARY_DIM_GUARD:
         raise ValueError(f"subspace extraction guarded at dimension {UNITARY_DIM_GUARD}")
-    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        raise ValueError("qubit_subspace_unitary requires an all-gate circuit")
     return _unitary_on(circuit, qubit_subspace_indices(circuit.dims))
 
 
@@ -574,8 +563,8 @@ def evolve_density(
             raise ValueError("a Kraus channel needs explicit wires")
         wires = tuple(wires)
         for w in wires:
-            if not _is_int(w):
-                raise ValueError(f"wire index must be an integer, got {w!r}")
+            if type(w) is not int:
+                check_int(**{"wire index": w})
         if len(set(wires)) != len(wires) or not all(0 <= w < n for w in wires):
             raise ValueError(f"channel wires {wires} must be distinct wires of {n}")
         local_dims = tuple(dims[w] for w in wires)

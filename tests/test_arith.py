@@ -1,4 +1,6 @@
 """Adder and multiplier generators against classical arithmetic oracles."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,22 @@ from triarc.transpile import LoweringStrategy
 def test_adder_rejects_n_zero():
     with pytest.raises(ValueError):
         A.build_adder(0)
+
+
+@pytest.mark.parametrize("build, sizes, name, value", [
+    (A.build_adder, {"n": True}, "n", True),
+    (A.build_adder, {"n": 2.0}, "n", 2.0),
+    (A.build_multiplier, {"na": True, "nb": 2}, "na", True),
+    (A.build_multiplier, {"na": 2, "nb": 1.5}, "nb", 1.5),
+])
+def test_builders_refuse_a_non_integer_size(build, sizes, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        build(**sizes)
+
+
+def test_builders_accept_numpy_integer_sizes():
+    assert A.build_adder(np.int64(3)) == A.build_adder(3)
+    assert A.build_multiplier(np.int32(2), np.uint8(3)) == A.build_multiplier(2, 3)
 
 
 def test_adder_uses_only_x_cx_toffoli():
@@ -71,7 +89,7 @@ def test_simulate_refuses_4x4_multiplier_before_allocating(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("simulate allocated a state beyond MAX_STATE_DIM")
 
-    monkeypatch.setattr(S, "basis_state", no_allocation)
+    monkeypatch.setattr(S, "_evolve", no_allocation)
     with pytest.raises(ValueError, match="MAX_STATE_DIM"):
         S.simulate(circuit, operand_digits(circuit, layout, 3, 5))
 

@@ -137,7 +137,6 @@ def test_controlled_recomputes_the_gate_wires():
     assert C.controlled(C.x(2), 0).wires == (0, 2)
     assert C.controlled(C.controlled(C.x(2), 0), 1, 2).wires == (0, 1, 2)
     assert C.toffoli(3, 1, 0).wires == (3, 1, 0)
-    assert C.measure(2, 0).wires == (2, 0)
 
 
 def test_to_json_writes_numpy_integers_as_plain_ints():
@@ -145,12 +144,6 @@ def test_to_json_writes_numpy_integers_as_plain_ints():
     text = C.to_json(circ)
     assert text == reference_to_json(C.append(C.new_circuit([2, 2]), C.x(0)))
     assert C.from_json(text) == circ
-
-
-def test_measure_rejects_controls():
-    circ = C.new_circuit([2, 2])
-    with pytest.raises(ValueError):
-        C.append(circ, C.controlled(C.measure(0), 1))
 
 
 def test_append_extend_and_from_json_reject_a_bad_gate():
@@ -283,22 +276,27 @@ def test_from_json_names_the_index_of_a_bad_copy_of_an_earlier_gate(edit, field)
         C.from_json(json.dumps(data))
 
 
+def json_int(value, field):
+    C.check_int(**{field: value})
+    return value
+
+
 def reference_from_dict(data):
     # the reader before equal gates were shared: one new gate per entry
     wires = tuple(
-        C.WireSpec(C._json_int(w["dim"], "wires[{}].dim", i)) for i, w in enumerate(data["wires"])
+        C.WireSpec(json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
     )
     gates = tuple(
         C.GateInstance(
             GateKind(g["kind"]),
             tuple(
                 C.ControlSpec(
-                    C._json_int(c["wire"], "gates[{}].controls[{}].wire", i, j),
-                    C._json_int(c["value"], "gates[{}].controls[{}].value", i, j),
+                    json_int(c["wire"], f"gates[{i}].controls[{j}].wire"),
+                    json_int(c["value"], f"gates[{i}].controls[{j}].value"),
                 )
                 for j, c in enumerate(g.get("controls", []))
             ),
-            tuple(C._json_int(t, "gates[{}].targets[{}]", i, j) for j, t in enumerate(g["targets"])),
+            tuple(json_int(t, f"gates[{i}].targets[{j}]") for j, t in enumerate(g["targets"])),
         )
         for i, g in enumerate(data["gates"])
     )
@@ -361,12 +359,6 @@ def test_gate_count_qutrit_lowering_is_3():
     assert C.gate_count(circ) == 3
 
 
-def test_gate_count_excludes_measure_by_default():
-    circ = C.extend(C.new_circuit([2, 2]), [C.x(0), C.measure(0, 1)])
-    assert C.gate_count(circ) == 1
-    assert C.gate_count(circ, GateKind.MEASURE) == 1
-
-
 def test_depth_single_gate():
     assert C.depth(C.append(C.new_circuit([2]), C.x(0))) == 1
 
@@ -405,10 +397,7 @@ def test_t_depth_counts_parallel_t_gates_once():
 # --- JSON round trip ------------------------------------------------------
 
 def test_json_round_trip_example():
-    circ = C.extend(
-        C.new_circuit([2, 3, 2]),
-        triple_lowering_gates() + [C.measure(0, 2)],
-    )
+    circ = C.extend(C.new_circuit([2, 3, 2]), triple_lowering_gates())
     assert C.from_json(C.to_json(circ)) == circ
 
 
@@ -520,17 +509,15 @@ def reference_to_json(circ):
 @st.composite
 def wide_circuits(draw, max_wires=5, max_gates=10, dims_from=(2, 3)):
     """Wires of the dimensions ``dims_from``; gates with 0-2 controls of value
-    1 or 2, TOFFOLIs, MEASUREs over several wires, and possibly no gate at all."""
+    1 or 2, TOFFOLIs, and possibly no gate at all."""
     dims = draw(st.lists(st.sampled_from(dims_from), min_size=1, max_size=max_wires))
     n = len(dims)
     qubit_wires = [w for w in range(n) if dims[w] == 2]
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
         order = draw(st.permutations(range(n)))
-        choice = draw(st.sampled_from(["unitary", "measure", "toffoli"]))
-        if choice == "measure":
-            gates.append(C.measure(*order[:draw(st.integers(1, n))]))
-        elif choice == "toffoli" and len(qubit_wires) >= 3:
+        choice = draw(st.sampled_from(["unitary", "toffoli"]))
+        if choice == "toffoli" and len(qubit_wires) >= 3:
             a, b, target = draw(st.permutations(qubit_wires))[:3]
             gates.append(C.toffoli(a, b, target))
         else:
@@ -563,8 +550,6 @@ def reference_layers(circ):
     next_free = [0] * len(circ.wires)
     layers = []
     for gate in circ.gates:
-        if gate.kind is GateKind.MEASURE:
-            continue
         wires = tuple(c.wire for c in gate.controls) + gate.targets
         layer = max((next_free[w] for w in wires), default=0)
         if layer == len(layers):
@@ -591,7 +576,7 @@ def test_layers_and_depth_match_the_reference_walk(circ):
 
 @given(st.one_of(wide_circuits(), wide_circuits(dims_from=(2,))))
 def test_t_metrics_matches_the_reference_or_refuses_a_qutrit_gate(circ):
-    if any(C.is_qutrit_gate(g, circ.wires) for g in circ.gates if g.kind is not GateKind.MEASURE):
+    if any(C.is_qutrit_gate(g, circ.wires) for g in circ.gates):
         with pytest.raises(ValueError, match="qubit-only"):
             C.t_metrics(circ)
     else:
@@ -604,12 +589,10 @@ def test_t_metrics_accepts_a_qutrit_wire_no_gate_touches(circ):
     assert C.t_metrics(idle) == C.t_metrics(circ) == reference_t_metrics(circ)
 
 
-def test_t_metrics_refuses_a_gate_on_a_qutrit_wire_but_not_a_measure():
+def test_t_metrics_refuses_a_gate_on_a_qutrit_wire():
     circ = C.extend(C.new_circuit([2, 3]), [C.t(0), C.h(1)])
     with pytest.raises(ValueError, match="qubit-only"):
         C.t_metrics(circ)
-    measured = C.extend(C.new_circuit([2, 3]), [C.t(0), C.measure(0, 1)])
-    assert C.t_metrics(measured) == (1, 1)
 
 
 @st.composite

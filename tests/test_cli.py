@@ -117,11 +117,27 @@ def test_simulate_refuses_with_the_library_limit(tmp_path, monkeypatch, capsys):
         raise AssertionError("simulate allocated a state beyond MAX_STATE_DIM")
 
     monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
-    monkeypatch.setattr(S, "basis_state", no_allocation)
+    monkeypatch.setattr(S, "_evolve", no_allocation)
     code, out, err = run_cli(capsys, "simulate", "--in", str(src), "--input", "0" * 23)
     assert code == 1
     assert out == ""
     assert "MAX_STATE_DIM" in err
+
+
+def test_a_measure_gate_in_json_is_refused(tmp_path, capsys):
+    data = C.circuit_to_dict(C.append(C.new_circuit([2, 2]), C.x(0)))
+    data["gates"].append({"kind": "MEASURE", "controls": [], "targets": [0, 1]})
+    src = tmp_path / "measured.json"
+    src.write_text(json.dumps(data, indent=2))
+    message = "'MEASURE' is not a valid GateKind"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        C.from_json(src.read_text())
+    for argv in (
+        ["simulate", "--in", str(src), "--input", "00"],
+        ["decompose", "--strategy", "qutrit", "--in", str(src)],
+        ["decompose", "--strategy", "cliffordt", "--in", str(src)],
+    ):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 DATA = Path(__file__).parent / "data"

@@ -376,6 +376,18 @@ def test_counts_refuse_a_non_integer(call, name, count):
         call(count)
 
 
+def test_success_curve_refuses_more_points_than_the_state_limit(monkeypatch):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    assert len(N.success_curve(LoweringStrategy.QUTRIT, 16, REFERENCE_PARAMS)) == 16
+
+    def no_point(*args):
+        raise AssertionError("success_curve computed a point beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(N, "census_for", no_point)
+    with pytest.raises(ValueError, match="^success-curve points 17 exceeds MAX_STATE_DIM = 16$"):
+        N.success_curve(LoweringStrategy.QUTRIT, 17, REFERENCE_PARAMS)
+
+
 def test_qutrit_curve_dominates_pointwise():
     qutrit = N.success_curve(LoweringStrategy.QUTRIT, 50, REFERENCE_PARAMS)
     conventional = N.success_curve(LoweringStrategy.SELINGER_COST, 50, REFERENCE_PARAMS)

@@ -218,6 +218,25 @@ def test_setup_validation():
         GaussianSpec(n=4, sigma=0.0)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (PricingSetup, "d", 1.5),
+    (PricingSetup, "T", True),
+    (PricingSetup, "n", True),
+    (GaussianSpec, "n", True),
+    (GaussianSpec, "n", 2.5),
+])
+def test_sizes_refuse_a_non_integer(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        make(**{name: value})
+
+
+def test_sizes_accept_numpy_integers():
+    setup = PricingSetup(d=np.int64(2), T=np.int32(3), n=np.int64(4), beta=1.0, B_u=2.0)
+    assert P.disc_error(setup) == P.disc_error(PricingSetup(d=2, T=3, n=4, beta=1.0, B_u=2.0))
+    state = P.gaussian_target_state(GaussianSpec(n=np.int64(3)))
+    assert np.array_equal(state.amplitudes, P.gaussian_target_state(GaussianSpec(n=3)).amplitudes)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["w", "beta", "B_l", "B_u"])
 def test_setup_refuses_a_non_finite_value(field, value):

@@ -123,36 +123,11 @@ def test_subspace_guard_checks_size_before_indexing(monkeypatch):
         S.qubit_subspace_unitary(C.new_circuit([2] * 33))
 
 
-def test_qubit_subspace_unitary_rejects_measure(monkeypatch):
-    def no_indices(*args):
-        raise AssertionError("qubit_subspace_unitary built indices for a MEASURE circuit")
-
-    monkeypatch.setattr(S, "qubit_subspace_indices", no_indices)
-    circ = C.extend(C.new_circuit([2, 2]), [C.x(0), C.measure(1)])
-    with pytest.raises(ValueError, match="requires an all-gate circuit"):
-        S.qubit_subspace_unitary(circ)
-
-
 def test_qubit_subspace_indices_refused_above_state_limit(monkeypatch):
     monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
     assert len(S.qubit_subspace_indices([3] * 4)) == 16
     with pytest.raises(ValueError, match="qubit subspace dimension 32 exceeds MAX_STATE_DIM = 16"):
         S.qubit_subspace_indices([3] * 5)
-
-
-def test_circuit_unitary_refuses_measure():
-    circ = C.extend(C.new_circuit([2, 2]), [C.x(0), C.measure(1)])
-    with pytest.raises(ValueError, match="requires an all-gate circuit"):
-        S.circuit_unitary(circ)
-
-
-def test_simulate_and_run_basis_skip_measure():
-    gates = [C.x(0), C.controlled(C.xplus1(1), 0)]
-    plain = C.extend(C.new_circuit([2, 3]), gates)
-    measured = C.extend(C.new_circuit([2, 3]), [gates[0], C.measure(0, 1), gates[1], C.measure(1)])
-    assert np.array_equal(S.simulate(measured, "01").amplitudes, S.simulate(plain, "01").amplitudes)
-    digits = np.array([[0, 0], [1, 1], [1, 2]])
-    assert np.array_equal(S.run_basis(measured, digits), S.run_basis(plain, digits))
 
 
 def test_unitary_guard():
@@ -339,11 +314,6 @@ def test_qutrit_damping_lambda2_full():
     assert np.allclose(out.entries, S.basis_density([3], "0").entries)
 
 
-def test_evolve_density_refuses_measure():
-    with pytest.raises(ValueError, match="MEASURE has no unitary action"):
-        S.evolve_density(S.basis_density([2, 3], "12"), C.measure(0, 1))
-
-
 def test_two_qutrit_depolarizing_no_error_weight():
     p2 = 0.002
     channel = N.depolarizing_channel([3, 3], p2)
@@ -415,8 +385,6 @@ def test_norm_preserved_by_every_gate(circ, seed_index):
     tensor /= np.linalg.norm(tensor)
     scratch = np.empty(tensor.size, dtype=complex)
     for gate in circ.gates:
-        if gate.kind is C.GateKind.MEASURE:
-            continue
         S._apply_inplace(tensor, gate, dims, scratch)
         assert abs(np.sum(np.abs(tensor) ** 2) - 1) < 1e-12
 
@@ -589,16 +557,13 @@ def assert_bit_identical(actual, expected):
         assert np.array_equal(np.signbit(getattr(actual, part)), np.signbit(getattr(expected, part)))
 
 
-UNITARY_KINDS = [k for k in C.GateKind if k is not C.GateKind.MEASURE]
-
-
 @st.composite
 def any_unitary_gate(draw, dims):
     """A valid gate of any unitary kind on ``dims``, with up to two controls
     of any activation value the control wire allows."""
     n = len(dims)
     kinds = [
-        k for k in UNITARY_KINDS
+        k for k in C.GateKind
         if (k not in C.QUTRIT_ONLY_KINDS or 3 in dims)
         and (k is not C.GateKind.TOFFOLI or dims.count(2) >= 3)
     ]
