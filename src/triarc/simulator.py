@@ -2,15 +2,15 @@
 
 Amplitudes are indexed in mixed radix with wire 0 as the most significant
 digit, so the basis label "120" on dims (2, 3, 2) is index 1*6 + 2*2 + 0.
-All operations are pure: they return new states and never mutate inputs.
+Public operations return new states and leave their inputs alone, except
+``digit_labels``, which writes ASCII codes into the digit array it is given.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from math import pi, prod, sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -95,9 +95,11 @@ def check_digits(dims: Sequence[int], digits: np.ndarray) -> None:
 
 
 def parse_label(dims: Sequence[int], label: str | Sequence[int]) -> tuple[int, ...]:
-    """Digits of a basis label, a string of digit characters or a sequence
-    of integers; a sequence of floats or bools fails check_digits' dtype
-    test, as the same digits do in ``run_basis``."""
+    """Digits of a basis label, a string of ASCII digit characters or a
+    sequence of integers; a sequence of floats or bools fails check_digits'
+    dtype test, as the same digits do in ``run_basis``."""
+    if isinstance(label, str) and not label.isascii():
+        raise ValueError(f"basis label {label!r} holds a non-ASCII character")
     digits = [int(ch) for ch in label] if isinstance(label, str) else label
     row = np.array([digits]) if len(digits) else np.zeros((1, 0), dtype=np.int8)
     check_digits(dims, row)
@@ -221,16 +223,46 @@ class _Action:
 
     ``rows`` lists the non-identity rows of ``kind_matrix`` as
     (row, ((col, coeff), ...)) with nonzero terms in column order, so sums
-    keep the order of a matrix-vector product; ``sources`` are the columns
-    those rows read. A diagonal action scales each of its rows in place.
-    ``keeps_zero`` says whether the rows, summed in that order, map a column
-    of +0 to +0 bit for bit; a -1 or -1j factor (Z, SDG) writes -0.
+    keep the order of a matrix-vector product. A diagonal action scales
+    each of its rows in place. ``keeps_zero`` says whether ``_apply_levels``
+    maps a column of +0 to +0 bit for bit; a -1 or -1j factor (Z, SDG)
+    writes -0.
     """
 
     rows: tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]
-    sources: tuple[int, ...]
     diagonal: bool
     keeps_zero: bool
+
+
+def _apply_levels(rows: tuple, diagonal: bool, level: Callable[[int], np.ndarray], dim: int) -> None:
+    """Apply an action's ``rows`` in place to the levels ``level(0..dim-1)``
+    of one target, views of one shape. A diagonal action scales its levels
+    in place; any other copies them all once, then writes each product into
+    a level that no later term reads, so none is allocated. Every product
+    keeps the scalar first (``np.multiply(coeff, a)``, bit-equal to
+    ``coeff * a`` but not to ``a *= coeff``), so amplitudes are bit-identical
+    to a plain matrix-vector product that skips zero terms and unit factors.
+    """
+    if diagonal:
+        for r, ((_, coeff),) in rows:
+            out = level(r)
+            np.multiply(coeff, out, out=out)
+        return
+    staged = np.array([level(c) for c in range(dim)])
+    for i, (r, terms) in enumerate(rows):
+        out = level(r)
+        for j, (c, coeff) in enumerate(terms):
+            if j == 0:
+                if coeff == 1:
+                    np.copyto(out, staged[c])
+                else:
+                    np.multiply(coeff, staged[c], out=out)
+            else:
+                # the product lands in the next row's level, not yet written,
+                # or, in the last row, in (a view of) the staged source of its
+                # first term, which no later term reads
+                spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[terms[0][0], ...]
+                np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
 
 
 def _action(kind: GateKind, dim: int) -> _Action:
@@ -240,14 +272,10 @@ def _action(kind: GateKind, dim: int) -> _Action:
         for r in range(dim)
         if not (matrix[r, r] == 1 and all(matrix[r, c] == 0 for c in range(dim) if c != r))
     )
-    sources = tuple(sorted({c for _, terms in rows for c, _ in terms}))
     diagonal = all(len(terms) == 1 and terms[0][0] == r for r, terms in rows)
-    zero = np.zeros(1, dtype=complex)
-    keeps_zero = True
-    for _, terms in rows:
-        column = [zero if coeff == 1 else np.multiply(coeff, zero) for _, coeff in terms]
-        keeps_zero &= not np.signbit(reduce(np.add, column).view(float)).any()
-    return _Action(rows, sources, diagonal, keeps_zero)
+    column = np.zeros((dim, 1), dtype=complex)
+    _apply_levels(rows, diagonal, column.__getitem__, dim)
+    return _Action(rows, diagonal, not np.signbit(column.view(float)).any())
 
 
 _ACTIONS = {
@@ -268,53 +296,18 @@ def _control_index(gate: GateInstance, axes: int, offset: int = 0) -> list:
     return index
 
 
-def _apply_inplace(
-    tensor: np.ndarray, gate: GateInstance, dims: Sequence[int], scratch: np.ndarray
-) -> None:
-    """Apply ``gate`` to a dims-shaped amplitude tensor, mutating it.
-
-    Each write goes through a view of one target level, conditioned on the
-    controls. A diagonal gate scales its levels in place; any other gate
-    first copies the levels it reads into ``scratch``, a flat buffer at
-    least as large as the tensor, so no gate allocates. Every product keeps
-    the scalar first (``np.multiply(coeff, a)``, bit-equal to ``coeff * a``
-    but not to ``a *= coeff``), so amplitudes are bit-identical to a plain
-    matrix-vector product that skips zero terms and unit factors.
-    """
+def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) -> None:
+    """Apply ``gate`` to a dims-shaped amplitude tensor, mutating it through
+    views of its target's levels where the controls hold their values."""
     target = gate.targets[0]
-    dim = dims[target]
-    action = _ACTIONS[gate.kind, dim]
+    action = _ACTIONS[gate.kind, dims[target]]
     index = _control_index(gate, len(dims))
 
     def level(value: int) -> np.ndarray:
         index[target] = value
         return tensor[tuple(index)]
 
-    if action.diagonal:
-        for r, ((_, coeff),) in action.rows:
-            out = level(r)
-            np.multiply(coeff, out, out=out)
-        return
-    shape = level(0).shape
-    block = scratch[: dim * prod(shape)].reshape((dim,) + shape)
-    staged = [block[c, ...] for c in range(dim)]
-    for c in action.sources:
-        np.copyto(staged[c], level(c))
-    rows = action.rows
-    for i, (r, terms) in enumerate(rows):
-        out = level(r)
-        for j, (c, coeff) in enumerate(terms):
-            if j == 0:
-                if coeff == 1:
-                    np.copyto(out, staged[c])
-                else:
-                    np.multiply(coeff, staged[c], out=out)
-            else:
-                # the product lands in the next row's level, not yet written,
-                # or, in the last row, in the staged source of its first
-                # term, which no later term reads
-                spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[terms[0][0]]
-                np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
+    _apply_levels(action.rows, action.diagonal, level, dims[target])
 
 
 # The sparse start hands the state to the dense kernel once
@@ -330,9 +323,9 @@ def _apply_sparse(
     dense tensor, bit for bit; ``amp`` may be overwritten.
 
     The gate's action must keep zeros, so that a base holding no entry
-    stays +0 in the dense kernel too. The rows run in the dense kernel's
-    term order on a (levels, bases) block of the bases that hold entries,
-    and an output is dropped only when both its words are +0.
+    stays +0 in the dense kernel too. A non-diagonal gate runs the dense
+    kernel's ``_apply_levels`` on a (levels, bases) block of the bases that
+    hold entries, and an output is dropped only when both its words are +0.
     """
     target = gate.targets[0]
     dim, stride = dims[target], strides[target]
@@ -357,13 +350,10 @@ def _apply_sparse(
         bases, slot = np.unique(idx - digit * stride, return_inverse=True)
         block = np.zeros((dim, len(bases)), dtype=complex)
         block[digit, slot] = amp
-        out = block.copy()
-        for r, terms in action.rows:
-            products = [block[c] if coeff == 1 else np.multiply(coeff, block[c]) for c, coeff in terms]
-            out[r] = reduce(np.add, products)
-        keep = out.view(np.uint64).reshape(dim, -1, 2).any(axis=2)
+        _apply_levels(action.rows, False, block.__getitem__, dim)
+        keep = block.view(np.uint64).reshape(dim, -1, 2).any(axis=2)
         idx = (bases + stride * np.arange(dim)[:, None])[keep]
-        amp = out[keep]
+        amp = block[keep]
     if gate.controls:
         idx, amp = np.concatenate([idle_idx, idx]), np.concatenate([idle_amp, amp])
     return idx, amp
@@ -391,12 +381,10 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
         done += 1
     amplitudes = np.zeros(size, dtype=complex)
     amplitudes[idx] = amp
-    del idx, amp  # freed before the dense scratch is allocated
-    if done < len(gates):
-        tensor = amplitudes.reshape(dims)
-        scratch = np.empty(size, dtype=complex)
-        for gate in gates[done:]:
-            _apply_inplace(tensor, gate, dims, scratch)
+    del idx, amp  # freed before the first dense gate copies its levels
+    tensor = amplitudes.reshape(dims)
+    for gate in gates[done:]:
+        _apply_inplace(tensor, gate, dims)
     return amplitudes
 
 

@@ -21,13 +21,17 @@ from .transpile import REFERENCE_TOFFOLI, LoweringStrategy
 Failure = tuple[int, int, int, str]
 
 
-def _pairs(circuit: Circuit, na: int, nb: int,
+def _pairs(circuit: Circuit, layout: arith.RegisterLayout,
            pairs: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
-    """The operand pairs to check, every pair by default. Refuses a
-    run_basis digit batch (pairs x wires) above MAX_STATE_DIM, the
-    exhaustive one before any pair is built."""
+    """The operand pairs to check, every pair of the layout's operand widths
+    by default. Refuses an empty pair list, and a run_basis digit batch
+    (pairs x wires) above MAX_STATE_DIM, the exhaustive one before any pair
+    is built."""
+    na, nb = len(layout.a_wires), len(layout.b_wires)
     if pairs is not None:
         pairs = list(pairs)
+        if not pairs:
+            raise ValueError("no operand pairs to check")
     count = 2 ** (na + nb) if pairs is None else len(pairs)
     wires = len(circuit.wires)
     simulator.check_state_dim(count * wires, f"operand-pair digits ({count} pairs x {wires} wires)")
@@ -52,19 +56,19 @@ def _failure(circuit: Circuit, layout: arith.RegisterLayout, pairs: list[tuple[i
     return a[i], b[i], values[i], simulator.digit_labels(observed[i:i + 1])[0]
 
 
-def adder_failure(circuit: Circuit, layout: arith.RegisterLayout, n: int,
+def adder_failure(circuit: Circuit, layout: arith.RegisterLayout,
                   pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, A+B mod 2^n, ancilla 0, carry),
-    or None. ``pairs`` defaults to all 4^n operand pairs."""
-    return _failure(circuit, layout, _pairs(circuit, n, n, pairs), operator.add,
+    or None. ``pairs`` defaults to all 4^n operand pairs of the n-bit layout."""
+    return _failure(circuit, layout, _pairs(circuit, layout, pairs), operator.add,
                     layout.result_wires + (layout.carry_wire,))
 
 
-def multiplier_failure(circuit: Circuit, layout: arith.RegisterLayout, na: int, nb: int,
+def multiplier_failure(circuit: Circuit, layout: arith.RegisterLayout,
                        pairs: Iterable[tuple[int, int]] | None = None) -> Failure | None:
     """First pair whose output is not (A, B, ancillas 0, A*B), or None.
-    ``pairs`` defaults to all 2^(na+nb) operand pairs."""
-    return _failure(circuit, layout, _pairs(circuit, na, nb, pairs), operator.mul,
+    ``pairs`` defaults to all 2^(na+nb) operand pairs of the layout."""
+    return _failure(circuit, layout, _pairs(circuit, layout, pairs), operator.mul,
                     layout.result_wires)
 
 
@@ -81,16 +85,16 @@ def checks() -> list[tuple[str, bool]]:
 
     for n in (2, 3, 4):
         circuit, layout = arith.build_adder(n)
-        results.append((f"adder-{n}bit-exhaustive", adder_failure(circuit, layout, n) is None))
+        results.append((f"adder-{n}bit-exhaustive", adder_failure(circuit, layout) is None))
     circuit, layout = arith.build_adder(3)
     lowered = transpile.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
-    results.append(("adder-3bit-qutrit-exhaustive", adder_failure(lowered, layout, 3) is None))
+    results.append(("adder-3bit-qutrit-exhaustive", adder_failure(lowered, layout) is None))
 
     circuit, layout = arith.build_multiplier(3, 2)
-    results.append(("multiplier-3x2-exhaustive", multiplier_failure(circuit, layout, 3, 2) is None))
+    results.append(("multiplier-3x2-exhaustive", multiplier_failure(circuit, layout) is None))
     lowered = transpile.lower_toffolis(circuit, LoweringStrategy.QUTRIT)
     results.append(("multiplier-3x2-qutrit-exhaustive",
-                    multiplier_failure(lowered, layout, 3, 2) is None))
+                    multiplier_failure(lowered, layout) is None))
 
     demo, demo_layout = arith.build_demo_multiplier()
     for name, c in (("demo-multiplier-5x3", demo),

@@ -133,10 +133,10 @@ def test_criterion_4_exhaustive_arithmetic():
     start = time.perf_counter()
     adder, adder_layout = A.build_adder(4)
     for variant in (adder, T.lower_toffolis(adder, LoweringStrategy.QUTRIT)):
-        assert V.adder_failure(variant, adder_layout, 4) is None
+        assert V.adder_failure(variant, adder_layout) is None
     mult, mult_layout = A.build_multiplier(3, 2)
     for variant in (mult, T.lower_toffolis(mult, LoweringStrategy.QUTRIT)):
-        assert V.multiplier_failure(variant, mult_layout, 3, 2) is None
+        assert V.multiplier_failure(variant, mult_layout) is None
     assert time.perf_counter() - start < 120.0
 
 

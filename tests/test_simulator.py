@@ -1,6 +1,7 @@
 """State-vector and density-matrix simulation against independent oracles."""
 import hashlib
 import json
+import tracemalloc
 from math import prod
 from pathlib import Path
 
@@ -92,6 +93,14 @@ def test_string_and_integer_labels_give_plain_int_digits():
     assert S.parse_label((), "") == S.parse_label((), []) == ()
     with pytest.raises(ValueError, match="invalid literal"):
         S.parse_label((2,), "a")
+
+
+@pytest.mark.parametrize("label", ["\uff110", "\u0661\u0660", "1\u00b2"],
+                         ids=["fullwidth", "arabic-indic", "superscript"])
+def test_a_label_with_a_non_ascii_character_is_refused(label):
+    """int() reads the first two as the digits 10, which named the state |10>."""
+    with pytest.raises(ValueError, match=f"basis label '{label}' holds a non-ASCII character"):
+        S.parse_label((2, 2), label)
 
 
 # --- circuit_unitary ------------------------------------------------------
@@ -383,9 +392,8 @@ def test_norm_preserved_by_every_gate(circ, seed_index):
     dims = circ.dims
     tensor = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     tensor /= np.linalg.norm(tensor)
-    scratch = np.empty(tensor.size, dtype=complex)
     for gate in circ.gates:
-        S._apply_inplace(tensor, gate, dims, scratch)
+        S._apply_inplace(tensor, gate, dims)
         assert abs(np.sum(np.abs(tensor) ** 2) - 1) < 1e-12
 
 
@@ -604,9 +612,8 @@ def dense_run(circ, label):
     ``_apply_inplace`` on the full tensor, from the first gate on."""
     dims = circ.dims
     tensor = S.basis_state(dims, label).amplitudes.reshape(dims)
-    scratch = np.empty(tensor.size, dtype=complex)
     for gate in circ.gates:
-        S._apply_inplace(tensor, gate, dims, scratch)
+        S._apply_inplace(tensor, gate, dims)
     return tensor.reshape(-1)
 
 
@@ -649,12 +656,11 @@ def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
     tensor = np.zeros(size, dtype=complex)
     tensor[idx] = amp
     tensor = tensor.reshape(dims)
-    scratch = np.empty(size, dtype=complex)
     for gate in circ.gates:
         if not S._ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
             continue
         idx, amp = S._apply_sparse(idx, amp, gate, dims, strides)
-        S._apply_inplace(tensor, gate, dims, scratch)
+        S._apply_inplace(tensor, gate, dims)
         assert len(np.unique(idx)) == len(idx)
         scattered = np.zeros(size, dtype=complex)
         scattered[idx] = amp
@@ -664,6 +670,23 @@ def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
 def test_only_z_and_sdg_turn_a_zero_column_negative():
     lacking = {kind for (kind, _), action in S._ACTIONS.items() if not action.keeps_zero}
     assert lacking == {C.GateKind.Z, C.GateKind.SDG}
+
+
+def test_dense_simulate_peaks_at_two_states():
+    """The dense kernel holds one copy of a gate's levels beside the state,
+    and the sparse support is freed before the first dense gate: 32.4 MiB on
+    20 qubits, against 35.4 MiB with the support kept and 40.3 MiB with each
+    row's products allocated."""
+    n = 20
+    gates = [C.h(w) for w in range(n)] * 2 + [C.cx(0, 1), C.x(3), C.t(2)]
+    circ = C.extend(C.new_circuit((2,) * n), gates)
+    tracemalloc.start()
+    try:
+        S.simulate(circ, "0" * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** n * 16 + 2 ** 20
 
 
 def test_simulate_refuses_above_the_state_limit_before_the_first_gate(monkeypatch):
@@ -694,15 +717,14 @@ def test_unitary_columns_run_from_their_indices_without_a_label(monkeypatch):
 def test_apply_inplace_is_bit_identical_on_a_superposition(circ, data):
     dims = circ.dims
     tensor = S.basis_state(dims, "0" * len(dims)).amplitudes.reshape(dims)
-    scratch = np.empty(tensor.size, dtype=complex)
     for w, d in enumerate(dims):
-        S._apply_inplace(tensor, C.h(w), dims, scratch)
+        S._apply_inplace(tensor, C.h(w), dims)
         if d == 3:
-            S._apply_inplace(tensor, C.controlled(C.xplus1(w), 0, 1) if w else C.xplus1(w), dims, scratch)
+            S._apply_inplace(tensor, C.controlled(C.xplus1(w), 0, 1) if w else C.xplus1(w), dims)
     for gate in circ.gates + (data.draw(any_unitary_gate(dims)),):
         expected = tensor.copy()
         slice_copy_reference(expected, gate, dims)
-        S._apply_inplace(tensor, gate, dims, scratch)
+        S._apply_inplace(tensor, gate, dims)
         assert_bit_identical(tensor.reshape(-1), expected.reshape(-1))
 
 

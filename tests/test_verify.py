@@ -85,46 +85,68 @@ def test_run_basis_leaves_input_alone():
 def test_multiplier_failure_reports_a_changed_b_register():
     circuit, layout = A.build_multiplier(2, 2)
     broken = C.append(circuit, C.x(layout.b_wires[0]))
-    assert V.multiplier_failure(broken, layout, 2, 2) == (0, 0, 0, "0010" + "0" * 9)
+    assert V.multiplier_failure(broken, layout) == (0, 0, 0, "0010" + "0" * 9)
 
 
 def test_adder_failure_reports_first_lost_carry():
     circuit, layout = A.build_adder(2)
     assert circuit.gates[6] == C.cx(layout.a_wires[-1], layout.carry_wire)
     broken = C.Circuit(circuit.wires, circuit.gates[:6] + circuit.gates[7:])
-    assert V.adder_failure(broken, layout, 2) == (1, 3, 4, "10" + "00" + "00")
+    assert V.adder_failure(broken, layout) == (1, 3, 4, "10" + "00" + "00")
 
 
 @pytest.mark.parametrize("lower", [lambda c: c, qutrit], ids=["plain", "qutrit"])
 def test_exhaustive_beyond_dense_reach(lower):
     mult, mult_layout = A.build_multiplier(4, 4)
-    assert V.multiplier_failure(lower(mult), mult_layout, 4, 4) is None
+    assert V.multiplier_failure(lower(mult), mult_layout) is None
     adder, adder_layout = A.build_adder(6)
-    assert V.adder_failure(lower(adder), adder_layout, 6) is None
+    assert V.adder_failure(lower(adder), adder_layout) is None
 
 
 def test_sampled_qutrit_arithmetic_up_to_97_wires():
     rng = np.random.default_rng(2022)
     for n in (16, 32):
         circuit, layout = A.build_adder(n)
-        assert V.adder_failure(qutrit(circuit), layout, n, rng.integers(0, 2 ** n, (200, 2))) is None
+        assert V.adder_failure(qutrit(circuit), layout, rng.integers(0, 2 ** n, (200, 2))) is None
     circuit, layout = A.build_multiplier(8, 8)
     assert len(circuit.wires) == 97
-    assert V.multiplier_failure(qutrit(circuit), layout, 8, 8, rng.integers(0, 256, (200, 2))) is None
+    assert V.multiplier_failure(qutrit(circuit), layout, rng.integers(0, 256, (200, 2))) is None
 
 
 @pytest.mark.parametrize("build, check, pairs", [
-    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(8, 1)]),
-    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(-1, 1)]),
-    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(1.9, 1)]),
-    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, 3, p), [(True, 1)]),
-    (lambda: A.build_multiplier(2, 2), lambda c, l, p: V.multiplier_failure(c, l, 2, 2, p),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, p), [(8, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, p), [(-1, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, p), [(1.9, 1)]),
+    (lambda: A.build_adder(3), lambda c, l, p: V.adder_failure(c, l, p), [(True, 1)]),
+    (lambda: A.build_multiplier(2, 2), lambda c, l, p: V.multiplier_failure(c, l, p),
      [(4, 3)]),
 ], ids=["a-too-large", "a-negative", "a-float", "a-bool", "multiplier-a-too-large"])
 def test_checker_refuses_an_operand_its_register_cannot_hold(build, check, pairs):
     circuit, layout = build()
     with pytest.raises(ValueError, match="operand"):
         check(circuit, layout, pairs)
+
+
+@pytest.mark.parametrize("build, check", [
+    (lambda: A.build_adder(3), V.adder_failure),
+    (lambda: A.build_multiplier(2, 2), V.multiplier_failure),
+], ids=["adder", "multiplier"])
+@pytest.mark.parametrize("pairs", [
+    lambda: [], lambda: iter([]), lambda: np.zeros((0, 2), dtype=int),
+], ids=["list", "iterator", "array"])
+def test_checker_refuses_an_empty_pair_list(build, check, pairs):
+    circuit, layout = build()
+    with pytest.raises(ValueError, match="no operand pairs to check"):
+        check(circuit, layout, pairs())
+
+
+def test_checker_widths_come_from_the_layout(monkeypatch):
+    """4^3 adder pairs and 2^(3+2) multiplier pairs, with no width passed."""
+    checked = []
+    monkeypatch.setattr(V, "_failure", lambda c, layout, pairs, *rest: checked.append(len(pairs)))
+    V.adder_failure(*A.build_adder(3))
+    V.multiplier_failure(*A.build_multiplier(3, 2))
+    assert checked == [64, 32]
 
 
 def test_exhaustive_check_is_refused_before_any_pair_is_built(monkeypatch):
@@ -135,15 +157,15 @@ def test_exhaustive_check_is_refused_before_any_pair_is_built(monkeypatch):
     for n in (11, 40):
         circuit, layout = A.build_adder(n)
         with pytest.raises(ValueError, match="MAX_STATE_DIM"):
-            V.adder_failure(circuit, layout, n)
+            V.adder_failure(circuit, layout)
 
 
 def test_the_checker_size_bound_follows_max_state_dim(monkeypatch):
     circuit, layout = A.build_adder(2)  # 16 pairs on 6 wires: 96 digits
     monkeypatch.setattr(S, "MAX_STATE_DIM", 96)
-    assert V.adder_failure(circuit, layout, 2) is None
+    assert V.adder_failure(circuit, layout) is None
     monkeypatch.setattr(S, "MAX_STATE_DIM", 95)
     for pairs in (None, [(1, 2)] * 16):
         with pytest.raises(ValueError, match="MAX_STATE_DIM = 95"):
-            V.adder_failure(circuit, layout, 2, pairs)
-    assert V.adder_failure(circuit, layout, 2, [(1, 2)] * 15) is None
+            V.adder_failure(circuit, layout, pairs)
+    assert V.adder_failure(circuit, layout, [(1, 2)] * 15) is None
