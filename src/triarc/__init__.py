@@ -55,6 +55,7 @@ from .noise import (
     lambda_from_time,
     noisy_toffoli_fidelity,
     p_success,
+    run_noisy,
     success_curve,
 )
 from .resources import (

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Sequence
 
 
@@ -45,6 +45,13 @@ def check_int(**values: object) -> None:
         # the exact-int test first keeps the common case off the _is_int call
         if type(value) is not int and not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(**values: object) -> None:
+    """Refuse a bool or non-real value with a ValueError naming its field."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def check_finite(**values: float) -> None:

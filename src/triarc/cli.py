@@ -10,11 +10,10 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from numbers import Real
 from pathlib import Path
 
 from . import arith, circuits, noise, pricing, resources, simulator, transpile, verify
-from .circuits import check_int
+from .circuits import check_int, check_real
 from .transpile import LoweringStrategy
 
 _STRATEGIES = {
@@ -42,10 +41,8 @@ class Config:
             raise ValueError("format must be json or csv")
         if type(self.seed) is not int:
             check_int(**{"config seed": self.seed})
-        for name in ("p1", "p2", "t1a", "t1b", "tau"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"config {name} must be a real number, got {value!r}")
+        check_real(**{f"config {name}": getattr(self, name)
+                      for name in ("p1", "p2", "t1a", "t1b", "tau")})
 
     @staticmethod
     def load(path: str | None) -> "Config":

