@@ -159,7 +159,7 @@ class DensityMatrix:
         entries = self.entries
         if entries.shape != (size, size):
             raise ValueError(f"density matrix must be {size}x{size}")
-        # exact equality first: evolve_density's outputs are exactly
+        # exact equality first: _density_step's outputs are exactly
         # Hermitian, so only other matrices pay for the tolerance test
         adjoint = entries.conj().T
         if not (np.array_equal(entries, adjoint) or np.allclose(entries, adjoint, atol=1e-10)):
