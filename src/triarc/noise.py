@@ -21,7 +21,7 @@ relaxation time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from math import exp, prod
 from typing import Sequence
@@ -51,8 +51,7 @@ class NoiseParams:
     tau_gate: float = 0.0      # per-layer duration
 
     def __post_init__(self) -> None:
-        values = dict(p1=self.p1, p2=self.p2, T1_level1=self.T1_level1,
-                      T1_level2=self.T1_level2, tau_gate=self.tau_gate)
+        values = asdict(self)
         check_real(**values)
         check_finite(**values)
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
