@@ -185,6 +185,7 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     """
     wire_dims = tuple(wire_dims)
     _check_channel_dims(wire_dims)
+    check_real(p=p)
     return _depolarizing_channel(tuple(int(d) for d in wire_dims), float(p))
 
 
@@ -213,6 +214,7 @@ def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
 def amplitude_damping_qubit(lambda1: float) -> KrausChannel:
     """Relaxation |1> -> |0> with probability lambda1, built once per
     lambda1 and shared, read-only."""
+    check_real(lambda1=lambda1)
     if not 0 <= lambda1 <= 1:
         raise ValueError("damping probability must lie in [0, 1]")
     return _amplitude_damping((float(lambda1),))
@@ -221,6 +223,7 @@ def amplitude_damping_qubit(lambda1: float) -> KrausChannel:
 def amplitude_damping_qutrit(lambda1: float, lambda2: float) -> KrausChannel:
     """Relaxation |1> -> |0> and |2> -> |0> with probabilities lambda1,
     lambda2, built once per (lambda1, lambda2) and shared, read-only."""
+    check_real(lambda1=lambda1, lambda2=lambda2)
     if not (0 <= lambda1 <= 1 and 0 <= lambda2 <= 1):
         raise ValueError("damping probabilities must lie in [0, 1]")
     return _amplitude_damping((float(lambda1), float(lambda2)))
@@ -245,6 +248,7 @@ def lambda_from_time(t: float, T1: float) -> float:
     Damping is sometimes quoted as lambda proportional to exp(-t/T1);
     the standard reading with lambda -> 0 at t = 0 is used here.
     """
+    check_real(t=t, T1=T1)
     check_finite(t=t, T1=T1)
     if t < 0:
         raise ValueError("duration must be non-negative")

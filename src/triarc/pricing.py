@@ -4,7 +4,8 @@ harmonic-oscillator energy estimator.
 
 The Gaussian grid follows x_j = x0 - w*sigma + j*dx with dx = 2*w*sigma/2^n
 for j in [0, 2^n); amplitudes are normalized so the squared amplitudes are
-the discretized normal distribution N(x0, sigma).
+the discretized normal distribution N(x0, sigma). Grid point j is basis
+index j of the register, so the estimator reads sampled counts by index.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .circuits import check_finite, check_int
-from .simulator import Histogram, StateVector, check_state_dim
+from . import simulator
+from .simulator import Histogram, StateVector, check_indices, check_state_dim
 
 
 @dataclass(frozen=True)
@@ -103,49 +105,30 @@ def gaussian_target_state(spec: GaussianSpec) -> StateVector:
     return StateVector((2,) * spec.n, amplitudes)
 
 
-def _check_labels(labels: list[str]) -> None:
-    """Refuse labels unless all are strings of 0s and 1s of one width >= 1,
-    so ``int(label, 2)`` can neither accept '0b1', ' 1_0', '-1' or 1 nor map
-    '1' and '01' to one value. Valid labels cost three C-level passes; only
-    a refusal walks them in Python, to name the first bad one."""
-    width = len(labels[0]) if isinstance(labels[0], str) else 0
-    try:
-        binary = not "".join(labels).encode().translate(None, b"01")
-    except TypeError:  # a label that is not a string
-        binary = False
-    if width and binary and set(map(len, labels)) == {width}:
-        return
-    bad = next(label for label in labels
-               if not isinstance(label, str) or not width or len(label) != width or label.strip("01"))
-    raise ValueError(
-        f"malformed histogram label {bad!r}: labels must be strings of 0s and 1s, "
-        f"at least 1 wide and as wide as the first label ({width})"
-    )
+def energy_x2(counts: Histogram | Mapping[int, float], m: float, dx: float, x0: float) -> float:
+    """Position-term estimator: mean of (m/2)*(j*dx - x0)^2 over counts.
 
-
-def _weights(counts: Histogram | Mapping[str, float]) -> tuple[dict[int, float], float]:
-    mapping = counts.counts if isinstance(counts, Histogram) else counts
+    Accepts a measured Histogram on qubit wires or a plain mapping from grid
+    index j to weight (e.g. exact probabilities).
+    """
+    if isinstance(counts, Histogram):
+        if any(d != 2 for d in counts.dims):
+            raise ValueError(f"energy_x2 reads a qubit register, got a histogram on dims {counts.dims}")
+        mapping = counts.counts
+    else:
+        # the grid indices of a register of at most MAX_STATE_DIM points, as GaussianSpec.grid allows
+        check_indices(simulator.MAX_STATE_DIM, counts)
+        mapping = counts
     if not mapping:
         raise ValueError("histogram is empty")
-    _check_labels(list(mapping))
-    weights = {int(label, 2): float(c) for label, c in mapping.items()}
+    weights = {int(j): float(c) for j, c in mapping.items()}
     total = sum(weights.values())
-    # NaN and infinity reach the total; only a refusal walks the labels, to name one
+    # NaN and infinity reach the total; only a refusal walks the indices, to name one
     if not (isfinite(total) and min(weights.values()) >= 0):
-        for label, c in mapping.items():
-            if not (isfinite(float(c)) and float(c) >= 0):
-                raise ValueError(f"histogram label {label!r} has weight {c}; weights must be finite and >= 0")
+        for j, c in weights.items():
+            if not (isfinite(c) and c >= 0):
+                raise ValueError(f"histogram index {j} has weight {c}; weights must be finite and >= 0")
         raise ValueError(f"histogram total weight {total} is not finite")
     if total <= 0:
         raise ValueError("histogram has zero total weight")
-    return weights, total
-
-
-def energy_x2(counts: Histogram | Mapping[str, float], m: float, dx: float, x0: float) -> float:
-    """Position-term estimator: mean of (m/2)*(j*dx - x0)^2 over counts.
-
-    Accepts a measured Histogram or a plain label->weight mapping (e.g.
-    exact probabilities); labels are binary register labels.
-    """
-    weights, total = _weights(counts)
     return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in weights.items()) / total

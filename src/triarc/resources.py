@@ -27,10 +27,10 @@ explicit parameter defaulting to the polynomial degree ``k``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, floor, log2
 
-from .circuits import check_finite, check_int
+from .circuits import check_finite, check_int, check_real
 from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
@@ -211,7 +211,9 @@ class BaselineCosts:
     overall_depth: float
 
     def __post_init__(self) -> None:
-        check_finite(t_cost=self.t_cost, t_depth=self.t_depth, overall_depth=self.overall_depth)
+        values = asdict(self)
+        check_real(**values)
+        check_finite(**values)
         if min(self.t_cost, self.t_depth, self.overall_depth) < 0:
             raise ValueError("baseline costs must be non-negative")
 

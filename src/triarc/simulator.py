@@ -2,15 +2,15 @@
 
 Amplitudes are indexed in mixed radix with wire 0 as the most significant
 digit, so the basis label "120" on dims (2, 3, 2) is index 1*6 + 2*2 + 0.
-Public operations return new states and leave their inputs alone, except
-``digit_labels``, which writes ASCII codes into the digit array it is given.
+Samples are counted by basis index; labels are built only where they are
+printed. Public operations return new values and leave their inputs alone.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from math import pi, prod, sqrt
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -124,11 +124,23 @@ def index_digits(dims: Sequence[int], indices: np.ndarray) -> np.ndarray:
 
 
 def digit_labels(digits: np.ndarray) -> list[str]:
-    """Basis label of each row of a C-contiguous array of one-byte digits,
-    which become their ASCII codes in place and are read as fixed-width strings."""
-    digits += ord("0")
+    """Basis label of each row of an array of one-byte digits: a copy holds
+    their ASCII codes and is read as fixed-width strings."""
+    codes = digits + ord("0")
     width = digits.shape[1]
-    return digits.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
+    return codes.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
+
+
+def check_indices(size: int, indices: Iterable[object]) -> None:
+    """Refuse an index that is a bool, not an integer or outside [0, size),
+    naming the first. Python ints, the common case, cost C-level passes only."""
+    indices = list(indices)
+    if set(map(type, indices)) <= {int} and (not indices or 0 <= min(indices) and max(indices) < size):
+        return
+    for index in indices:
+        check_int(**{"basis index": index})
+        if not 0 <= index < size:
+            raise ValueError(f"basis index {index} outside [0, {size})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,12 +190,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Shot counts keyed by basis-state label."""
+    """Shot counts keyed by basis index on ``dims``; any other key is refused."""
 
-    counts: dict[str, int]
+    dims: tuple[int, ...]
+    counts: dict[int, int]
     shots: int
 
     def __post_init__(self) -> None:
+        check_indices(prod(self.dims), self.counts)
         if sum(self.counts.values()) != self.shots:
             raise ValueError("histogram counts must sum to the shot total")
 
@@ -478,9 +492,9 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
-    """Sample basis labels with probability |amplitude|^2; deterministic
-    under a fixed seed. More shots than MAX_STATE_DIM are refused before
-    any outcome is drawn."""
+    """Count basis indices sampled with probability |amplitude|^2, in index
+    order; deterministic under a fixed seed. More shots than MAX_STATE_DIM
+    are refused before any outcome is drawn."""
     check_int(shots=shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -490,13 +504,16 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     probs = probs / probs.sum()
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     values, counts = np.unique(outcomes, return_counts=True)
-    labels = digit_labels(index_digits(state.dims, values))
-    return Histogram(dict(zip(labels, counts.tolist())), shots)
+    return Histogram(state.dims, dict(zip(values.tolist(), counts.tolist())), shots)
 
 
 def histogram_to_csv(hist: Histogram) -> str:
+    """One ``label,count`` row per outcome in index order, which is label
+    order: labels are fixed-width digit strings, wire 0 first."""
+    indices = sorted(hist.counts)
+    labels = digit_labels(index_digits(hist.dims, np.array(indices, dtype=np.int64)))
     lines = ["label,count"]
-    lines += [f"{label},{hist.counts[label]}" for label in sorted(hist.counts)]
+    lines += [f"{label},{hist.counts[index]}" for label, index in zip(labels, indices)]
     return "\n".join(lines) + "\n"
 
 

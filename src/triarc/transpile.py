@@ -18,7 +18,7 @@ profile kept as quoted data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .circuits import (
@@ -27,6 +27,7 @@ from .circuits import (
     GateInstance,
     GateKind,
     WireSpec,
+    check_int,
     controlled,
     cx,
     h,
@@ -75,9 +76,11 @@ class CostProfile:
     table_gate_count: int | None = None
 
     def __post_init__(self) -> None:
-        counts = (self.one_qubit_gates, self.two_qubit_gates, self.two_qutrit_gates,
-                  self.depth_per_toffoli, self.t_depth_per_toffoli, self.ancilla_wires)
-        if any(c < 0 for c in counts):
+        counts = asdict(self)
+        if self.table_gate_count is None:  # the quoted headline count is optional
+            del counts["table_gate_count"]
+        check_int(**counts)
+        if any(c < 0 for c in counts.values()):
             raise ValueError("cost profile counts must be non-negative")
 
     @property
@@ -101,25 +104,11 @@ def decompose_toffoli_qutrit(control_a: int, control_b: int, target: int) -> lis
 
 
 def decompose_toffoli_clifford_t(control_a: int, control_b: int, target: int) -> list[GateInstance]:
-    """Standard 7-T Clifford+T Toffoli network (15 gates)."""
+    """Standard 7-T Clifford+T Toffoli network: 15 gates, one object per
+    distinct gate, so a repeated gate is the same object at each position."""
     a, b, tg = control_a, control_b, target
-    return [
-        h(tg),
-        cx(b, tg),
-        tdg(tg),
-        cx(a, tg),
-        t(tg),
-        cx(b, tg),
-        tdg(tg),
-        cx(a, tg),
-        t(b),
-        t(tg),
-        h(tg),
-        cx(a, b),
-        t(a),
-        tdg(b),
-        cx(a, b),
-    ]
+    h_t, cx_bt, tdg_t, cx_at, t_t, cx_ab = h(tg), cx(b, tg), tdg(tg), cx(a, tg), t(tg), cx(a, b)
+    return [h_t, cx_bt, tdg_t, cx_at, t_t, cx_bt, tdg_t, cx_at, t(b), t_t, h_t, cx_ab, t(a), tdg(b), cx_ab]
 
 
 def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:

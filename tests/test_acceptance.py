@@ -269,7 +269,7 @@ def test_criterion_9_pricing_bounds():
     variance = float(np.sum(probs * grid ** 2) - np.sum(probs * grid) ** 2)
     assert abs(variance - spec.sigma ** 2) / spec.sigma ** 2 < 0.05
 
-    hist = {format(j, "06b"): float(p) for j, p in enumerate(probs)}
+    hist = {j: float(p) for j, p in enumerate(probs)}
     energy = P.energy_x2(hist, m=spec.m, dx=spec.dx, x0=spec.w * spec.sigma)
     target = spec.m * spec.sigma ** 2 / 2
     assert abs(energy - target) / target < 0.05

@@ -223,11 +223,13 @@ def test_a_gate_object_at_many_positions_is_validated_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "strategy, lowered, parsed",
-    [(LoweringStrategy.QUTRIT, 449, 385), (LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 1217, 642)],
+    [(LoweringStrategy.QUTRIT, 449, 385), (LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 833, 642)],
 )
 def test_lowering_and_parsing_validate_each_distinct_gate_once(monkeypatch, strategy, lowered,
                                                                parsed):
-    # build_adder(64) has 128 Toffolis, each once in MAJ and once in UMA
+    # build_adder(64) has 128 Toffolis, each once in MAJ and once in UMA: 64
+    # distinct ones, lowered to 3 objects each (qutrit) or 9 (Clifford+T,
+    # one per distinct gate of the 15), beside 257 other gates
     adder, _ = arith.build_adder(64)
     calls = count_validations(monkeypatch)
     circ = transpile.lower_toffolis(adder, strategy)

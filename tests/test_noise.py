@@ -15,7 +15,7 @@ from triarc import noise as N
 from triarc import simulator as S
 from triarc.circuits import GateKind
 from triarc.noise import GateCensus, NoiseParams
-from triarc.transpile import REFERENCE_TOFFOLI, LoweringStrategy, lower_toffolis
+from triarc.transpile import REFERENCE_TOFFOLI, CostProfile, LoweringStrategy, lower_toffolis
 
 from test_circuits import circuits_strategy
 
@@ -283,6 +283,21 @@ def test_lambda_from_time():
     assert N.lambda_from_time(100.0, 100.0) == pytest.approx(1 - math.exp(-1))
 
 
+@pytest.mark.parametrize("value", [True, False, "0.01", None, 1j])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: N.depolarizing_channel([2], v), "p"),
+    (lambda v: N.depolarizing_channel([3, 2], v), "p"),
+    (lambda v: N.amplitude_damping_qubit(v), "lambda1"),
+    (lambda v: N.amplitude_damping_qutrit(v, 0.0), "lambda1"),
+    (lambda v: N.amplitude_damping_qutrit(0.0, v), "lambda2"),
+    (lambda v: N.lambda_from_time(v, 1.0), "t"),
+    (lambda v: N.lambda_from_time(1.0, v), "T1"),
+])
+def test_channel_builders_refuse_an_argument_that_is_not_a_real_number(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        build(value)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_lambda_from_time_refuses_a_non_finite_input(value):
     with pytest.raises(ValueError, match="t must be finite"):
@@ -380,16 +395,28 @@ def test_zero_toffolis_succeed_and_an_empty_curve_is_refused():
         N.success_curve(LoweringStrategy.QUTRIT, 0, REFERENCE_PARAMS)
 
 
+COST_PROFILE_COUNTS = ("one_qubit_gates", "two_qubit_gates", "two_qutrit_gates", "depth_per_toffoli",
+                       "t_depth_per_toffoli", "ancilla_wires", "table_gate_count")
+
+
 @pytest.mark.parametrize("count", [2.5, 2.0, True, "3"])
 @pytest.mark.parametrize("call, name", [
     (lambda count: N.census_for(LoweringStrategy.QUTRIT, count), "toffoli_count"),
     (lambda count: N.success_curve(LoweringStrategy.QUTRIT, count, REFERENCE_PARAMS),
      "max_toffoli"),
 ] + [(lambda count, field=field: GateCensus(**{field: count}), field)
-     for field in ("one_qubit_gates", "two_qubit_gates", "two_qutrit_gates", "depth")])
+     for field in ("one_qubit_gates", "two_qubit_gates", "two_qutrit_gates", "depth")]
+  + [(lambda count, field=field: CostProfile(**{**dict.fromkeys(COST_PROFILE_COUNTS, 0), field: count}),
+      field) for field in COST_PROFILE_COUNTS])
 def test_counts_refuse_a_non_integer(call, name, count):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call(count)
+
+
+def test_cost_profile_takes_no_quoted_count_but_refuses_a_missing_component_count():
+    assert CostProfile(9, 6, 0, 11, 5, 0).table_gate_count is None
+    with pytest.raises(ValueError, match="^one_qubit_gates must be an integer, got None$"):
+        CostProfile(None, 6, 0, 11, 5, 0)
 
 
 def test_success_curve_refuses_more_points_than_the_state_limit(monkeypatch):

@@ -12,6 +12,8 @@ from triarc import pricing as P
 from triarc import simulator as S
 from triarc.pricing import GaussianSpec, PricingSetup
 
+from test_simulator import label_keyed_counts
+
 
 # --- truncation bound ---------------------------------------------------------
 
@@ -125,19 +127,19 @@ def test_gaussian_state_off_center():
 # --- energy estimators -----------------------------------------------------------------
 
 def test_energy_x2_zero_when_centered():
-    hist = {format(3, "04b"): 10.0}
+    hist = {3: 10.0}
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=3.0) == 0.0
 
 
 def test_energy_x2_single_count():
-    hist = {format(1, "04b"): 1.0}
+    hist = {1: 1.0}
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0) == 0.5
 
 
 def exact_position_energy(n):
     spec = GaussianSpec(n=n, x0=0.0, sigma=1.0, w=4.0)
     probs = np.abs(P.gaussian_target_state(spec).amplitudes) ** 2
-    hist = {format(j, f"0{spec.n}b"): float(p) for j, p in enumerate(probs)}
+    hist = {j: float(p) for j, p in enumerate(probs)}
     # displacement j*dx - w*sigma equals the grid point, so E -> m*sigma^2/2
     return P.energy_x2(hist, m=spec.m, dx=spec.dx, x0=spec.w * spec.sigma), spec
 
@@ -156,57 +158,87 @@ def test_energy_x2_converges_with_register_size():
 
 
 def test_energy_x2_accepts_histogram():
-    from triarc.simulator import Histogram
-
-    hist = Histogram({"01": 1, "11": 3}, 4)
+    hist = S.Histogram((2, 2), {1: 1, 3: 3}, 4)
     expected = (1 * 0.5 * 1.0 + 3 * 0.5 * 9.0) / 4
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0) == pytest.approx(expected)
 
 
+def label_path_energy_x2(label_counts, m, dx, x0):
+    """energy_x2 as it was when histograms were keyed by label: each label
+    parsed back with int(label, 2), then the same sum in the same order."""
+    weights = {int(label, 2): float(c) for label, c in label_counts.items()}
+    total = sum(weights.values())
+    return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in weights.items()) / total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 - 1])
+@pytest.mark.parametrize("spec", [
+    # the benchmark's shape: a dyadic grid, on which every term and the sum are exact
+    GaussianSpec(n=20),
+    # an off-dyadic grid, on which the summation order and ** 2 each move bits
+    GaussianSpec(n=20, x0=0.3, sigma=0.7, w=3.7),
+], ids=["dyadic", "off_dyadic"])
+def test_energy_x2_of_sampled_counts_is_bit_identical_to_the_label_path(spec, seed):
+    state = P.gaussian_target_state(spec)
+    hist = S.measure_all(state, 100_000, seed)
+    label_counts = label_keyed_counts(state, 100_000, seed,
+                                      lambda dims, values: S.digit_labels(S.index_digits(dims, values)))
+    assert list(label_counts) == sorted(label_counts)
+    args = spec.m, spec.dx, spec.w * spec.sigma
+    assert P.energy_x2(hist, *args) == label_path_energy_x2(label_counts, *args)
+
+
+def test_energy_x2_reads_numpy_integer_keys_as_python_ints():
+    assert P.energy_x2({np.int64(2): 1.0}, m=2.0, dx=1.5, x0=0.0) == 9.0
+
+
 def test_energy_x2_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="histogram is empty"):
         P.energy_x2({}, m=1.0, dx=1.0, x0=0.0)
+    with pytest.raises(ValueError, match="histogram is empty"):
+        P.energy_x2(S.Histogram((2,), {}, 0), m=1.0, dx=1.0, x0=0.0)
 
 
-@pytest.mark.parametrize("hist, bad", [
-    ({"1": 1, "01": 1, "10": 2}, "01"),  # '01' would overwrite '1'
-    ({"0b1": 1}, "0b1"),
-    ({"101": 1, " 1_0": 1}, " 1_0"),
-    ({"-1": 1}, "-1"),
-    ({"": 1}, ""),
-    ({"01": 1, "0\u00e9": 1}, "0\u00e9"),
-    ({1: 1}, 1),
-    ({"01": 1, b"10": 1}, b"10"),
-    ({"01": 1, None: 1}, None),
-    ({("0", "1"): 1}, ("0", "1")),
+@pytest.mark.parametrize("hist, message", [
+    ({True: 1}, "basis index must be an integer, got True"),
+    ({0: 1, 1.0: 1}, "basis index must be an integer, got 1.0"),
+    ({"01": 1}, "basis index must be an integer, got '01'"),
+    ({None: 1}, "basis index must be an integer, got None"),
+    ({0: 1, -1: 1}, r"basis index -1 outside \[0, 16\)"),
+    ({16: 1}, r"basis index 16 outside \[0, 16\)"),
 ])
-def test_energy_x2_refuses_malformed_labels(hist, bad):
-    match = f"malformed histogram label {re.escape(repr(bad))}"
-    with pytest.raises(ValueError, match=match):
+def test_energy_x2_refuses_a_key_that_is_not_a_grid_index(monkeypatch, hist, message):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
-    with pytest.raises(ValueError, match=match):
-        P.energy_x2(S.Histogram(hist, sum(hist.values())), m=1.0, dx=1.0, x0=0.0)
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2, 2)])
+def test_energy_x2_refuses_a_histogram_off_qubit_wires(dims):
+    hist = S.Histogram(dims, {1: 1}, 1)
+    with pytest.raises(ValueError, match=re.escape(f"got a histogram on dims {dims}")):
+        P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
 
 
 @pytest.mark.parametrize("hist, bad", [
-    ({"0": math.nan, "1": 1.0}, "0"),
-    ({"0": 1.0, "1": math.inf}, "1"),
-    ({"00": 1.0, "01": -math.inf, "10": math.inf}, "01"),
-    ({"0": -1.0, "1": 2.0}, "0"),
-    ({"00": 1.0, "01": -0.5, "10": 1.0}, "01"),
+    ({0: math.nan, 1: 1.0}, 0),
+    ({0: 1.0, 1: math.inf}, 1),
+    ({0: 1.0, 1: -math.inf, 2: math.inf}, 1),
+    ({0: -1.0, 1: 2.0}, 0),
+    ({0: 1.0, 1: -0.5, 2: 1.0}, 1),
 ])
 def test_energy_x2_refuses_non_finite_and_negative_weights(hist, bad):
-    with pytest.raises(ValueError, match=f"histogram label {re.escape(repr(bad))} has weight"):
+    with pytest.raises(ValueError, match=f"histogram index {bad} has weight"):
         P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
 
 
 def test_energy_x2_refuses_a_total_weight_that_overflows():
     with pytest.raises(ValueError, match="total weight inf is not finite"):
-        P.energy_x2({"0": 1e308, "1": 1e308}, m=1.0, dx=1.0, x0=0.0)
+        P.energy_x2({0: 1e308, 1: 1e308}, m=1.0, dx=1.0, x0=0.0)
 
 
 def test_energy_x2_keeps_zero_weights():
-    assert P.energy_x2({"0": 0.0, "1": 2.0}, m=2.0, dx=3.0, x0=0.0) == 9.0
+    assert P.energy_x2({0: 0.0, 1: 2.0}, m=2.0, dx=3.0, x0=0.0) == 9.0
 
 
 def test_setup_validation():

@@ -150,15 +150,16 @@ def test_unitary_guard():
 
 def test_measure_basis_state_single_bucket():
     hist = S.measure_all(S.basis_state([2, 3], "12"), shots=50, seed=1)
-    assert hist.counts == {"12": 50}
+    assert hist.counts == {1 * 3 + 2: 50}
+    assert hist.dims == (2, 3)
     assert hist.shots == 50
-    assert S.measure_all(S.basis_state([], ""), shots=3, seed=1).counts == {"": 3}
+    assert S.measure_all(S.basis_state([], ""), shots=3, seed=1).counts == {0: 3}
 
 
 def test_measure_uniform_superposition_within_binomial_bound():
     hist = S.measure_all(one_gate([2], C.h(0), "0"), shots=100_000, seed=3)
-    for label in ("0", "1"):
-        assert abs(hist.counts[label] / 100_000 - 0.5) < 0.02
+    for index in (0, 1):
+        assert abs(hist.counts[index] / 100_000 - 0.5) < 0.02
 
 
 def test_measure_deterministic_under_seed():
@@ -171,7 +172,7 @@ def test_measure_deterministic_under_seed():
 def test_measure_all_refuses_shots_above_state_limit_before_sampling(monkeypatch):
     state = S.basis_state([2], "1")
     monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
-    assert S.measure_all(state, shots=16, seed=0).counts == {"1": 16}
+    assert S.measure_all(state, shots=16, seed=0).counts == {1: 16}
 
     def no_rng(*args, **kwargs):
         raise AssertionError("measure_all sampled beyond MAX_STATE_DIM")
@@ -186,7 +187,7 @@ def test_measure_all_refuses_a_non_integer_shot_count(shots):
     state = S.basis_state([2], "1")
     with pytest.raises(ValueError, match="^shots must be an integer, got "):
         S.measure_all(state, shots, seed=0)
-    assert S.measure_all(state, np.int64(3), seed=0).counts == {"1": 3}
+    assert S.measure_all(state, np.int64(3), seed=0).counts == {1: 3}
 
 
 def reference_index_to_label(dims, index):
@@ -213,14 +214,71 @@ def test_basis_codec_matches_independent_references(dims, data):
     amplitudes = np.zeros(size, dtype=complex)
     amplitudes[indices] = 1 / np.sqrt(len(indices))
     hist = S.measure_all(S.StateVector(tuple(dims), amplitudes), shots=200, seed=len(indices))
-    assert hist.counts and set(hist.counts) <= set(labels.values())
+    assert hist.counts and set(hist.counts) <= set(indices)
     single = S.measure_all(S.basis_state(dims, labels[indices[0]]), shots=5, seed=0)
-    assert single.counts == {labels[indices[0]]: 5}
+    assert single.counts == {indices[0]: 5}
+
+
+def test_digit_labels_leave_their_digits_alone():
+    digits = np.array([[0, 2], [1, 1]], dtype=np.uint8)
+    assert S.digit_labels(digits) == ["02", "11"]
+    assert digits.tolist() == [[0, 2], [1, 1]]
+    assert S.digit_labels(digits[:, ::-1]) == ["20", "11"]  # not C-contiguous
 
 
 def test_histogram_csv_format():
-    hist = S.Histogram({"01": 2, "00": 3}, 5)
+    hist = S.Histogram((2, 2), {1: 2, 0: 3}, 5)
     assert S.histogram_to_csv(hist) == "label,count\n00,3\n01,2\n"
+    assert S.histogram_to_csv(S.Histogram((), {0: 4}, 4)) == "label,count\n,4\n"
+
+
+def reference_labels(dims, indices):
+    return [reference_index_to_label(dims, index) for index in indices.tolist()]
+
+
+def label_keyed_counts(state, shots, seed, labels=reference_labels):
+    """``measure_all`` as it was when it keyed counts by label: the same
+    draw, then ``labels(dims, indices)`` of the distinct outcomes."""
+    rng = np.random.default_rng(seed)
+    probs = np.abs(state.amplitudes) ** 2
+    probs = probs / probs.sum()
+    values, counts = np.unique(rng.choice(len(probs), size=shots, p=probs), return_counts=True)
+    return dict(zip(labels(state.dims, values), counts.tolist()))
+
+
+@st.composite
+def mixed_radix_states(draw):
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=0, max_size=6)))
+    size = prod(dims)
+    amplitudes = np.array(draw(st.lists(st.complex_numbers(max_magnitude=1, allow_nan=False),
+                                        min_size=size, max_size=size)), dtype=complex)
+    amplitudes[draw(st.integers(0, size - 1))] += 2.0  # some amplitude of magnitude >= 1
+    return S.StateVector(dims, amplitudes / np.linalg.norm(amplitudes))
+
+
+@given(mixed_radix_states(), st.integers(1, 2000), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_histogram_csv_equals_the_label_sorted_csv(state, shots, seed):
+    label_counts = label_keyed_counts(state, shots, seed)
+    rows = [f"{label},{label_counts[label]}" for label in sorted(label_counts)]
+    assert S.histogram_to_csv(S.measure_all(state, shots, seed)) == "\n".join(["label,count", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("dims, counts, message", [
+    ((2,), {True: 1}, "basis index must be an integer, got True"),
+    ((2,), {1.0: 1}, "basis index must be an integer, got 1.0"),
+    ((2,), {"1": 1}, "basis index must be an integer, got '1'"),
+    ((2, 3), {0: 1, -1: 1}, r"basis index -1 outside \[0, 6\)"),
+    ((2, 3), {6: 1}, r"basis index 6 outside \[0, 6\)"),
+    ((), {1: 1}, r"basis index 1 outside \[0, 1\)"),
+])
+def test_histogram_refuses_a_key_that_is_not_a_basis_index(dims, counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        S.Histogram(dims, counts, 1 if len(counts) == 1 else 2)
+
+
+def test_histogram_accepts_numpy_integer_keys():
+    assert S.Histogram((2, 3), {np.int64(5): 2}, 2).counts == {5: 2}
 
 
 def test_state_vector_refuses_a_nan_amplitude():

@@ -243,6 +243,18 @@ def test_an_equal_toffoli_reuses_the_gates_of_its_first_lowering(strategy, size)
     assert not any(a is b for a, b in zip(first, other))
 
 
+def test_clifford_t_network_is_the_fifteen_gate_list_over_nine_objects():
+    a, b, tg = 4, 0, 2
+    # the network as it was written out gate by gate, one object per position
+    reference = [C.h(tg), C.cx(b, tg), C.tdg(tg), C.cx(a, tg), C.t(tg), C.cx(b, tg), C.tdg(tg),
+                 C.cx(a, tg), C.t(b), C.t(tg), C.h(tg), C.cx(a, b), C.t(a), C.tdg(b), C.cx(a, b)]
+    network = T.decompose_toffoli_clifford_t(a, b, tg)
+    assert network == reference
+    assert len({id(g) for g in network}) == 9
+    # equal gates are one object
+    assert all((g is h) == (g == h) for g in network for h in network)
+
+
 def test_clifford_t_lowering_t_count():
     lowered = T.lower_toffolis(single_toffoli_circuit(), LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
     t_count, _ = C.t_metrics(lowered)
