@@ -125,7 +125,10 @@ def index_digits(dims: Sequence[int], indices: np.ndarray) -> np.ndarray:
 
 def digit_labels(digits: np.ndarray) -> list[str]:
     """Basis label of each row of an array of one-byte digits: a copy holds
-    their ASCII codes and is read as fixed-width strings."""
+    their ASCII codes and is read as fixed-width strings. Digits of any
+    other dtype are refused, as their bytes would be read as characters."""
+    if digits.dtype not in (np.int8, np.uint8):
+        raise ValueError(f"digits must be one-byte integers, got dtype {digits.dtype}")
     codes = digits + ord("0")
     width = digits.shape[1]
     return codes.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
@@ -190,7 +193,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Shot counts keyed by basis index on ``dims``; any other key is refused."""
+    """Shot counts keyed by basis index on ``dims``; any other key, and a
+    count that is a bool, not an integer or negative, is refused."""
 
     dims: tuple[int, ...]
     counts: dict[int, int]
@@ -198,7 +202,14 @@ class Histogram:
 
     def __post_init__(self) -> None:
         check_indices(prod(self.dims), self.counts)
-        if sum(self.counts.values()) != self.shots:
+        counts = list(self.counts.values())
+        # Python ints, the common case, cost C-level passes only
+        if not (set(map(type, counts)) <= {int} and (not counts or min(counts) >= 0)):
+            for index, count in self.counts.items():
+                check_int(**{f"count of basis index {index}": count})
+                if count < 0:
+                    raise ValueError(f"count of basis index {index} must be non-negative, got {count}")
+        if sum(counts) != self.shots:
             raise ValueError("histogram counts must sum to the shot total")
 
 
@@ -300,6 +311,14 @@ _ACTIONS = {
 }
 
 
+# Digit maps of the basis-permuting kinds: new digit = table[old digit],
+# the row holding the 1 of each column of the kind's qutrit matrix.
+_BASIS_TABLES = {
+    kind: np.argmax(kind_matrix(kind, 3) == 1, axis=0).astype(np.int8)
+    for kind in (GateKind.X, GateKind.TOFFOLI, GateKind.XPLUS1, GateKind.XMINUS1)
+}
+
+
 def _control_index(gate: GateInstance, axes: int, offset: int = 0) -> list:
     """Index of the block of a tensor where every control holds its value,
     with wire ``w`` on axis ``offset + w``. The trailing Ellipsis keeps a
@@ -334,20 +353,33 @@ def _apply_sparse(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``gate`` to the state holding ``amp`` at the distinct indices
     ``idx`` and +0 everywhere else, as ``_apply_inplace`` applies it to the
-    dense tensor, bit for bit; ``amp`` may be overwritten.
+    dense tensor, bit for bit; ``idx`` and ``amp`` may be overwritten.
 
     The gate's action must keep zeros, so that a base holding no entry
-    stays +0 in the dense kernel too. A non-diagonal gate runs the dense
-    kernel's ``_apply_levels`` on a (levels, bases) block of the bases that
-    hold entries, and an output is dropped only when both its words are +0.
+    stays +0 in the dense kernel too. A basis-permuting kind moves only
+    indices: each entry whose controls hold shifts by its target digit's
+    move in ``_BASIS_TABLES``, the digit maps ``run_basis`` reads, and its
+    amplitude, which the dense kernel copies, stays. Any other non-diagonal
+    gate runs the dense kernel's ``_apply_levels`` on a (levels, bases)
+    block of the bases that hold entries, and an output is dropped only
+    when both its words are +0.
     """
     target = gate.targets[0]
     dim, stride = dims[target], strides[target]
-    action = _ACTIONS[gate.kind, dim]
     if gate.controls:
         on = np.logical_and.reduce(
             [idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls]
         )
+    table = _BASIS_TABLES.get(gate.kind)
+    if table is not None:
+        digit = idx // stride % dim
+        move = (table[digit] - digit) * stride
+        if gate.controls:
+            move *= on
+        idx += move
+        return idx, amp
+    action = _ACTIONS[gate.kind, dim]
+    if gate.controls:
         idle_idx, idle_amp = idx[~on], amp[~on]
         idx, amp = idx[on], amp[on]
     digit = idx // stride % dim
@@ -380,7 +412,9 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
     scatters into the dense tensor for the rest of the circuit once the
     support exceeds 1/_SWITCH_FRACTION of the state, or before a gate that
     does not keep zeros. Either way the amplitudes equal a dense run's bit
-    for bit.
+    for bit. A basis-permuting gate only moves the support's indices, so
+    an entry holding +0 stays in the support after it and counts toward
+    the switch; that can only move the switch, never a bit.
     """
     dims = circuit.dims
     size = prod(dims)
@@ -412,14 +446,6 @@ def simulate(circuit: Circuit, input: str | Sequence[int]) -> StateVector:
     dims = circuit.dims
     check_state_dim(prod(dims))
     return StateVector(dims, _evolve(circuit, label_to_index(dims, input)))
-
-
-# Digit maps of the basis-permuting kinds: new digit = table[old digit],
-# the row holding the 1 of each column of the kind's qutrit matrix.
-_BASIS_TABLES = {
-    kind: np.argmax(kind_matrix(kind, 3) == 1, axis=0).astype(np.int8)
-    for kind in (GateKind.X, GateKind.TOFFOLI, GateKind.XPLUS1, GateKind.XMINUS1)
-}
 
 
 def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
@@ -494,15 +520,26 @@ def qubit_subspace_unitary(circuit: Circuit) -> np.ndarray:
 def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     """Count basis indices sampled with probability |amplitude|^2, in index
     order; deterministic under a fixed seed. More shots than MAX_STATE_DIM
-    are refused before any outcome is drawn."""
+    are refused before any outcome is drawn.
+
+    The draw takes the steps of ``Generator.choice(len(probs), size=shots,
+    p=probs)``: normalised cumulative sum, one ``random`` per shot, right-side
+    search. It searches the draws in sorted order, so each search starts
+    from the last one's result and the cumulative sum is read in order, not
+    at random; each draw keeps its outcome, so the counts equal ``choice``'s.
+    """
     check_int(shots=shots)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     check_state_dim(shots, "shot count")
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    draws = rng.random(shots)
+    draws.sort()
+    outcomes = cdf.searchsorted(draws, side="right")
     values, counts = np.unique(outcomes, return_counts=True)
     return Histogram(state.dims, dict(zip(values.tolist(), counts.tolist())), shots)
 

@@ -1,4 +1,5 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
+import hashlib
 import json
 import re
 import runpy
@@ -200,6 +201,19 @@ def test_mixed_radix_superposition_matches_golden(capsys):
                            "--shots", "1000", "--seed", "5")
     assert code == 0
     assert out.encode() == (DATA / "mixed_radix_shots.csv").read_bytes()
+
+
+def test_fanout_state_dump_and_histogram_match_their_sha256_goldens(capsys):
+    """16 qubits, H on wires 0-3 fanned out by CX to the other 12: the whole
+    run stays on the sparse start, and the 16 equally likely outcomes sit
+    between runs of zero probability."""
+    goldens = dict(reversed(line.split()) for line in (DATA / "simulate_sha256.txt").read_text().splitlines())
+    argv = ["simulate", "--in", str(DATA / "fanout16.json"), "--input", "0" * 16]
+    for name, extra in (("fanout16_0000000000000000.json", []),
+                        ("fanout16_0000000000000000_shots.csv", ["--shots", "100000", "--seed", "5"])):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == goldens[name], name
 
 
 # --- estimate ---------------------------------------------------------------------

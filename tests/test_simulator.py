@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from triarc import arith
 from triarc import circuits as C
 from triarc import noise as N
+from triarc import pricing
 from triarc import simulator as S
 from triarc import transpile
 
@@ -226,6 +227,12 @@ def test_digit_labels_leave_their_digits_alone():
     assert S.digit_labels(digits[:, ::-1]) == ["20", "11"]  # not C-contiguous
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint32, bool, float])
+def test_digit_labels_refuse_digits_wider_than_one_byte(dtype):
+    with pytest.raises(ValueError, match=f"^digits must be one-byte integers, got dtype {np.dtype(dtype)}$"):
+        S.digit_labels(np.array([[0, 1], [1, 0]], dtype=dtype))
+
+
 def test_histogram_csv_format():
     hist = S.Histogram((2, 2), {1: 2, 0: 3}, 5)
     assert S.histogram_to_csv(hist) == "label,count\n00,3\n01,2\n"
@@ -264,6 +271,33 @@ def test_histogram_csv_equals_the_label_sorted_csv(state, shots, seed):
     assert S.histogram_to_csv(S.measure_all(state, shots, seed)) == "\n".join(["label,count", *rows]) + "\n"
 
 
+def index_keyed_counts(state, shots, seed):
+    return label_keyed_counts(state, shots, seed, lambda dims, values: values.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024, 2 ** 32 - 1])
+def test_sorted_draws_count_as_choice_on_the_sample_gaussian(seed):
+    state = pricing.gaussian_target_state(pricing.GaussianSpec(n=20))
+    assert S.measure_all(state, 100_000, seed).counts == index_keyed_counts(state, 100_000, seed)
+
+
+@given(mixed_radix_states(), st.integers(1, 2000), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sorted_draws_count_as_choice_with_zero_probability_ends(state, shots, seed, data):
+    """The first and last entries, and any others drawn, hold probability 0,
+    so runs of equal values sit at both ends of the cumulative sum."""
+    amplitudes = state.amplitudes.copy()
+    size = len(amplitudes)
+    keep = data.draw(st.integers(1, size - 2)) if size > 2 else 0
+    zero = data.draw(st.lists(st.integers(0, size - 1), max_size=size)) + [0, size - 1]
+    amplitudes[zero] = 0
+    amplitudes[keep] = 1  # at least one entry keeps weight (the only one on 2 or fewer)
+    state = S.StateVector(state.dims, amplitudes / np.linalg.norm(amplitudes))
+    counts = S.measure_all(state, shots, seed).counts
+    assert counts == index_keyed_counts(state, shots, seed)
+    assert size <= 2 or not {0, size - 1} & set(counts)
+
+
 @pytest.mark.parametrize("dims, counts, message", [
     ((2,), {True: 1}, "basis index must be an integer, got True"),
     ((2,), {1.0: 1}, "basis index must be an integer, got 1.0"),
@@ -279,6 +313,21 @@ def test_histogram_refuses_a_key_that_is_not_a_basis_index(dims, counts, message
 
 def test_histogram_accepts_numpy_integer_keys():
     assert S.Histogram((2, 3), {np.int64(5): 2}, 2).counts == {5: 2}
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({0: -1, 1: 2}, "count of basis index 0 must be non-negative, got -1"),
+    ({0: 0.5, 1: 0.5}, "count of basis index 0 must be an integer, got 0.5"),
+    ({0: 0, 1: True}, "count of basis index 1 must be an integer, got True"),
+    ({1: 1, 0: np.int64(-2), 2: 2}, "count of basis index 0 must be non-negative, got -2"),
+])
+def test_histogram_refuses_a_count_that_is_not_a_non_negative_integer(counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        S.Histogram((3,), counts, 1)
+
+
+def test_histogram_accepts_numpy_integer_counts():
+    assert S.Histogram((2, 3), {0: np.int64(2), 5: np.uint8(0)}, 2).counts == {0: 2, 5: 0}
 
 
 def test_state_vector_refuses_a_nan_amplitude():
@@ -700,20 +749,26 @@ def test_sparse_t_on_a_one_element_level_rounds_as_the_dense_kernel(fraction, mo
     assert_bit_identical(S.simulate(circ, "1").amplitudes, dense_run(circ, "1"))
 
 
-@given(mixed_circuits(), st.integers(0, 2 ** 31))
-@settings(max_examples=100, deadline=None)
-def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
-    """Present entries may hold +0 or -0 in either word; absent ones are +0."""
-    dims = circ.dims
+def signed_zero_support(dims, seed):
+    """A sparse start on ``dims`` and its dense tensor: present entries may
+    hold +0 or -0 in either word; absent ones are +0."""
     size = prod(dims)
-    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
     rng = np.random.default_rng(seed)
     words = rng.choice([0.0, -0.0, 0.5, -1.25, 3e-17], size=(size, 2))
     idx = np.flatnonzero(rng.random(size) < 0.5)
     amp = words[idx].view(complex).reshape(-1)
     tensor = np.zeros(size, dtype=complex)
     tensor[idx] = amp
-    tensor = tensor.reshape(dims)
+    return idx, amp, tensor.reshape(dims)
+
+
+@given(mixed_circuits(), st.integers(0, 2 ** 31))
+@settings(max_examples=100, deadline=None)
+def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
+    dims = circ.dims
+    size = prod(dims)
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    idx, amp, tensor = signed_zero_support(dims, seed)
     for gate in circ.gates:
         if not S._ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
             continue
@@ -723,6 +778,53 @@ def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
         scattered = np.zeros(size, dtype=complex)
         scattered[idx] = amp
         assert_bit_identical(scattered, tensor.reshape(-1))
+
+
+# on dims (2, 3, 2, 3, 2): qubit targets 0, 2, 4 and qutrit targets 1, 3,
+# each kind with 0-2 controls, control values 1 and 2
+PERMUTATION_GATES = [
+    C.x(0), C.cx(2, 0), C.cx(1, 0, value=2), C.controlled(C.cx(2, 0), 3),
+    C.x(1), C.cx(0, 1), C.cx(3, 1, value=2), C.controlled(C.cx(0, 1), 3, 2),
+    C.toffoli(0, 2, 4), C.toffoli(4, 0, 2),
+    C.xplus1(1), C.controlled(C.xplus1(3), 0), C.controlled(C.controlled(C.xplus1(3), 1, 2), 4),
+    C.xminus1(3), C.controlled(C.xminus1(1), 3, 2), C.controlled(C.controlled(C.xminus1(1), 0), 2),
+]
+
+
+@pytest.mark.parametrize("gate", PERMUTATION_GATES, ids=lambda g: f"{g.kind.value}{g.wires}")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_sparse_moves_only_indices_for_a_permutation_gate(gate, seed, monkeypatch):
+    """No level kernel and no ``np.unique``: entries keep their amplitudes,
+    +0 and -0 words included, and move to the indices the dense kernel
+    copies them to."""
+    dims = (2, 3, 2, 3, 2)
+    size = prod(dims)
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    idx, amp, tensor = signed_zero_support(dims, seed)
+    S._apply_inplace(tensor, gate, dims)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a permutation gate ran a level kernel")
+
+    monkeypatch.setattr(S, "_apply_levels", no_kernel)
+    monkeypatch.setattr(np, "unique", no_kernel)
+    out_idx, out_amp = S._apply_sparse(idx.copy(), amp.copy(), gate, dims, strides)
+    monkeypatch.undo()
+    assert len(np.unique(out_idx)) == len(out_idx)
+    assert out_amp.tobytes() == amp.tobytes()
+    scattered = np.zeros(size, dtype=complex)
+    scattered[out_idx] = out_amp
+    assert_bit_identical(scattered, tensor.reshape(-1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_of_the_clifford_t_8_bit_adder_equals_the_dense_kernel(seed):
+    adder, layout = arith.build_adder(8)
+    circ = transpile.lower_toffolis(adder, transpile.LoweringStrategy.CLIFFORD_T_FUNCTIONAL)
+    rng = np.random.default_rng(seed)
+    a, b = (int(v) for v in rng.integers(0, 2 ** 8, size=2))
+    label = arith.register_digits(circ, [(layout.a_wires, [a]), (layout.b_wires, [b])])[0]
+    assert S.simulate(circ, label).amplitudes.tobytes() == dense_run(circ, label).tobytes()
 
 
 def test_only_z_and_sdg_turn_a_zero_column_negative():
@@ -848,11 +950,14 @@ SIMULATE_SHA256 = Path(__file__).parent / "data" / "simulate_sha256.txt"
 
 
 def simulate_golden_lines():
-    """(sha256, bits, label, form) of each line of the golden file, in
-    ``sha256sum`` format over names ``adder{bits}_cliffordt_{label}.{form}``."""
+    """(sha256, bits, label, form) of each adder line of the golden file,
+    in ``sha256sum`` format over names ``adder{bits}_cliffordt_{label}.{form}``;
+    ``tests/test_cli.py`` reads its other lines."""
     lines = []
     for line in SIMULATE_SHA256.read_text().splitlines():
         digest, name = line.split()
+        if not name.startswith("adder"):
+            continue
         adder, _, rest = name.split("_")
         label, form = rest.split(".")
         lines.append((digest, int(adder.removeprefix("adder")), label, form))
