@@ -54,8 +54,10 @@ def check_real(**values: object) -> None:
             raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def check_finite(**values: float) -> None:
-    """Refuse a NaN or infinite value with a ValueError naming its field."""
+def check_finite(**values: object) -> None:
+    """Refuse a bool, non-real, NaN or infinite value with a ValueError
+    naming its field; every value is tested by check_real first."""
+    check_real(**values)
     for name, value in values.items():
         if not isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

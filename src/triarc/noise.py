@@ -52,7 +52,6 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         values = asdict(self)
-        check_real(**values)
         check_finite(**values)
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
             raise ValueError("gate error probabilities must lie in [0, 1]")
@@ -248,7 +247,6 @@ def lambda_from_time(t: float, T1: float) -> float:
     Damping is sometimes quoted as lambda proportional to exp(-t/T1);
     the standard reading with lambda -> 0 at t = 0 is used here.
     """
-    check_real(t=t, T1=T1)
     check_finite(t=t, T1=T1)
     if t < 0:
         raise ValueError("duration must be non-negative")

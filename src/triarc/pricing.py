@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import check_finite, check_int
 from . import simulator
-from .simulator import Histogram, StateVector, check_indices, check_state_dim
+from .simulator import Histogram, StateVector, check_state_dim
 
 
 @dataclass(frozen=True)
@@ -108,27 +108,28 @@ def gaussian_target_state(spec: GaussianSpec) -> StateVector:
 def energy_x2(counts: Histogram | Mapping[int, float], m: float, dx: float, x0: float) -> float:
     """Position-term estimator: mean of (m/2)*(j*dx - x0)^2 over counts.
 
-    Accepts a measured Histogram on qubit wires or a plain mapping from grid
-    index j to weight (e.g. exact probabilities).
+    Accepts a measured Histogram on qubit wires, checked when it was built,
+    or a plain mapping from grid index j to weight (e.g. exact probabilities).
     """
     if isinstance(counts, Histogram):
         if any(d != 2 for d in counts.dims):
             raise ValueError(f"energy_x2 reads a qubit register, got a histogram on dims {counts.dims}")
-        mapping = counts.counts
+        indices, weights = counts.indices.tolist(), counts.counts.tolist()
     else:
         # the grid indices of a register of at most MAX_STATE_DIM points, as GaussianSpec.grid allows
-        check_indices(simulator.MAX_STATE_DIM, counts)
-        mapping = counts
-    if not mapping:
-        raise ValueError("histogram is empty")
-    weights = {int(j): float(c) for j, c in mapping.items()}
-    total = sum(weights.values())
-    # NaN and infinity reach the total; only a refusal walks the indices, to name one
-    if not (isfinite(total) and min(weights.values()) >= 0):
-        for j, c in weights.items():
+        for j in counts:
+            check_int(**{"basis index": j})
+            if not 0 <= j < simulator.MAX_STATE_DIM:
+                raise ValueError(f"basis index {j} outside [0, {simulator.MAX_STATE_DIM})")
+        indices, weights = [int(j) for j in counts], [float(c) for c in counts.values()]
+        for j, c in zip(indices, weights):
             if not (isfinite(c) and c >= 0):
                 raise ValueError(f"histogram index {j} has weight {c}; weights must be finite and >= 0")
+    if not indices:
+        raise ValueError("histogram is empty")
+    total = sum(weights)
+    if not isfinite(total):
         raise ValueError(f"histogram total weight {total} is not finite")
     if total <= 0:
         raise ValueError("histogram has zero total weight")
-    return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in weights.items()) / total
+    return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in zip(indices, weights)) / total

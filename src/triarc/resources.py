@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import ceil, floor, log2
 
-from .circuits import check_finite, check_int, check_real
+from .circuits import check_finite, check_int
 from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
@@ -212,7 +212,6 @@ class BaselineCosts:
 
     def __post_init__(self) -> None:
         values = asdict(self)
-        check_real(**values)
         check_finite(**values)
         if min(self.t_cost, self.t_depth, self.overall_depth) < 0:
             raise ValueError("baseline costs must be non-negative")
@@ -290,6 +289,7 @@ def estimate_operation(
     check_strategy(strategy)
     if op not in OPERATIONS:
         raise ValueError(f"unknown operation {op!r}; choose from {OPERATIONS}")
+    _check_np(n, p)
     toffolis, t_depth = _FORMULAS[op](n, p, approx)
     notes = [f"requires 2n+1 = {2 * n + 1} qubits"] if op == "sqrt" else []
     offset = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import pi, prod, sqrt
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -134,18 +134,6 @@ def digit_labels(digits: np.ndarray) -> list[str]:
     return codes.view(f"S{width}").ravel().astype(str).tolist() if width else [""] * len(digits)
 
 
-def check_indices(size: int, indices: Iterable[object]) -> None:
-    """Refuse an index that is a bool, not an integer or outside [0, size),
-    naming the first. Python ints, the common case, cost C-level passes only."""
-    indices = list(indices)
-    if set(map(type, indices)) <= {int} and (not indices or 0 <= min(indices) and max(indices) < size):
-        return
-    for index in indices:
-        check_int(**{"basis index": index})
-        if not 0 <= index < size:
-            raise ValueError(f"basis index {index} outside [0, {size})")
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm complex amplitudes over the mixed-radix basis."""
@@ -191,26 +179,35 @@ class DensityMatrix:
             raise ValueError("density matrix has an eigenvalue below -1e-8") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Shot counts keyed by basis index on ``dims``; any other key, and a
-    count that is a bool, not an integer or negative, is refused."""
+    """Shot counts on ``dims``, the two arrays ``np.unique(outcomes, return_counts=True)``
+    returns: strictly increasing indices in ``[0, prod(dims))`` and non-negative counts."""
 
     dims: tuple[int, ...]
-    counts: dict[int, int]
-    shots: int
+    indices: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        check_indices(prod(self.dims), self.counts)
-        counts = list(self.counts.values())
-        # Python ints, the common case, cost C-level passes only
-        if not (set(map(type, counts)) <= {int} and (not counts or min(counts) >= 0)):
-            for index, count in self.counts.items():
-                check_int(**{f"count of basis index {index}": count})
-                if count < 0:
-                    raise ValueError(f"count of basis index {index} must be non-negative, got {count}")
-        if sum(counts) != self.shots:
-            raise ValueError("histogram counts must sum to the shot total")
+        for name, values in (("indices", self.indices), ("counts", self.counts)):
+            if not isinstance(values, np.ndarray) or values.ndim != 1 or values.dtype.kind not in "iu":
+                raise ValueError(f"histogram {name} must be a 1-D integer array, got {values!r}")
+        if len(self.indices) != len(self.counts):
+            raise ValueError("histogram indices and counts must have equal lengths")
+        size = prod(self.dims)
+        outside = (self.indices < 0) | (self.indices >= size)
+        if outside.any():
+            raise ValueError(f"basis index {self.indices[outside][0]} outside [0, {size})")
+        if (self.indices[1:] <= self.indices[:-1]).any():
+            raise ValueError("histogram indices must strictly increase")
+        negative = self.counts < 0
+        if negative.any():
+            raise ValueError(f"count of basis index {self.indices[negative][0]} must be non-negative, "
+                             f"got {self.counts[negative][0]}")
+
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
 
 def basis_state(dims: Sequence[int], label: str | Sequence[int]) -> StateVector:
@@ -528,7 +525,7 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     from the last one's result and the cumulative sum is read in order, not
     at random; each draw keeps its outcome, so the counts equal ``choice``'s.
     """
-    check_int(shots=shots)
+    check_int(shots=shots, seed=seed)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     check_state_dim(shots, "shot count")
@@ -540,17 +537,15 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
     draws = rng.random(shots)
     draws.sort()
     outcomes = cdf.searchsorted(draws, side="right")
-    values, counts = np.unique(outcomes, return_counts=True)
-    return Histogram(state.dims, dict(zip(values.tolist(), counts.tolist())), shots)
+    return Histogram(state.dims, *np.unique(outcomes, return_counts=True))
 
 
 def histogram_to_csv(hist: Histogram) -> str:
     """One ``label,count`` row per outcome in index order, which is label
     order: labels are fixed-width digit strings, wire 0 first."""
-    indices = sorted(hist.counts)
-    labels = digit_labels(index_digits(hist.dims, np.array(indices, dtype=np.int64)))
+    labels = digit_labels(index_digits(hist.dims, hist.indices))
     lines = ["label,count"]
-    lines += [f"{label},{hist.counts[index]}" for label, index in zip(labels, indices)]
+    lines += [f"{label},{count}" for label, count in zip(labels, hist.counts.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -394,6 +394,12 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "max_state_dim" in err
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "sqrt"])
+def test_estimate_refuses_a_p_above_n_for_operations_that_read_no_p(capsys, op):
+    code, out, err = run_cli(capsys, "estimate", "--op", op, "--n", "4", "--p", "9")
+    assert (code, out, err) == (1, "", "error: integer-bit count p must satisfy 0 <= p <= n\n")
+
+
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -158,7 +158,7 @@ def test_energy_x2_converges_with_register_size():
 
 
 def test_energy_x2_accepts_histogram():
-    hist = S.Histogram((2, 2), {1: 1, 3: 3}, 4)
+    hist = S.Histogram((2, 2), np.array([1, 3]), np.array([1, 3]))
     expected = (1 * 0.5 * 1.0 + 3 * 0.5 * 9.0) / 4
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0) == pytest.approx(expected)
 
@@ -188,6 +188,20 @@ def test_energy_x2_of_sampled_counts_is_bit_identical_to_the_label_path(spec, se
     assert P.energy_x2(hist, *args) == label_path_energy_x2(label_counts, *args)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 - 1])
+@pytest.mark.parametrize("spec", [
+    GaussianSpec(n=20),
+    GaussianSpec(n=20, x0=0.3, sigma=0.7, w=3.7),
+], ids=["dyadic", "off_dyadic"])
+def test_energy_x2_of_a_histogram_is_bit_identical_to_its_mapping(spec, seed):
+    """The Histogram path reads the arrays unchecked; the mapping path
+    checks every key and weight, and both sum in index order."""
+    hist = S.measure_all(P.gaussian_target_state(spec), 100_000, seed)
+    mapping = dict(zip(hist.indices.tolist(), hist.counts.tolist()))
+    args = spec.m, spec.dx, spec.w * spec.sigma
+    assert P.energy_x2(hist, *args) == P.energy_x2(mapping, *args)
+
+
 def test_energy_x2_reads_numpy_integer_keys_as_python_ints():
     assert P.energy_x2({np.int64(2): 1.0}, m=2.0, dx=1.5, x0=0.0) == 9.0
 
@@ -196,7 +210,8 @@ def test_energy_x2_rejects_empty():
     with pytest.raises(ValueError, match="histogram is empty"):
         P.energy_x2({}, m=1.0, dx=1.0, x0=0.0)
     with pytest.raises(ValueError, match="histogram is empty"):
-        P.energy_x2(S.Histogram((2,), {}, 0), m=1.0, dx=1.0, x0=0.0)
+        P.energy_x2(S.Histogram((2,), np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+                    m=1.0, dx=1.0, x0=0.0)
 
 
 @pytest.mark.parametrize("hist, message", [
@@ -215,7 +230,7 @@ def test_energy_x2_refuses_a_key_that_is_not_a_grid_index(monkeypatch, hist, mes
 
 @pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2, 2)])
 def test_energy_x2_refuses_a_histogram_off_qubit_wires(dims):
-    hist = S.Histogram(dims, {1: 1}, 1)
+    hist = S.Histogram(dims, np.array([1]), np.array([1]))
     with pytest.raises(ValueError, match=re.escape(f"got a histogram on dims {dims}")):
         P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0)
 
@@ -267,6 +282,26 @@ def test_sizes_accept_numpy_integers():
     assert P.disc_error(setup) == P.disc_error(PricingSetup(d=2, T=3, n=4, beta=1.0, B_u=2.0))
     state = P.gaussian_target_state(GaussianSpec(n=np.int64(3)))
     assert np.array_equal(state.amplitudes, P.gaussian_target_state(GaussianSpec(n=3)).amplitudes)
+
+
+@pytest.mark.parametrize("make, field", [
+    (PricingSetup, "w"), (PricingSetup, "beta"), (PricingSetup, "B_l"), (PricingSetup, "B_u"),
+    (lambda **kw: GaussianSpec(n=4, **kw), "x0"),
+    (lambda **kw: GaussianSpec(n=4, **kw), "sigma"),
+    (lambda **kw: GaussianSpec(n=4, **kw), "w"),
+])
+@pytest.mark.parametrize("value", [True, False, "2", None, 1j])
+def test_float_fields_refuse_a_bool_or_non_real(make, field, value):
+    """A bool was read as 0 or 1 and a string raised a bare TypeError."""
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        make(**{field: value})
+
+
+def test_float_fields_accept_integers_and_numpy_reals():
+    assert P.disc_error(PricingSetup(beta=np.float64(1.0), B_u=2, n=4)) == P.disc_error(
+        PricingSetup(beta=1.0, B_u=2.0, n=4))
+    spec = GaussianSpec(n=4, x0=np.float64(0.5), sigma=2, w=np.int64(3))
+    assert spec.dx == GaussianSpec(n=4, x0=0.5, sigma=2.0, w=3.0).dx
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -321,6 +321,19 @@ def test_count_arguments_refuse_a_non_integer(call, name):
         call()
 
 
+@pytest.mark.parametrize("op", R.OPERATIONS)
+@pytest.mark.parametrize("p, message", [
+    (True, "p must be an integer, got True"),
+    (-5, "integer-bit count p must satisfy 0 <= p <= n"),
+    (99, "integer-bit count p must satisfy 0 <= p <= n"),
+])
+def test_every_operation_refuses_a_p_outside_its_register(op, p, message):
+    """add, sub and sqrt read no p, and accepted any before."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        R.estimate_operation(op, 4, p)
+    R.estimate_operation(op, 4, 4)
+
+
 def test_numpy_integer_counts_are_accepted():
     approx = ApproxParams(np.int64(2), np.int64(4), z=np.int64(2))
     for op in R.OPERATIONS:

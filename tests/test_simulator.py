@@ -1,6 +1,7 @@
 """State-vector and density-matrix simulation against independent oracles."""
 import hashlib
 import json
+import re
 import tracemalloc
 from math import prod
 from pathlib import Path
@@ -149,31 +150,37 @@ def test_unitary_guard():
 
 # --- measure_all ----------------------------------------------------------
 
+def counts_of(hist):
+    """A histogram's counts keyed by basis index, as plain ints."""
+    return dict(zip(hist.indices.tolist(), hist.counts.tolist()))
+
+
 def test_measure_basis_state_single_bucket():
     hist = S.measure_all(S.basis_state([2, 3], "12"), shots=50, seed=1)
-    assert hist.counts == {1 * 3 + 2: 50}
+    assert counts_of(hist) == {1 * 3 + 2: 50}
     assert hist.dims == (2, 3)
     assert hist.shots == 50
-    assert S.measure_all(S.basis_state([], ""), shots=3, seed=1).counts == {0: 3}
+    assert counts_of(S.measure_all(S.basis_state([], ""), shots=3, seed=1)) == {0: 3}
 
 
 def test_measure_uniform_superposition_within_binomial_bound():
     hist = S.measure_all(one_gate([2], C.h(0), "0"), shots=100_000, seed=3)
     for index in (0, 1):
-        assert abs(hist.counts[index] / 100_000 - 0.5) < 0.02
+        assert abs(counts_of(hist)[index] / 100_000 - 0.5) < 0.02
 
 
 def test_measure_deterministic_under_seed():
     state = one_gate([2, 2], C.h(0), "00")
     a = S.measure_all(state, shots=500, seed=11)
     b = S.measure_all(state, shots=500, seed=11)
-    assert a == b
+    assert a.dims == b.dims
+    assert np.array_equal(a.indices, b.indices) and np.array_equal(a.counts, b.counts)
 
 
 def test_measure_all_refuses_shots_above_state_limit_before_sampling(monkeypatch):
     state = S.basis_state([2], "1")
     monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
-    assert S.measure_all(state, shots=16, seed=0).counts == {1: 16}
+    assert counts_of(S.measure_all(state, shots=16, seed=0)) == {1: 16}
 
     def no_rng(*args, **kwargs):
         raise AssertionError("measure_all sampled beyond MAX_STATE_DIM")
@@ -188,7 +195,17 @@ def test_measure_all_refuses_a_non_integer_shot_count(shots):
     state = S.basis_state([2], "1")
     with pytest.raises(ValueError, match="^shots must be an integer, got "):
         S.measure_all(state, shots, seed=0)
-    assert S.measure_all(state, np.int64(3), seed=0).counts == {1: 3}
+    assert counts_of(S.measure_all(state, np.int64(3), seed=0)) == {1: 3}
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, 2.0, "3", None])
+def test_measure_all_refuses_a_non_integer_seed(seed):
+    """True was read as seed 1 and 1.5 raised numpy's TypeError."""
+    state = one_gate([2], C.h(0), "0")
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        S.measure_all(state, 10, seed)
+    numpy_seeded = S.measure_all(state, 1000, np.int64(7))
+    assert np.array_equal(numpy_seeded.counts, S.measure_all(state, 1000, 7).counts)
 
 
 def reference_index_to_label(dims, index):
@@ -215,9 +232,9 @@ def test_basis_codec_matches_independent_references(dims, data):
     amplitudes = np.zeros(size, dtype=complex)
     amplitudes[indices] = 1 / np.sqrt(len(indices))
     hist = S.measure_all(S.StateVector(tuple(dims), amplitudes), shots=200, seed=len(indices))
-    assert hist.counts and set(hist.counts) <= set(indices)
+    assert len(hist.indices) and set(hist.indices.tolist()) <= set(indices)
     single = S.measure_all(S.basis_state(dims, labels[indices[0]]), shots=5, seed=0)
-    assert single.counts == {indices[0]: 5}
+    assert counts_of(single) == {indices[0]: 5}
 
 
 def test_digit_labels_leave_their_digits_alone():
@@ -234,9 +251,9 @@ def test_digit_labels_refuse_digits_wider_than_one_byte(dtype):
 
 
 def test_histogram_csv_format():
-    hist = S.Histogram((2, 2), {1: 2, 0: 3}, 5)
+    hist = S.Histogram((2, 2), np.array([0, 1]), np.array([3, 2]))
     assert S.histogram_to_csv(hist) == "label,count\n00,3\n01,2\n"
-    assert S.histogram_to_csv(S.Histogram((), {0: 4}, 4)) == "label,count\n,4\n"
+    assert S.histogram_to_csv(S.Histogram((), np.array([0]), np.array([4]))) == "label,count\n,4\n"
 
 
 def reference_labels(dims, indices):
@@ -278,7 +295,7 @@ def index_keyed_counts(state, shots, seed):
 @pytest.mark.parametrize("seed", [0, 5, 2024, 2 ** 32 - 1])
 def test_sorted_draws_count_as_choice_on_the_sample_gaussian(seed):
     state = pricing.gaussian_target_state(pricing.GaussianSpec(n=20))
-    assert S.measure_all(state, 100_000, seed).counts == index_keyed_counts(state, 100_000, seed)
+    assert counts_of(S.measure_all(state, 100_000, seed)) == index_keyed_counts(state, 100_000, seed)
 
 
 @given(mixed_radix_states(), st.integers(1, 2000), st.integers(0, 2 ** 32 - 1), st.data())
@@ -293,41 +310,64 @@ def test_sorted_draws_count_as_choice_with_zero_probability_ends(state, shots, s
     amplitudes[zero] = 0
     amplitudes[keep] = 1  # at least one entry keeps weight (the only one on 2 or fewer)
     state = S.StateVector(state.dims, amplitudes / np.linalg.norm(amplitudes))
-    counts = S.measure_all(state, shots, seed).counts
+    counts = counts_of(S.measure_all(state, shots, seed))
     assert counts == index_keyed_counts(state, shots, seed)
     assert size <= 2 or not {0, size - 1} & set(counts)
 
 
-@pytest.mark.parametrize("dims, counts, message", [
-    ((2,), {True: 1}, "basis index must be an integer, got True"),
-    ((2,), {1.0: 1}, "basis index must be an integer, got 1.0"),
-    ((2,), {"1": 1}, "basis index must be an integer, got '1'"),
-    ((2, 3), {0: 1, -1: 1}, r"basis index -1 outside \[0, 6\)"),
-    ((2, 3), {6: 1}, r"basis index 6 outside \[0, 6\)"),
-    ((), {1: 1}, r"basis index 1 outside \[0, 1\)"),
+def ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dims, indices, message", [
+    ((2,), np.array([True]), "histogram indices must be a 1-D integer array, got array([ True])"),
+    ((2,), np.array([1.0]), "histogram indices must be a 1-D integer array, got array([1.])"),
+    ((2,), np.array(["1"]), "histogram indices must be a 1-D integer array, got array(['1'], dtype='<U1')"),
+    ((2, 3), ints(-1, 0), "basis index -1 outside [0, 6)"),
+    ((2, 3), ints(6), "basis index 6 outside [0, 6)"),
+    ((), ints(1), "basis index 1 outside [0, 1)"),
 ])
-def test_histogram_refuses_a_key_that_is_not_a_basis_index(dims, counts, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        S.Histogram(dims, counts, 1 if len(counts) == 1 else 2)
+def test_histogram_refuses_a_key_that_is_not_a_basis_index(dims, indices, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        S.Histogram(dims, indices, np.ones(len(indices), dtype=np.int64))
+
+
+@pytest.mark.parametrize("indices, counts, message", [
+    (ints(1, 0), ints(1, 1), "histogram indices must strictly increase"),
+    (ints(0, 2, 2), ints(1, 1, 1), "histogram indices must strictly increase"),
+    (np.array([2, 1], dtype=np.uint8), ints(1, 1), "histogram indices must strictly increase"),
+    (ints(0, 1), ints(1), "histogram indices and counts must have equal lengths"),
+    ([0, 1], ints(1, 1), "histogram indices must be a 1-D integer array, got [0, 1]"),
+    (ints(0), [1], "histogram counts must be a 1-D integer array, got [1]"),
+    (np.array([[0, 1]]), ints(1, 1), "histogram indices must be a 1-D integer array, got array([[0, 1]])"),
+])
+def test_histogram_refuses_indices_out_of_order_or_of_another_shape(indices, counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        S.Histogram((3,), indices, counts)
 
 
 def test_histogram_accepts_numpy_integer_keys():
-    assert S.Histogram((2, 3), {np.int64(5): 2}, 2).counts == {5: 2}
+    hist = S.Histogram((2, 3), np.array([5], dtype=np.uint8), np.array([2], dtype=np.int32))
+    assert counts_of(hist) == {5: 2}
+    assert S.histogram_to_csv(hist) == "label,count\n12,2\n"
 
 
 @pytest.mark.parametrize("counts, message", [
-    ({0: -1, 1: 2}, "count of basis index 0 must be non-negative, got -1"),
-    ({0: 0.5, 1: 0.5}, "count of basis index 0 must be an integer, got 0.5"),
-    ({0: 0, 1: True}, "count of basis index 1 must be an integer, got True"),
-    ({1: 1, 0: np.int64(-2), 2: 2}, "count of basis index 0 must be non-negative, got -2"),
+    (ints(-1, 2), "count of basis index 0 must be non-negative, got -1"),
+    (np.array([0.5, 0.5]), "histogram counts must be a 1-D integer array, got array([0.5, 0.5])"),
+    (np.array([False, True]), "histogram counts must be a 1-D integer array, got array([False,  True])"),
+    (ints(-2, 1, 2), "count of basis index 0 must be non-negative, got -2"),
+    (ints(1, -3, -2), "count of basis index 1 must be non-negative, got -3"),
 ])
 def test_histogram_refuses_a_count_that_is_not_a_non_negative_integer(counts, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        S.Histogram((3,), counts, 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        S.Histogram((3,), np.arange(len(counts)), counts)
 
 
 def test_histogram_accepts_numpy_integer_counts():
-    assert S.Histogram((2, 3), {0: np.int64(2), 5: np.uint8(0)}, 2).counts == {0: 2, 5: 0}
+    hist = S.Histogram((2, 3), ints(0, 5), np.array([2, 0], dtype=np.uint8))
+    assert counts_of(hist) == {0: 2, 5: 0}
+    assert hist.shots == 2 and type(hist.shots) is int
 
 
 def test_state_vector_refuses_a_nan_amplitude():
