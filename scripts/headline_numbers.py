@@ -30,7 +30,7 @@ def main() -> None:
 
     print("\n== derivative-pricing benchmark ==")
     baseline = resources.BaselineCosts(t_cost=12e9, t_depth=54e6, overall_depth=378e6)
-    report = resources.benchmark_report(LoweringStrategy.QUTRIT, baseline)
+    report = resources.benchmark_report(baseline)
     print(f"baseline: T-cost {baseline.t_cost:.3g}, T-depth {baseline.t_depth:.3g}, "
           f"depth {baseline.overall_depth:.3g}")
     print(f"  qutrit: T-cost {report.t_count:.3g}, T-depth {report.t_depth:.3g}, "

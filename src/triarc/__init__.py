@@ -10,7 +10,6 @@ from .circuits import (
     ControlSpec,
     GateInstance,
     GateKind,
-    WireSpec,
     append,
     controlled,
     cx,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, WireSpec, _is_int, check_int, cx, toffoli, x
+from .circuits import Circuit, GateInstance, _is_int, check_int, cx, toffoli, x
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def build_adder(n: int) -> tuple[Circuit, RegisterLayout]:
     b_wires = list(range(n, 2 * n))
     c0, carry_out = 2 * n, 2 * n + 1
     gates = _ripple_add(a_wires, b_wires, c0, carry_out)
-    circuit = Circuit((WireSpec(2),) * (2 * n + 2), tuple(gates))
+    circuit = Circuit((2,) * (2 * n + 2), tuple(gates))
     layout = RegisterLayout(
         a_wires=tuple(a_wires),
         b_wires=tuple(b_wires),
@@ -130,7 +130,7 @@ def build_multiplier(na: int, nb: int) -> tuple[Circuit, RegisterLayout]:
         gates += _ripple_add(pp[j], p_wires[j:j + na], c0, p_wires[j + na])
     gates += reversed(partial_products)
 
-    circuit = Circuit((WireSpec(2),) * total, tuple(gates))
+    circuit = Circuit((2,) * total, tuple(gates))
     layout = RegisterLayout(
         a_wires=tuple(a_wires),
         b_wires=tuple(b_wires),
@@ -163,7 +163,7 @@ def build_demo_multiplier() -> tuple[Circuit, RegisterLayout]:
         cx(6, 11), cx(7, 11),
         cx(8, 12), cx(9, 12),
     ]
-    circuit = Circuit((WireSpec(2),) * 13, tuple(gates))
+    circuit = Circuit((2,) * 13, tuple(gates))
     layout = RegisterLayout(
         a_wires=a_wires,
         b_wires=b_wires,

@@ -63,15 +63,18 @@ def check_finite(**values: object) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class WireSpec:
-    """A circuit wire with radix 2 (qubit) or 3 (qutrit)."""
+def store_floats(obj: object, **values: object) -> None:
+    """``check_finite``, then set each field of the frozen dataclass ``obj`` to
+    its value as a Python float, so a numpy float32 is not carried into results."""
+    check_finite(**values)
+    for name, value in values.items():
+        object.__setattr__(obj, name, float(value))
 
-    dimension: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.dimension) or self.dimension not in (2, 3):
-            raise ValueError(f"wire dimension must be the integer 2 or 3, got {self.dimension!r}")
+def _check_dim(dim: object) -> None:
+    """Refuse a wire dimension other than the integer 2 (qubit) or 3 (qutrit)."""
+    if not _is_int(dim) or dim not in (2, 3):
+        raise ValueError(f"wire dimension must be the integer 2 or 3, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -85,28 +88,27 @@ class ControlSpec:
 @dataclass(frozen=True)
 class GateInstance:
     kind: GateKind
-    controls: tuple[ControlSpec, ...] = ()
-    targets: tuple[int, ...] = ()
+    controls: tuple[ControlSpec, ...]
+    target: int
     # all wires the gate touches, control wires first; derived from the
     # fields above, so equality, hashing and repr leave it out
     wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # runs for every gate built, so the usual 0 and 1 controls skip the
-        # generator; each branch refuses targets that are not a tuple
+        # runs for every gate built, so the usual 0 and 1 controls skip the generator
         controls = self.controls
         if not controls:
-            wires = () + self.targets
+            wires = (self.target,)
         elif len(controls) == 1:
-            wires = (controls[0].wire,) + self.targets
+            wires = (controls[0].wire, self.target)
         else:
-            wires = tuple(c.wire for c in controls) + self.targets
+            wires = (*(c.wire for c in controls), self.target)
         object.__setattr__(self, "wires", wires)
 
 
-def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
-    """Raise ValueError unless ``gate`` is well-formed for ``wires``."""
-    n = len(wires)
+def validate_gate(gate: GateInstance, dims: Sequence[int]) -> None:
+    """Raise ValueError unless ``gate`` is well-formed for wires of ``dims``."""
+    n = len(dims)
     touched = gate.wires
     # check_int only for a value that is not exactly an int
     for w in touched:
@@ -119,33 +121,34 @@ def validate_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> None:
     for c in gate.controls:
         if type(c.value) is not int:
             check_int(**{"control value": c.value})
-        if not (1 <= c.value < wires[c.wire].dimension):
-            raise ValueError(
-                f"control value {c.value} invalid on wire {c.wire} "
-                f"of dimension {wires[c.wire].dimension}"
-            )
-    if len(gate.targets) != 1:
-        raise ValueError(f"{gate.kind.value} takes exactly one target")
-    if gate.kind in QUTRIT_ONLY_KINDS and wires[gate.targets[0]].dimension != 3:
+        if not (1 <= c.value < dims[c.wire]):
+            raise ValueError(f"control value {c.value} invalid on wire {c.wire} of dimension {dims[c.wire]}")
+    if gate.kind in QUTRIT_ONLY_KINDS and dims[gate.target] != 3:
         raise ValueError(f"{gate.kind.value} targets qutrit wires only")
     if gate.kind is GateKind.TOFFOLI:
         if len(gate.controls) != 2:
             raise ValueError("TOFFOLI takes exactly two controls")
         # with every wire a qubit, the control-value check above forces value 1
-        if any(wires[w].dimension != 2 for w in touched):
+        if any(dims[w] != 2 for w in touched):
             raise ValueError("TOFFOLI touches qubit wires only")
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a fixed tuple of wires."""
+    """Ordered gate list over a fixed tuple of wires, each wire given by its
+    dimension: 2 (qubit) or 3 (qutrit)."""
 
-    wires: tuple[WireSpec, ...]
+    wires: tuple[int, ...]
     gates: tuple[GateInstance, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.wires:
+        dims = tuple(self.wires)
+        for dim in dims:
+            _check_dim(dim)
+        if not dims:
             raise ValueError("circuit needs at least one wire")
+        # plain ints in a tuple, so a list or a numpy integer never reaches dims
+        object.__setattr__(self, "wires", tuple(map(int, dims)))
         # a gate object that sits at several positions is validated once;
         # the dict keeps first-occurrence order, so the first bad gate is
         # still the one reported. Keyed by identity, not equality: x(1)
@@ -155,7 +158,7 @@ class Circuit:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(w.dimension for w in self.wires)
+        return self.wires
 
 
 # ---------------------------------------------------------------------------
@@ -163,52 +166,48 @@ class Circuit:
 # ---------------------------------------------------------------------------
 
 def x(target: int) -> GateInstance:
-    return GateInstance(GateKind.X, (), (target,))
+    return GateInstance(GateKind.X, (), target)
 
 
 def xplus1(target: int) -> GateInstance:
-    return GateInstance(GateKind.XPLUS1, (), (target,))
+    return GateInstance(GateKind.XPLUS1, (), target)
 
 
 def xminus1(target: int) -> GateInstance:
-    return GateInstance(GateKind.XMINUS1, (), (target,))
+    return GateInstance(GateKind.XMINUS1, (), target)
 
 
 def h(target: int) -> GateInstance:
-    return GateInstance(GateKind.H, (), (target,))
+    return GateInstance(GateKind.H, (), target)
 
 
 def t(target: int) -> GateInstance:
-    return GateInstance(GateKind.T, (), (target,))
+    return GateInstance(GateKind.T, (), target)
 
 
 def tdg(target: int) -> GateInstance:
-    return GateInstance(GateKind.TDG, (), (target,))
+    return GateInstance(GateKind.TDG, (), target)
 
 
 def s(target: int) -> GateInstance:
-    return GateInstance(GateKind.S, (), (target,))
+    return GateInstance(GateKind.S, (), target)
 
 
 def sdg(target: int) -> GateInstance:
-    return GateInstance(GateKind.SDG, (), (target,))
+    return GateInstance(GateKind.SDG, (), target)
 
 
 def z(target: int) -> GateInstance:
-    return GateInstance(GateKind.Z, (), (target,))
+    return GateInstance(GateKind.Z, (), target)
 
 
 def cx(control: int, target: int, value: int = 1) -> GateInstance:
     """X on ``target`` activated when ``control`` holds ``value`` (1 or 2)."""
-    return GateInstance(GateKind.X, (ControlSpec(control, value),), (target,))
+    return GateInstance(GateKind.X, (ControlSpec(control, value),), target)
 
 
 def toffoli(control_a: int, control_b: int, target: int) -> GateInstance:
-    return GateInstance(
-        GateKind.TOFFOLI,
-        (ControlSpec(control_a, 1), ControlSpec(control_b, 1)),
-        (target,),
-    )
+    return GateInstance(GateKind.TOFFOLI, (ControlSpec(control_a, 1), ControlSpec(control_b, 1)), target)
 
 
 def controlled(gate: GateInstance, wire: int, value: int = 1) -> GateInstance:
@@ -220,10 +219,9 @@ def controlled(gate: GateInstance, wire: int, value: int = 1) -> GateInstance:
 # construction and metrics
 # ---------------------------------------------------------------------------
 
-def new_circuit(wires: Sequence[WireSpec | int]) -> Circuit:
-    """Empty circuit over the given wires (ints are taken as dimensions)."""
-    specs = tuple(w if isinstance(w, WireSpec) else WireSpec(w) for w in wires)
-    return Circuit(specs)
+def new_circuit(dims: Sequence[int]) -> Circuit:
+    """Empty circuit over wires of the given dimensions."""
+    return Circuit(dims)
 
 
 def _grow(circuit: Circuit, gates: tuple[GateInstance, ...]) -> Circuit:
@@ -286,11 +284,11 @@ def depth(circuit: Circuit) -> int:
     return max((layer for _, layer in _asap(circuit)), default=-1) + 1
 
 
-def is_qutrit_gate(gate: GateInstance, wires: Sequence[WireSpec]) -> bool:
+def is_qutrit_gate(gate: GateInstance, dims: Sequence[int]) -> bool:
     """True when the gate leaves the qubit-only gate set."""
     if gate.kind in QUTRIT_ONLY_KINDS:
         return True
-    return any(wires[w].dimension == 3 for w in gate.wires)
+    return any(dims[w] == 3 for w in gate.wires)
 
 
 def t_metrics(circuit: Circuit) -> tuple[int, int]:
@@ -300,7 +298,7 @@ def t_metrics(circuit: Circuit) -> tuple[int, int]:
     """
     # without a qutrit wire no gate can touch a qutrit, since validation
     # keeps XPLUS1 and XMINUS1 off qubit targets
-    if any(w.dimension == 3 for w in circuit.wires):
+    if 3 in circuit.wires:
         for gate in circuit.gates:
             if is_qutrit_gate(gate, circuit.wires):
                 raise ValueError("t_metrics is defined for qubit-only circuits")
@@ -317,18 +315,19 @@ def t_metrics(circuit: Circuit) -> tuple[int, int]:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-# Every int is written through int(): validation accepts numpy integers,
-# which the json module cannot encode, and refuses bools, so int() only
-# ever turns an integer into a plain int.
+# A wire dim is a plain int already; every gate int is written through
+# int(): validation accepts numpy integers, which the json module cannot
+# encode, and refuses bools, so int() only ever turns an integer into a
+# plain int. A gate's one target is written as a one-element list.
 
 def circuit_to_dict(circuit: Circuit) -> dict:
     return {
-        "wires": [{"dim": int(w.dimension)} for w in circuit.wires],
+        "wires": [{"dim": d} for d in circuit.wires],
         "gates": [
             {
                 "kind": g.kind.value,
                 "controls": [{"wire": int(c.wire), "value": int(c.value)} for c in g.controls],
-                "targets": [int(t) for t in g.targets],
+                "targets": [int(g.target)],
             }
             for g in circuit.gates
         ],
@@ -340,8 +339,9 @@ _KINDS = GateKind._value2member_map_
 
 def circuit_from_dict(data: dict) -> Circuit:
     """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
-    wire, control value and target must be an int. Equal gates become one
-    shared ``GateInstance``, which the ``Circuit`` constructor validates once."""
+    wire, control value and target must be an int, and ``targets`` a
+    one-element list. Equal gates become one shared ``GateInstance``, which
+    the ``Circuit`` constructor validates once."""
     # check_int only for a value that is not exactly an int, which it
     # accepts (a numpy integer) or refuses, in the order of the fields
     wires = []
@@ -349,7 +349,8 @@ def circuit_from_dict(data: dict) -> Circuit:
         dim = w["dim"]
         if type(dim) is not int:
             check_int(**{f"wires[{i}].dim": dim})
-        wires.append(WireSpec(dim))
+        _check_dim(dim)
+        wires.append(dim)
     shared: dict[tuple, GateInstance] = {}
     gates = []
     for i, g in enumerate(data["gates"]):
@@ -367,18 +368,18 @@ def circuit_from_dict(data: dict) -> Circuit:
             if type(v) is not int:
                 check_int(**{f"gates[{i}].controls[{j}].value": v})
             controls.append((w, v))
-        targets = tuple(g["targets"])
-        for j, t in enumerate(targets):
-            if type(t) is not int:
-                check_int(**{f"gates[{i}].targets[{j}]": t})
+        targets = g["targets"]
+        if type(targets) is not list or len(targets) != 1:
+            raise ValueError(f"{kind.value} takes exactly one target")
+        (target,) = targets
+        if type(target) is not int:
+            check_int(**{f"gates[{i}].targets[0]": target})
         # keyed only after check_int accepted every value, so a bool or a
         # float can never pick up a cached gate of equal ints
-        key = (kind, tuple(controls), targets)
+        key = (kind, tuple(controls), target)
         gate = shared.get(key)
         if gate is None:
-            gate = shared[key] = GateInstance(
-                kind, tuple(ControlSpec(w, v) for w, v in controls), targets
-            )
+            gate = shared[key] = GateInstance(kind, tuple(ControlSpec(w, v) for w, v in controls), target)
         gates.append(gate)
     return Circuit(tuple(wires), tuple(gates))
 
@@ -401,10 +402,9 @@ def _gate_json(gate: GateInstance) -> str:
         ],
         "      ",
     )
-    targets = _json_array([str(int(t)) for t in gate.targets], "      ")
     return (
         f'{{\n      "kind": "{gate.kind.value}",\n      "controls": {controls},'
-        f'\n      "targets": {targets}\n    }}'
+        f'\n      "targets": [\n        {int(gate.target)}\n      ]\n    }}'
     )
 
 
@@ -412,7 +412,7 @@ def to_json(circuit: Circuit) -> str:
     """``json.dumps(circuit_to_dict(circuit), indent=2)``, byte for byte,
     written directly: with ``indent`` set, json.dumps runs the pure-Python
     encoder and builds the dict form first."""
-    wires = _json_array([f'{{\n      "dim": {int(w.dimension)}\n    }}' for w in circuit.wires], "  ")
+    wires = _json_array([f'{{\n      "dim": {d}\n    }}' for d in circuit.wires], "  ")
     # a gate object shared by several positions is formatted once
     texts: dict[int, str] = {}
     items = []

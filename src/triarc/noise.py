@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, WireSpec, _is_int, check_finite, check_int, check_real, layers
+from .circuits import Circuit, _is_int, check_finite, check_int, check_real, layers, store_floats
 from .simulator import (
     DensityMatrix,
     _density_step,
@@ -51,8 +51,7 @@ class NoiseParams:
     tau_gate: float = 0.0      # per-layer duration
 
     def __post_init__(self) -> None:
-        values = asdict(self)
-        check_finite(**values)
+        store_floats(self, **asdict(self))
         if not (0 <= self.p1 <= 1 and 0 <= self.p2 <= 1):
             raise ValueError("gate error probabilities must lie in [0, 1]")
         if self.T1_level1 <= 0 or self.T1_level2 <= 0:
@@ -64,7 +63,7 @@ class NoiseParams:
 def _check_channel_dims(dims: Sequence[int]) -> None:
     """Refuse channel wires other than 1 or 2 wires of dimension 2 or 3, so a
     local superoperator has at most 81x81 entries. A dimension is an int or
-    a numpy integer, as a ``WireSpec``'s is; a bool or a float is refused."""
+    a numpy integer, as a circuit wire's is; a bool or a float is refused."""
     if not 1 <= len(dims) <= 2 or not all(_is_int(d) and d in (2, 3) for d in dims):
         raise ValueError(f"a channel acts on 1 or 2 wires of dimension 2 or 3, got {tuple(dims)!r}")
 
@@ -329,7 +328,7 @@ def noisy_toffoli_fidelity(strategy: LoweringStrategy, params: NoiseParams) -> f
     """
     lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
     if strategy is LoweringStrategy.QUTRIT:
-        lowered = Circuit((WireSpec(3),) * 3, lowered.gates)
+        lowered = Circuit((3,) * 3, lowered.gates)
     ideal = label_to_index(lowered.dims, "111")
     return float(run_noisy(lowered, "110", params).entries[ideal, ideal].real)
 

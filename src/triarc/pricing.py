@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuits import check_finite, check_int
+from .circuits import check_int, store_floats
 from . import simulator
 from .simulator import Histogram, StateVector, check_state_dim
 
@@ -34,7 +34,7 @@ class PricingSetup:
 
     def __post_init__(self) -> None:
         check_int(d=self.d, T=self.T, n=self.n)
-        check_finite(w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
+        store_floats(self, w=self.w, beta=self.beta, B_l=self.B_l, B_u=self.B_u)
         if self.d < 1 or self.T < 1 or self.n < 1:
             raise ValueError("d, T and n must be >= 1")
         if self.w < 0:
@@ -54,7 +54,7 @@ class GaussianSpec:
 
     def __post_init__(self) -> None:
         check_int(n=self.n)
-        check_finite(x0=self.x0, sigma=self.sigma, w=self.w)
+        store_floats(self, x0=self.x0, sigma=self.sigma, w=self.w)
         if self.n < 1:
             raise ValueError("register size n must be >= 1")
         if self.sigma <= 0:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import ceil, floor, log2
 
-from .circuits import check_finite, check_int
+from .circuits import check_int, store_floats
 from .transpile import LoweringStrategy, check_strategy, cost_profile
 
 _QUTRIT = cost_profile(LoweringStrategy.QUTRIT)
@@ -211,8 +211,7 @@ class BaselineCosts:
     overall_depth: float
 
     def __post_init__(self) -> None:
-        values = asdict(self)
-        check_finite(**values)
+        store_floats(self, **asdict(self))
         if min(self.t_cost, self.t_depth, self.overall_depth) < 0:
             raise ValueError("baseline costs must be non-negative")
 
@@ -223,30 +222,19 @@ CNOT_COST_NOTE = (
 )
 
 
-def benchmark_report(strategy: LoweringStrategy, baseline: BaselineCosts) -> ResourceReport:
-    """Convert quoted baseline totals to a strategy-level report.
-
-    The qutrit strategy zeroes T-cost and T-depth and converts depth by the
-    exact rational 3/7, the per-Toffoli depths of the qutrit and baseline
-    profiles; the baseline strategy echoes its inputs.
+def benchmark_report(baseline: BaselineCosts) -> ResourceReport:
+    """Convert quoted baseline totals to the qutrit compilation's report:
+    T-cost and T-depth are zero and depth is converted by the exact rational
+    3/7, the per-Toffoli depths of the qutrit and baseline profiles.
     """
-    check_strategy(strategy)
-    if strategy is LoweringStrategy.QUTRIT:
-        qutrit, conventional = _QUTRIT.depth_per_toffoli, _BASELINE.depth_per_toffoli
-        converted = baseline.overall_depth * qutrit / conventional
-        return ResourceReport(
-            t_count=0.0,
-            t_depth=0.0,
-            cnot_count_ternary=converted,
-            overall_depth=converted,
-            notes=(f"overall depth converted by the exact ratio {qutrit}/{conventional}",
-                   CNOT_COST_NOTE),
-        )
+    qutrit, conventional = _QUTRIT.depth_per_toffoli, _BASELINE.depth_per_toffoli
+    converted = baseline.overall_depth * qutrit / conventional
     return ResourceReport(
-        t_count=baseline.t_cost,
-        t_depth=baseline.t_depth,
-        overall_depth=baseline.overall_depth,
-        notes=("baseline totals echoed as quoted",),
+        t_count=0.0,
+        t_depth=0.0,
+        cnot_count_ternary=converted,
+        overall_depth=converted,
+        notes=(f"overall depth converted by the exact ratio {qutrit}/{conventional}", CNOT_COST_NOTE),
     )
 
 

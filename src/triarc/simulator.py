@@ -19,7 +19,7 @@ from .circuits import (
     GateInstance,
     GateKind,
     QUTRIT_ONLY_KINDS,
-    WireSpec,
+    _check_dim,
     check_int,
     validate_gate,
 )
@@ -40,8 +40,11 @@ def check_state_dim(size: int, what: str = "state dimension") -> None:
 
 
 def _check_density_wires(dims: Sequence[int]) -> None:
+    """Refuse more wires than DENSITY_WIRE_GUARD, or a wire of dimension other than 2 or 3."""
     if len(dims) > DENSITY_WIRE_GUARD:
         raise ValueError(f"{len(dims)} wires exceed DENSITY_WIRE_GUARD = {DENSITY_WIRE_GUARD}")
+    for dim in dims:
+        _check_dim(dim)
 
 
 _T_PHASE = np.exp(1j * pi / 4)
@@ -329,7 +332,7 @@ def _control_index(gate: GateInstance, axes: int, offset: int = 0) -> list:
 def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) -> None:
     """Apply ``gate`` to a dims-shaped amplitude tensor, mutating it through
     views of its target's levels where the controls hold their values."""
-    target = gate.targets[0]
+    target = gate.target
     action = _ACTIONS[gate.kind, dims[target]]
     index = _control_index(gate, len(dims))
 
@@ -361,7 +364,7 @@ def _apply_sparse(
     block of the bases that hold entries, and an output is dropped only
     when both its words are +0.
     """
-    target = gate.targets[0]
+    target = gate.target
     dim, stride = dims[target], strides[target]
     if gate.controls:
         on = np.logical_and.reduce(
@@ -420,7 +423,7 @@ def _evolve(circuit: Circuit, index: int) -> np.ndarray:
     idx, amp = np.array([index], dtype=np.int64), np.ones(1, dtype=complex)
     done = 0
     for gate in gates:
-        if len(idx) * _SWITCH_FRACTION > size or not _ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
+        if len(idx) * _SWITCH_FRACTION > size or not _ACTIONS[gate.kind, dims[gate.target]].keeps_zero:
             break
         idx, amp = _apply_sparse(idx, amp, gate, dims, strides)
         done += 1
@@ -461,7 +464,7 @@ def run_basis(circuit: Circuit, digits: np.ndarray) -> np.ndarray:
         table = _BASIS_TABLES.get(gate.kind)
         if table is None:
             raise ValueError(f"gate {index} ({gate.kind.value}) does not permute basis states")
-        target = gate.targets[0]
+        target = gate.target
         column = table[state[:, target]]
         if gate.controls:
             active = np.logical_and.reduce([state[:, c.wire] == c.value for c in gate.controls])
@@ -576,7 +579,7 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     n = len(dims)
     tensor = entries.reshape(dims * 2)
     if isinstance(step, GateInstance):
-        target = step.targets[0]
+        target = step.target
         unitary = kind_matrix(step.kind, dims[target])
         # the target's axis within a block, once the control axes before it are fixed
         axis = target - sum(c.wire < target for c in step.controls)
@@ -603,7 +606,7 @@ def evolve_density(
     if isinstance(step, GateInstance):
         if wires is not None:
             raise ValueError("a gate acts on its own wires; wires applies only to a Kraus channel")
-        validate_gate(step, tuple(WireSpec(d) for d in dims))
+        validate_gate(step, dims)
     else:
         if wires is None:
             raise ValueError("a Kraus channel needs explicit wires")

@@ -26,7 +26,6 @@ from .circuits import (
     Circuit,
     GateInstance,
     GateKind,
-    WireSpec,
     check_int,
     controlled,
     cx,
@@ -48,7 +47,7 @@ class LoweringStrategy(Enum):
 
 
 # the one Toffoli that profiles, fidelities and equivalence checks lower
-REFERENCE_TOFFOLI = Circuit((WireSpec(2),) * 3, (toffoli(0, 1, 2),))
+REFERENCE_TOFFOLI = Circuit((2,) * 3, (toffoli(0, 1, 2),))
 
 
 def check_strategy(strategy: LoweringStrategy) -> None:
@@ -135,9 +134,9 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
         network = lowered.get(gate)
         if network is None:
             a, b = (c.wire for c in gate.controls)
-            tg = gate.targets[0]
+            tg = gate.target
             if strategy is LoweringStrategy.QUTRIT:
-                new_wires[b] = WireSpec(3)
+                new_wires[b] = 3
                 network = decompose_toffoli_qutrit(a, b, tg)
             else:
                 network = decompose_toffoli_clifford_t(a, b, tg)

@@ -181,7 +181,7 @@ def test_criterion_5_formula_cross_check():
 @criterion(6, "benchmark conversion 12e9/54e6/378e6 -> 0/0/162e6 exactly")
 def test_criterion_6_benchmark_reproduction():
     baseline = R.BaselineCosts(t_cost=12e9, t_depth=54e6, overall_depth=378e6)
-    report = R.benchmark_report(LoweringStrategy.QUTRIT, baseline)
+    report = R.benchmark_report(baseline)
     assert report.t_count == 0.0
     assert report.t_depth == 0.0
     assert report.overall_depth == 162e6

@@ -96,10 +96,10 @@ def test_out_of_range_wire_rejected():
 @pytest.mark.parametrize(
     "gate, message",
     [
-        (C.GateInstance(GateKind.X, (), (0.5,)), "wire index must be an integer"),
-        (C.GateInstance(GateKind.X, (), (True,)), "wire index must be an integer"),
-        (C.GateInstance(GateKind.X, (C.ControlSpec(1.0, 1),), (0,)), "wire index must be an integer"),
-        (C.GateInstance(GateKind.X, (C.ControlSpec(1, True),), (0,)), "control value must be an integer"),
+        (C.GateInstance(GateKind.X, (), 0.5), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (), True), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (C.ControlSpec(1.0, 1),), 0), "wire index must be an integer"),
+        (C.GateInstance(GateKind.X, (C.ControlSpec(1, True),), 0), "control value must be an integer"),
     ],
     ids=["float-target", "bool-target", "float-control-wire", "bool-control-value"],
 )
@@ -114,6 +114,23 @@ def test_new_circuit_refuses_a_non_integer_dimension(dim):
         C.new_circuit([dim])
 
 
+@pytest.mark.parametrize("dim", [4, True, 2.0])
+def test_circuit_refuses_a_wire_dimension_other_than_2_or_3(dim):
+    message = f"wire dimension must be the integer 2 or 3, got {dim!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        C.Circuit((2, dim))
+
+
+def test_circuit_stores_its_wires_as_a_tuple_of_python_ints():
+    circ = C.Circuit([np.int64(2), np.uint8(3), 2])
+    assert circ.wires == (2, 3, 2)
+    assert type(circ.wires) is tuple
+    assert [type(d) for d in circ.wires] == [int, int, int]
+    assert circ.dims is circ.wires
+    grown = C.append(circ, C.x(0))
+    assert grown.dims is grown.wires == (2, 3, 2)
+
+
 def test_numpy_integers_are_accepted():
     circ = C.new_circuit([np.int64(2), np.int8(3)])
     circ = C.append(circ, C.cx(np.int64(1), np.int32(0), value=np.int64(2)))
@@ -124,7 +141,7 @@ def test_gate_wires_are_left_out_of_equality_hash_and_repr():
     gate = C.cx(0, 1, value=2)
     assert gate.wires == (0, 1)
     assert repr(gate) == ("GateInstance(kind=<GateKind.X: 'X'>, "
-                          "controls=(ControlSpec(wire=0, value=2),), targets=(1,))")
+                          "controls=(ControlSpec(wire=0, value=2),), target=1)")
     stale = C.cx(0, 1, value=2)
     object.__setattr__(stale, "wires", (5,))
     assert stale == gate
@@ -157,10 +174,28 @@ def test_append_extend_and_from_json_reject_a_bad_gate():
         data["gates"].append({
             "kind": bad.kind.value,
             "controls": [{"wire": c.wire, "value": c.value} for c in bad.controls],
-            "targets": list(bad.targets),
+            "targets": [bad.target],
         })
         with pytest.raises(ValueError):
             C.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("targets", [[], [0, 1]], ids=["empty", "two"])
+def test_from_json_refuses_a_gate_without_exactly_one_target(targets):
+    data = C.circuit_to_dict(C.extend(C.new_circuit([2, 3]), [C.x(0), C.cx(1, 0, value=2)]))
+    data["gates"][1]["targets"] = targets
+    with pytest.raises(ValueError, match="^X takes exactly one target$"):
+        C.circuit_from_dict(data)
+    with pytest.raises(ValueError, match="^X takes exactly one target$"):
+        C.from_json(json.dumps(data))
+
+
+def test_from_json_refuses_a_wire_dimension_before_any_gate():
+    data = C.circuit_to_dict(C.append(C.new_circuit([2, 3]), C.x(0)))
+    data["wires"][1]["dim"] = 4
+    data["gates"][0]["targets"] = [0, 1]
+    with pytest.raises(ValueError, match="^wire dimension must be the integer 2 or 3, got 4$"):
+        C.from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize(
@@ -244,7 +279,7 @@ def test_lowering_and_parsing_validate_each_distinct_gate_once(monkeypatch, stra
 def test_a_bool_wired_gate_equal_to_a_valid_one_is_refused_everywhere():
     # x(1) and the bool-wired gate are equal and hash alike, so a validation
     # or a gate cache keyed by equality would let the second one through
-    good, bad = C.x(1), C.GateInstance(GateKind.X, (), (True,))
+    good, bad = C.x(1), C.GateInstance(GateKind.X, (), True)
     assert good == bad and hash(good) == hash(bad)
     wires = C.new_circuit([2, 2]).wires
     message = "wire index must be an integer, got True"
@@ -283,10 +318,23 @@ def json_int(value, field):
     return value
 
 
+def json_dim(dim):
+    # a wire is refused as it is read, before any gate
+    C.new_circuit([dim])
+    return dim
+
+
+def json_target(gate):
+    targets = gate["targets"]
+    if not isinstance(targets, list) or len(targets) != 1:
+        raise ValueError(f"{GateKind(gate['kind']).value} takes exactly one target")
+    return targets[0]
+
+
 def reference_from_dict(data):
     # the reader before equal gates were shared: one new gate per entry
     wires = tuple(
-        C.WireSpec(json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
+        json_dim(json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
     )
     gates = tuple(
         C.GateInstance(
@@ -298,7 +346,7 @@ def reference_from_dict(data):
                 )
                 for j, c in enumerate(g.get("controls", []))
             ),
-            tuple(json_int(t, f"gates[{i}].targets[{j}]") for j, t in enumerate(g["targets"])),
+            json_int(json_target(g), f"gates[{i}].targets[0]"),
         )
         for i, g in enumerate(data["gates"])
     )
@@ -552,7 +600,7 @@ def reference_layers(circ):
     next_free = [0] * len(circ.wires)
     layers = []
     for gate in circ.gates:
-        wires = tuple(c.wire for c in gate.controls) + gate.targets
+        wires = tuple(c.wire for c in gate.controls) + (gate.target,)
         layer = max((next_free[w] for w in wires), default=0)
         if layer == len(layers):
             layers.append([])
@@ -587,7 +635,7 @@ def test_t_metrics_matches_the_reference_or_refuses_a_qutrit_gate(circ):
 
 @given(wide_circuits(dims_from=(2,)))
 def test_t_metrics_accepts_a_qutrit_wire_no_gate_touches(circ):
-    idle = C.Circuit(circ.wires + (C.WireSpec(3),), circ.gates)
+    idle = C.Circuit(circ.wires + (3,), circ.gates)
     assert C.t_metrics(idle) == C.t_metrics(circ) == reference_t_metrics(circ)
 
 
@@ -606,8 +654,7 @@ def arbitrary_gates(draw, n_wires=3):
         C.ControlSpec(draw(wires), draw(st.integers(0, 3)))
         for _ in range(draw(st.integers(0, 2)))
     )
-    targets = tuple(draw(wires) for _ in range(draw(st.integers(0, 2))))
-    return C.GateInstance(kind, controls, targets)
+    return C.GateInstance(kind, controls, draw(wires))
 
 
 @given(arbitrary_gates(), st.lists(st.sampled_from([2, 3]), min_size=3, max_size=3))

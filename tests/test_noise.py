@@ -347,6 +347,18 @@ def test_p_success_is_one_without_noise():
     assert N.p_success(census, NoiseParams(p1=0, p2=0, tau_gate=0)) == 1.0
 
 
+def test_p_success_of_float32_params_is_the_python_float_result():
+    """A float32 field was kept as given, so p_success ran in float32."""
+    values = {"p1": 0.25, "p2": 0.125, "T1_level1": 100.0, "T1_level2": 32.0, "tau_gate": 0.5}
+    narrow = NoiseParams(**{name: np.float32(v) for name, v in values.items()})
+    assert all(type(v) is float for v in vars(narrow).values())
+    for strategy in (LoweringStrategy.QUTRIT, LoweringStrategy.SELINGER_COST):
+        census = N.census_for(strategy, 3)
+        result = N.p_success(census, narrow)
+        assert type(result) is float
+        assert result.hex() == N.p_success(census, NoiseParams(**values)).hex()
+
+
 def test_p_success_uses_qutrit_t1_when_qutrit_gates_present():
     params = NoiseParams(p1=0, p2=0, tau_gate=1.0)
     qutrit = N.p_success(GateCensus(0, 0, 1, depth=30), params)
@@ -507,7 +519,7 @@ def assert_runs_bit_identical(circuit, label, params):
 def test_run_noisy_is_bit_identical_to_evolve_density_loop_on_the_golden_grid(strategy):
     lowered = lower_toffolis(REFERENCE_TOFFOLI, strategy)
     if strategy is LoweringStrategy.QUTRIT:
-        lowered = C.Circuit((C.WireSpec(3),) * 3, lowered.gates)
+        lowered = C.Circuit((3,) * 3, lowered.gates)
     for tau in (0.0, 0.01):
         for p2 in [i / 1000 for i in range(13)]:
             assert_runs_bit_identical(lowered, "110", NoiseParams(p1=1e-4, p2=p2, tau_gate=tau))

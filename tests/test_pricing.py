@@ -304,6 +304,26 @@ def test_float_fields_accept_integers_and_numpy_reals():
     assert spec.dx == GaussianSpec(n=4, x0=0.5, sigma=2.0, w=3.0).dx
 
 
+def test_float32_fields_give_the_python_float_results():
+    """A float32 field was kept as given, so the results ran in float32."""
+    values = {"w": 1.0, "beta": 0.25, "B_l": -1.0, "B_u": 1.5}
+    setup = PricingSetup(n=4, **{name: np.float32(v) for name, v in values.items()})
+    reference = PricingSetup(n=4, **values)
+    for bound in (P.trunc_error_bound, P.disc_error):
+        result = bound(setup)
+        assert type(result) is float
+        assert result.hex() == bound(reference).hex()
+    spec = GaussianSpec(n=4, x0=np.float32(0.25), sigma=np.float32(1.5), w=np.float32(3.0))
+    reference = GaussianSpec(n=4, x0=0.25, sigma=1.5, w=3.0)
+    for name in ("x0", "sigma", "w", "m", "dx"):
+        assert type(getattr(spec, name)) is float
+        assert getattr(spec, name).hex() == getattr(reference, name).hex()
+    assert spec.grid().dtype == np.float64
+    assert np.array_equal(spec.grid(), reference.grid())
+    assert np.array_equal(P.gaussian_target_state(spec).amplitudes,
+                          P.gaussian_target_state(reference).amplitudes)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["w", "beta", "B_l", "B_u"])
 def test_setup_refuses_a_non_finite_value(field, value):

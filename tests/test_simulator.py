@@ -530,6 +530,15 @@ def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
         S.basis_density([2, 2], "00")
 
 
+def test_density_wires_of_dimension_other_than_2_or_3_are_refused():
+    message = "^wire dimension must be the integer 2 or 3, got 4$"
+    with pytest.raises(ValueError, match=message):
+        S.basis_density((2, 4), "00")
+    rho = S.DensityMatrix((4,), np.diag([1.0, 0, 0, 0]).astype(complex))
+    with pytest.raises(ValueError, match=message):
+        S.evolve_density(rho, C.x(0))
+
+
 # --- invariants (property tests) ------------------------------------------
 
 @given(circuits_strategy(max_wires=4, max_gates=8), st.integers(0, 10_000))
@@ -589,7 +598,7 @@ def gate_local_unitary(gate, dims):
     wires = gate.wires
     local_dims = [dims[w] for w in wires]
     size = prod(local_dims)
-    target_dim = dims[gate.targets[0]]
+    target_dim = dims[gate.target]
     matrix = np.eye(size, dtype=complex)
     # controls come first in `wires`, the target is last (stride 1)
     offset = 0
@@ -677,7 +686,7 @@ def slice_copy_reference(tensor, gate, dims):
     """The dense kernel the action table replaced: copy each level a
     non-identity row reads, then assign each row as a sum in column order of
     ``coeff * old`` terms (``old`` itself for a unit coefficient)."""
-    target = gate.targets[0]
+    target = gate.target
     dim = dims[target]
     matrix = S.kind_matrix(gate.kind, dim)
     base = [slice(None)] * len(dims)
@@ -733,7 +742,7 @@ def any_unitary_gate(draw, dims):
         C.ControlSpec(w, draw(st.integers(1, dims[w] - 1)))
         for w in others[: draw(st.integers(0, min(2, len(others))))]
     )
-    return C.GateInstance(kind, controls, (target,))
+    return C.GateInstance(kind, controls, target)
 
 
 @st.composite
@@ -810,7 +819,7 @@ def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
     strides = [prod(dims[w + 1:]) for w in range(len(dims))]
     idx, amp, tensor = signed_zero_support(dims, seed)
     for gate in circ.gates:
-        if not S._ACTIONS[gate.kind, dims[gate.targets[0]]].keeps_zero:
+        if not S._ACTIONS[gate.kind, dims[gate.target]].keeps_zero:
             continue
         idx, amp = S._apply_sparse(idx, amp, gate, dims, strides)
         S._apply_inplace(tensor, gate, dims)

@@ -120,13 +120,13 @@ def two_pass_lowering(circuit, strategy):
     if strategy is LoweringStrategy.QUTRIT:
         for gate in circuit.gates:
             if gate.kind is GateKind.TOFFOLI:
-                wires[gate.controls[1].wire] = C.WireSpec(3)
+                wires[gate.controls[1].wire] = 3
     lower = (T.decompose_toffoli_qutrit if strategy is LoweringStrategy.QUTRIT
              else T.decompose_toffoli_clifford_t)
     gates = []
     for gate in circuit.gates:
         if gate.kind is GateKind.TOFFOLI:
-            gates.extend(lower(*(c.wire for c in gate.controls), gate.targets[0]))
+            gates.extend(lower(*(c.wire for c in gate.controls), gate.target))
         else:
             gates.append(gate)
     return tuple(wires), tuple(gates)
@@ -173,9 +173,9 @@ def reference_lowering(circuit, strategy):
             new_gates.append(gate)
             continue
         a, b = (c.wire for c in gate.controls)
-        tg = gate.targets[0]
+        tg = gate.target
         if strategy is LoweringStrategy.QUTRIT:
-            new_wires[b] = C.WireSpec(3)
+            new_wires[b] = 3
             new_gates.extend(T.decompose_toffoli_qutrit(a, b, tg))
         else:
             new_gates.extend(T.decompose_toffoli_clifford_t(a, b, tg))
