@@ -68,6 +68,42 @@ def _check_channel_dims(dims: Sequence[int]) -> None:
         raise ValueError(f"a channel acts on 1 or 2 wires of dimension 2 or 3, got {tuple(dims)!r}")
 
 
+# Nonzero pairs _kron_sum multiplies at once: 8 MiB per array of reals.
+_KRON_PAIRS_PER_CHUNK = 2 ** 20
+
+
+def _kron_sum(ops: np.ndarray) -> np.ndarray:
+    """sum_m ops[m] (x) conj(ops[m]) of a (count, size, size) stack, as a flat
+    array in [i, j, k, l] order, from each operator's nonzero entries only.
+
+    Every pair of nonzeros a = K_m[i, k], b = conj(K_m[j, l]) of one operator
+    is multiplied in plain float arithmetic (re = ar*br - ai*bi, im = ar*bi
+    + ai*br) and added into [i, j, k, l] in operator order, from +0: the
+    products and the order of ``np.einsum("mik,mjl->ijkl", ops, ops.conj())``.
+    A left-out pair holds a zero factor, so einsum adds a signed zero there,
+    which leaves a sum that starts at +0 as it is; a non-finite entry fails
+    the completeness check on either build. Operators go in chunks of at
+    most _KRON_PAIRS_PER_CHUNK pairs, so a large dense set stays bounded.
+    """
+    count, size, _ = ops.shape
+    s = np.zeros(size ** 4, dtype=complex)
+    chunk = max(1, _KRON_PAIRS_PER_CHUNK // size ** 4)
+    for start in range(0, count, chunk):
+        op, row, col = np.nonzero(ops[start:start + chunk])
+        values = ops[start + op, row, col]
+        # nonzero e pairs with each nonzero of its own operator in turn: the
+        # k-th pair of e's block takes the k-th nonzero of that operator
+        counts = np.bincount(op)
+        partners = counts[op]
+        left = np.repeat(np.arange(len(op)), partners)
+        right = np.arange(len(left)) + np.repeat(np.cumsum(counts)[op] - np.cumsum(partners), partners)
+        a, b = values[left], values[right].conj()
+        flat = ((row[left] * size + row[right]) * size + col[left]) * size + col[right]
+        np.add.at(s.real, flat, a.real * b.real - a.imag * b.imag)
+        np.add.at(s.imag, flat, a.real * b.imag + a.imag * b.real)
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving map given by operators with sum K_i^dag K_i = I.
@@ -84,6 +120,8 @@ class KrausChannel:
         """S = sum_i K_i (x) conj(K_i) on the channel's wires, at most 81x81,
         so that vec(rho') = S vec(rho) with rho flattened row-major.
 
+        S is summed from each operator's nonzero entries by ``_kron_sum``,
+        bit-identical to ``np.einsum("mik,mjl->ijkl", ops, ops.conj())``.
         Wires, operator shapes and completeness are checked here, before
         ``S`` is built and on its first read, which also covers a channel
         made without the constructor.
@@ -92,8 +130,7 @@ class KrausChannel:
         size = prod(self.dims)
         if not self.operators or any(np.shape(k) != (size, size) for k in self.operators):
             raise ValueError(f"Kraus operators must be a non-empty set of {size}x{size} matrices")
-        ops = np.asarray(self.operators, dtype=complex)
-        s = np.einsum("mik,mjl->ijkl", ops, ops.conj())
+        s = _kron_sum(np.asarray(self.operators, dtype=complex)).reshape((size,) * 4)
         # tracing the output pair (i = j) leaves sum_m K_m^dag K_m
         completeness = np.einsum("iikl->lk", s)
         if not np.allclose(completeness, np.eye(size), atol=1e-10):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi, prod, sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -145,6 +146,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        for dim in self.dims:
+            _check_dim(dim)
         size = prod(self.dims)
         if self.amplitudes.shape != (size,):
             raise ValueError(f"amplitude vector must have length {size}")
@@ -176,8 +179,10 @@ class DensityMatrix:
         # the eigenvalue bound without an eigensolver: E + 1e-8 I has a
         # Cholesky factor iff lambda_min(E) > -1e-8 (up to round-off), and
         # the factorisation reads the lower triangle, as eigvalsh does
+        shifted = entries.copy()
+        shifted.reshape(-1)[:: size + 1] += 1e-8
         try:
-            np.linalg.cholesky(entries + 1e-8 * np.eye(size))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("density matrix has an eigenvalue below -1e-8") from None
 
@@ -215,6 +220,8 @@ class Histogram:
 
 def basis_state(dims: Sequence[int], label: str | Sequence[int]) -> StateVector:
     dims = tuple(dims)
+    for dim in dims:
+        _check_dim(dim)
     size = prod(dims)
     check_state_dim(size)
     amps = np.zeros(size, dtype=complex)
@@ -348,6 +355,25 @@ def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) 
 _SWITCH_FRACTION = 16
 
 
+def _controls_hold(idx: np.ndarray, gate: GateInstance, dims: Sequence[int], strides: Sequence[int]) -> np.ndarray:
+    """Mask of the basis indices ``idx`` at which every control of ``gate`` holds its value."""
+    return np.logical_and.reduce([idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls])
+
+
+def _permute_indices(
+    idx: np.ndarray, gate: GateInstance, table: np.ndarray, dims: Sequence[int], strides: Sequence[int]
+) -> None:
+    """Move the basis indices ``idx`` in place to where the basis-permuting
+    ``gate`` sends them: an index whose controls hold shifts by its target
+    digit's move in ``table``, the gate kind's entry in ``_BASIS_TABLES``."""
+    target = gate.target
+    digit = idx // strides[target] % dims[target]
+    move = (table[digit] - digit) * strides[target]
+    if gate.controls:
+        move *= _controls_hold(idx, gate, dims, strides)
+    idx += move
+
+
 def _apply_sparse(
     idx: np.ndarray, amp: np.ndarray, gate: GateInstance, dims: Sequence[int], strides: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -357,29 +383,21 @@ def _apply_sparse(
 
     The gate's action must keep zeros, so that a base holding no entry
     stays +0 in the dense kernel too. A basis-permuting kind moves only
-    indices: each entry whose controls hold shifts by its target digit's
-    move in ``_BASIS_TABLES``, the digit maps ``run_basis`` reads, and its
-    amplitude, which the dense kernel copies, stays. Any other non-diagonal
-    gate runs the dense kernel's ``_apply_levels`` on a (levels, bases)
-    block of the bases that hold entries, and an output is dropped only
-    when both its words are +0.
+    indices, by ``_permute_indices`` with the digit maps ``run_basis``
+    reads, and each amplitude, which the dense kernel copies, stays. Any
+    other non-diagonal gate runs the dense kernel's ``_apply_levels`` on a
+    (levels, bases) block of the bases that hold entries, and an output is
+    dropped only when both its words are +0.
     """
-    target = gate.target
-    dim, stride = dims[target], strides[target]
-    if gate.controls:
-        on = np.logical_and.reduce(
-            [idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls]
-        )
     table = _BASIS_TABLES.get(gate.kind)
     if table is not None:
-        digit = idx // stride % dim
-        move = (table[digit] - digit) * stride
-        if gate.controls:
-            move *= on
-        idx += move
+        _permute_indices(idx, gate, table, dims, strides)
         return idx, amp
+    target = gate.target
+    dim, stride = dims[target], strides[target]
     action = _ACTIONS[gate.kind, dim]
     if gate.controls:
+        on = _controls_hold(idx, gate, dims, strides)
         idle_idx, idle_amp = idx[~on], amp[~on]
         idx, amp = idx[on], amp[on]
     digit = idx // stride % dim
@@ -560,37 +578,102 @@ def state_to_json(state: StateVector) -> str:
 # density-matrix evolution
 # ---------------------------------------------------------------------------
 
-def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply ``op`` to the given axes of ``tensor`` (in that order): its
-    input indices contract those axes and its output indices take their
-    places, and no other axis is visited."""
-    k = len(axes)
-    local = op.reshape(tuple(tensor.shape[a] for a in axes) * 2)
-    return np.moveaxis(np.tensordot(local, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
+# Plans and permutations kept for density steps. A noise run on one circuit
+# reuses a handful of block shapes and one permutation per distinct
+# basis-permuting gate; an index holds prod(dims) <= 729 entries.
+_PLAN_CACHE_SIZE = 256
+_PERMUTATION_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _contraction_plan(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
+    """The operand layout ``np.tensordot(op, tensor, (range(k, 2k), axes))``
+    builds for a tensor of ``shape``, and the axis order ``np.moveaxis`` then
+    applies: (contracted axes first, their matrix shape, the product's
+    tensor shape, the order that moves the output axes back to ``axes``)."""
+    rest = tuple(a for a in range(len(shape)) if a not in axes)
+    local = tuple(shape[a] for a in axes)
+    matrix = (prod(local), prod(shape[a] for a in rest))
+    back = list(range(len(axes), len(shape)))
+    for dest, src in sorted(zip(axes, range(len(axes)))):
+        back.insert(dest, src)
+    return axes + rest, matrix, local + tuple(shape[a] for a in rest), tuple(back)
+
+
+def _contract(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply the C-contiguous square ``op`` to the given axes of ``tensor``
+    (in that order): its input indices contract those axes and its output
+    indices take their places, and no other axis is visited. It runs the
+    ``np.dot`` that ``np.tensordot`` runs, on the same operands, with the
+    layout planned once per (shape, axes)."""
+    order, matrix, unfolded, back = _contraction_plan(tensor.shape, axes)
+    return np.dot(op, tensor.transpose(order).reshape(matrix)).reshape(unfolded).transpose(back)
+
+
+@lru_cache(maxsize=_PERMUTATION_CACHE_SIZE)
+def _inverse_permutation(gate: GateInstance, dims: tuple[int, ...]) -> np.ndarray:
+    """Read-only inverse basis permutation of a basis-permuting ``gate``:
+    ``inverse[a]`` is the basis index the gate sends to ``a``, from the digit
+    maps ``run_basis`` and the sparse start read. Row and column ``a`` of
+    U rho U^dag are row and column ``inverse[a]`` of rho."""
+    size = prod(dims)
+    moved = np.arange(size)
+    _permute_indices(moved, gate, _BASIS_TABLES[gate.kind], dims, [prod(dims[w + 1:]) for w in range(len(dims))])
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[moved] = np.arange(size)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np.ndarray:
     """Evolve a raw density matrix by a gate, or a channel on ``wires``, with
-    no check. A gate runs on the block where its controls hold their values:
-    its target unitary U on the target's row axis, then conj(U) on the
-    target's column axis; a channel runs as one contraction of its local
-    superoperator over its row and column axes together. Round-off is
-    symmetrized away so Hermiticity is exact on the output."""
-    n = len(dims)
-    tensor = entries.reshape(dims * 2)
-    if isinstance(step, GateInstance):
-        target = step.target
-        unitary = kind_matrix(step.kind, dims[target])
-        # the target's axis within a block, once the control axes before it are fixed
-        axis = target - sum(c.wire < target for c in step.controls)
-        tensor = tensor.copy()
-        for offset, op in ((0, unitary), (n, unitary.conj())):
-            block = tuple(_control_index(step, n, offset))
-            tensor[block] = _contract(tensor[block], op, [offset + axis])
+    no check, into a new array.
+
+    A basis-permuting gate (a kind in ``_BASIS_TABLES``, with any controls)
+    takes rho's rows, then its columns, in the order of its cached inverse
+    permutation. Any other gate runs on the block where its controls hold
+    their values: its target unitary U on the target's row axis, then
+    conj(U) on the target's column axis. A channel runs as one contraction
+    of its local superoperator over its row and column axes together.
+    Round-off is symmetrized away so Hermiticity is exact on the output:
+    conj(out^T), then + out, then / 2, in one buffer, the bits of
+    (out + out^dag) / 2.
+
+    The output is bit-identical to the reference step the tests keep (every
+    gate as two ``np.tensordot`` contractions, every channel as one) on a
+    rho that holds no -0 word, as every rho triarc builds and every output
+    of this step holds none. Where a caller's rho holds -0 words, a
+    permutation copies them while a contraction writes +0, so the values
+    are equal but some zero words may differ in sign.
+    """
+    if isinstance(step, GateInstance) and step.kind in _BASIS_TABLES:
+        inverse = _inverse_permutation(step, tuple(dims))
+        buffer = entries.take(inverse, axis=0)
+        out = buffer.take(inverse, axis=1)
     else:
-        tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
-    out = tensor.reshape(entries.shape)
-    return (out + out.conj().T) / 2
+        n = len(dims)
+        tensor = entries.reshape(dims * 2)
+        if isinstance(step, GateInstance):
+            target = step.target
+            unitary = kind_matrix(step.kind, dims[target])
+            # the target's axis within a block, once the control axes before it are fixed
+            axis = target - sum(c.wire < target for c in step.controls)
+            tensor = tensor.copy()
+            for offset, op in ((0, unitary), (n, unitary.conj())):
+                block = tuple(_control_index(step, n, offset))
+                tensor[block] = _contract(tensor[block], op, (offset + axis,))
+        else:
+            tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
+        # left as a tensor: its matrix form would be a copy
+        out = tensor
+        buffer = np.empty(out.shape, dtype=complex)
+    # out^T swaps the row axes with the column axes, of a matrix or a tensor
+    half = out.ndim // 2
+    np.conjugate(out.transpose(tuple(range(half, 2 * half)) + tuple(range(half))), out=buffer)
+    buffer += out
+    # a complex division, not * 0.5: the two differ in the sign of a zero word
+    np.true_divide(buffer, 2, out=buffer)
+    return buffer.reshape(entries.shape)
 
 
 def evolve_density(

@@ -110,6 +110,50 @@ def test_superoperator_is_sum_of_kron_products(channel):
     assert np.allclose(channel.superoperator, expected, rtol=0, atol=1e-12)
 
 
+def einsum_superoperator(operators):
+    """The superoperator build ``_kron_sum`` replaced, as a flat array."""
+    ops = np.asarray(operators, dtype=complex)
+    return np.einsum("mik,mjl->ijkl", ops, ops.conj()).reshape(-1)
+
+
+def fidelity_grid_channels():
+    """Every depolarizing (dims, p) the fidelity golden grid builds, in call order."""
+    keys = []
+    with pytest.MonkeyPatch.context() as mp:
+        build = N.depolarizing_channel
+        mp.setattr(N, "depolarizing_channel", lambda dims, p: keys.append((tuple(dims), p)) or build(dims, p))
+        fidelity_grid_lines()
+    return list(dict.fromkeys(keys))
+
+
+def test_superoperator_equals_einsum_on_the_fidelity_grid_and_damping_channels():
+    keys = fidelity_grid_channels()
+    # p1 on the Clifford+T single-qubit gates; p2 > 0 on the two-wire gates of each strategy
+    assert {dims for dims, _ in keys} == {(2,), (2, 2), (3, 3)} and len(keys) == 1 + 2 * 12
+    channels = [N._depolarizing_channel.__wrapped__(dims, p) for dims, p in keys]
+    channels += [N.amplitude_damping_qubit(lam) for lam in (0.0, 0.3, 1.0, 1 - math.exp(-0.01 / 100))]
+    channels += [N.amplitude_damping_qutrit(l1, l2) for l1, l2 in ((0.0, 0.0), (0.2, 0.7), (1.0, 1.0))]
+    for channel in channels:
+        assert channel.superoperator.reshape(-1).tobytes() == einsum_superoperator(channel.operators).tobytes()
+
+
+@given(st.sampled_from([1, 2, 3, 4, 6, 9]), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.sampled_from([None, 1, 50, 700]), st.integers(0, 2 ** 31))
+@settings(max_examples=150, deadline=None)
+def test_kron_sum_equals_einsum_on_random_sparse_complex_sets(size, count, density, chunk, seed):
+    """Kraus sets of any sparsity, with +0 and -0 words among the zeros, summed
+    in one chunk or in chunks of ``chunk`` pairs, hold einsum's bytes."""
+    rng = np.random.default_rng(seed)
+    shape = (count, size, size)
+    ops = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < density)
+    words = ops.view(float)
+    words[words == 0] = rng.choice([0.0, -0.0], size=int((words == 0).sum()))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(N, "_KRON_PAIRS_PER_CHUNK", chunk)
+        assert N._kron_sum(ops).tobytes() == einsum_superoperator(ops).tobytes()
+
+
 @pytest.mark.parametrize(
     "operators, dims",
     [
@@ -129,6 +173,7 @@ def test_kraus_channel_refuses_bad_wires_and_shapes_before_building(monkeypatch,
         raise AssertionError("KrausChannel reached np.einsum before refusing")
 
     monkeypatch.setattr(np, "einsum", no_einsum)
+    monkeypatch.setattr(N, "_kron_sum", no_einsum)
     with pytest.raises(ValueError):
         N.KrausChannel(operators, dims)
 

@@ -530,6 +530,18 @@ def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
         S.basis_density([2, 2], "00")
 
 
+@pytest.mark.parametrize("dims, label, bad", [((4,), "3", 4), ((np.int64(2), True), "01", True),
+                                             ((2, 2.0), "00", 2.0)])
+def test_state_wires_of_dimension_other_than_2_or_3_are_refused(dims, label, bad):
+    message = f"^wire dimension must be the integer 2 or 3, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        S.basis_state(dims, label)
+    amplitudes = np.zeros(prod(int(d) for d in dims), dtype=complex)
+    amplitudes[0] = 1
+    with pytest.raises(ValueError, match=message):
+        S.StateVector(tuple(dims), amplitudes)
+
+
 def test_density_wires_of_dimension_other_than_2_or_3_are_refused():
     message = "^wire dimension must be the integer 2 or 3, got 4$"
     with pytest.raises(ValueError, match=message):
@@ -966,6 +978,136 @@ def test_evolve_density_gate_step_equals_two_contraction_reference(circ, seed):
         expected = two_contraction_reference(rho.entries, gate, dims)
         rho = S.evolve_density(rho, gate)
         assert np.array_equal(rho.entries, expected)
+
+
+def reference_contract(tensor, op, axes):
+    """The contraction ``_contract`` plans: ``np.tensordot`` then ``np.moveaxis``."""
+    k = len(axes)
+    local = op.reshape(tuple(tensor.shape[a] for a in axes) * 2)
+    return np.moveaxis(np.tensordot(local, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
+
+
+def reference_density_step(entries, dims, step, wires):
+    """The density step the permutation, the contraction plan and the
+    symmetrisation buffer replaced: every gate as U on its target's row axis
+    and conj(U) on its column axis within the control block, every channel
+    as one superoperator contraction, then ``(out + out^dag) / 2``."""
+    n = len(dims)
+    tensor = entries.reshape(dims * 2)
+    if isinstance(step, C.GateInstance):
+        target = step.target
+        unitary = S.kind_matrix(step.kind, dims[target])
+        axis = target - sum(c.wire < target for c in step.controls)
+        tensor = tensor.copy()
+        for offset, op in ((0, unitary), (n, unitary.conj())):
+            block = tuple(S._control_index(step, n, offset))
+            tensor[block] = reference_contract(tensor[block], op, [offset + axis])
+    else:
+        tensor = reference_contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
+    out = tensor.reshape(entries.shape)
+    return (out + out.conj().T) / 2
+
+
+def complex_channel(dims, seed):
+    """Three dense complex Kraus operators on ``dims``, an isometry's blocks."""
+    rng = np.random.default_rng(seed)
+    size = prod(dims)
+    isometry, _ = np.linalg.qr(rng.normal(size=(3 * size, size)) + 1j * rng.normal(size=(3 * size, size)))
+    return N.KrausChannel(tuple(isometry.reshape(3, size, size)), tuple(dims))
+
+
+@st.composite
+def density_steps(draw):
+    """(dims, steps) on at most 4 mixed wires: gates of every kind with up to
+    two controls, and channels on one or two wires in any order."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            steps.append((draw(any_unitary_gate(dims)), None))
+            continue
+        wires = tuple(draw(st.permutations(range(len(dims))))[: draw(st.integers(1, min(2, len(dims))))])
+        wire_dims = tuple(dims[w] for w in wires)
+        build = draw(st.sampled_from(["depolarizing", "damping", "complex"]))
+        if build == "depolarizing":
+            channel = N.depolarizing_channel(wire_dims, draw(st.floats(0.0, 0.01)))
+        elif build == "complex":
+            channel = complex_channel(wire_dims, draw(st.integers(0, 2 ** 31)))
+        else:
+            wires = wires[:1]
+            lam = st.floats(0.0, 1.0)
+            channel = (N.amplitude_damping_qubit(draw(lam)) if dims[wires[0]] == 2
+                       else N.amplitude_damping_qutrit(draw(lam), draw(lam)))
+        steps.append((channel, wires))
+    return dims, steps
+
+
+@given(density_steps(), st.booleans(), st.integers(0, 2 ** 31))
+@settings(max_examples=200, deadline=None)
+def test_density_step_is_bit_identical_to_the_reference_step(run, from_basis, seed):
+    """From a random Hermitian state, or from a basis state, whose steps stay
+    rich in zeros, every step's bytes equal the reference step's."""
+    dims, steps = run
+    rng = np.random.default_rng(seed)
+    size = prod(dims)
+    if from_basis:
+        entries = S.basis_density(dims, [int(rng.integers(d)) for d in dims]).entries
+    else:
+        factor = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        entries = factor @ factor.conj().T
+        entries /= np.trace(entries).real
+    for step, wires in steps:
+        expected = reference_density_step(entries, dims, step, wires)
+        entries = S._density_step(entries, dims, step, wires)
+        assert entries.tobytes() == expected.tobytes()
+        # no -0 word, which a permutation would copy where a contraction writes +0
+        words = entries.view(float)
+        assert not np.signbit(words[words == 0]).any()
+
+
+@pytest.mark.parametrize("gate", PERMUTATION_GATES[:8], ids=lambda g: f"{g.kind.value}{g.wires}")
+def test_density_step_on_negative_zero_words_equals_the_reference_in_value(gate):
+    dims = (2, 3, 2, 3, 2)
+    size = prod(dims)
+    rng = np.random.default_rng(3)
+    factor = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    entries = factor @ factor.conj().T / size ** 2
+    mask = np.triu(rng.random((size, size)) < 0.3, 1)
+    entries.real[mask | mask.T] = -0.0
+    assert np.array_equal(S._density_step(entries, dims, gate, None),
+                          reference_density_step(entries, dims, gate, None))
+
+
+@pytest.mark.parametrize("gate", PERMUTATION_GATES, ids=lambda g: f"{g.kind.value}{g.wires}")
+def test_density_step_moves_rows_and_columns_for_a_permutation_gate(gate, monkeypatch):
+    dims = (2, 3, 2, 3, 2)
+    rho = S.basis_density(dims, "01020")
+    for prep in (C.h(0), C.controlled(C.h(2), 1, 1), C.controlled(C.xplus1(3), 0), C.t(4), C.h(4)):
+        rho = S.evolve_density(rho, prep)
+    expected = reference_density_step(rho.entries, dims, gate, None)
+
+    def no_contraction(*args):
+        raise AssertionError("a permutation gate ran a contraction")
+
+    monkeypatch.setattr(S, "_contract", no_contraction)
+    assert S.evolve_density(rho, gate).entries.tobytes() == expected.tobytes()
+
+
+def test_density_step_caches_are_bounded():
+    for cached in (S._inverse_permutation, S._contraction_plan):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
+
+
+def test_inverse_permutation_is_read_only_and_inverts_run_basis():
+    dims = (2, 3, 2, 3, 2)
+    digits = S.index_digits(dims, np.arange(prod(dims))).astype(np.int64)
+    for gate in PERMUTATION_GATES:
+        inverse = S._inverse_permutation(gate, dims)
+        assert not inverse.flags.writeable
+        moved = S.run_basis(C.extend(C.new_circuit(dims), [gate]), digits)
+        strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+        assert np.array_equal(inverse[moved @ strides], np.arange(prod(dims)))
 
 
 def test_evolve_density_leaves_input_alone():
