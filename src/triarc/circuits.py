@@ -29,10 +29,6 @@ class GateKind(Enum):
     Z = "Z"
     TOFFOLI = "TOFFOLI"  # two |1>-controls, one target, qubit wires only
 
-    # Members are singletons that compare by identity, so they hash by it
-    # too, in C; Enum's own __hash__ hashes the name in Python on every call
-    __hash__ = object.__hash__
-
 
 QUTRIT_ONLY_KINDS = frozenset({GateKind.XPLUS1, GateKind.XMINUS1})
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})

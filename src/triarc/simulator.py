@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi, prod, sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -578,50 +577,29 @@ def state_to_json(state: StateVector) -> str:
 # density-matrix evolution
 # ---------------------------------------------------------------------------
 
-# Plans and permutations kept for density steps. A noise run on one circuit
-# reuses a handful of block shapes and one permutation per distinct
-# basis-permuting gate; an index holds prod(dims) <= 729 entries.
-_PLAN_CACHE_SIZE = 256
-_PERMUTATION_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contraction_plan(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple:
-    """The operand layout ``np.tensordot(op, tensor, (range(k, 2k), axes))``
-    builds for a tensor of ``shape``, and the axis order ``np.moveaxis`` then
-    applies: (contracted axes first, their matrix shape, the product's
-    tensor shape, the order that moves the output axes back to ``axes``)."""
-    rest = tuple(a for a in range(len(shape)) if a not in axes)
-    local = tuple(shape[a] for a in axes)
-    matrix = (prod(local), prod(shape[a] for a in rest))
-    back = list(range(len(axes), len(shape)))
-    for dest, src in sorted(zip(axes, range(len(axes)))):
-        back.insert(dest, src)
-    return axes + rest, matrix, local + tuple(shape[a] for a in rest), tuple(back)
-
-
-def _contract(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply the C-contiguous square ``op`` to the given axes of ``tensor``
     (in that order): its input indices contract those axes and its output
     indices take their places, and no other axis is visited. It runs the
-    ``np.dot`` that ``np.tensordot`` runs, on the same operands, with the
-    layout planned once per (shape, axes)."""
-    order, matrix, unfolded, back = _contraction_plan(tensor.shape, axes)
-    return np.dot(op, tensor.transpose(order).reshape(matrix)).reshape(unfolded).transpose(back)
+    ``np.dot`` of ``np.tensordot(op, tensor)`` on the same operands, without
+    that call's and ``np.moveaxis``'s axis bookkeeping."""
+    order = list(axes) + [a for a in range(tensor.ndim) if a not in axes]
+    moved = tensor.transpose(order)
+    product = np.dot(op, moved.reshape(len(op), -1))
+    # the product's axes come in ``order``; its argsort puts each back in place
+    return product.reshape(moved.shape).transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
-@lru_cache(maxsize=_PERMUTATION_CACHE_SIZE)
-def _inverse_permutation(gate: GateInstance, dims: tuple[int, ...]) -> np.ndarray:
-    """Read-only inverse basis permutation of a basis-permuting ``gate``:
-    ``inverse[a]`` is the basis index the gate sends to ``a``, from the digit
-    maps ``run_basis`` and the sparse start read. Row and column ``a`` of
+def _inverse_permutation(gate: GateInstance, dims: Sequence[int]) -> np.ndarray:
+    """Inverse basis permutation of a basis-permuting ``gate``: ``inverse[a]``
+    is the basis index the gate sends to ``a``, from the digit maps
+    ``run_basis`` and the sparse start read. Row and column ``a`` of
     U rho U^dag are row and column ``inverse[a]`` of rho."""
     size = prod(dims)
     moved = np.arange(size)
     _permute_indices(moved, gate, _BASIS_TABLES[gate.kind], dims, [prod(dims[w + 1:]) for w in range(len(dims))])
     inverse = np.empty(size, dtype=np.intp)
     inverse[moved] = np.arange(size)
-    inverse.flags.writeable = False
     return inverse
 
 
@@ -630,7 +608,7 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     no check, into a new array.
 
     A basis-permuting gate (a kind in ``_BASIS_TABLES``, with any controls)
-    takes rho's rows, then its columns, in the order of its cached inverse
+    takes rho's rows, then its columns, in the order of its inverse
     permutation. Any other gate runs on the block where its controls hold
     their values: its target unitary U on the target's row axis, then
     conj(U) on the target's column axis. A channel runs as one contraction
@@ -643,11 +621,11 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     gate as two ``np.tensordot`` contractions, every channel as one) on a
     rho that holds no -0 word, as every rho triarc builds and every output
     of this step holds none. Where a caller's rho holds -0 words, a
-    permutation copies them while a contraction writes +0, so the values
+    permutation copies them where a contraction may write +0, so the values
     are equal but some zero words may differ in sign.
     """
     if isinstance(step, GateInstance) and step.kind in _BASIS_TABLES:
-        inverse = _inverse_permutation(step, tuple(dims))
+        inverse = _inverse_permutation(step, dims)
         buffer = entries.take(inverse, axis=0)
         out = buffer.take(inverse, axis=1)
     else:
@@ -661,7 +639,7 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
             tensor = tensor.copy()
             for offset, op in ((0, unitary), (n, unitary.conj())):
                 block = tuple(_control_index(step, n, offset))
-                tensor[block] = _contract(tensor[block], op, (offset + axis,))
+                tensor[block] = _contract(tensor[block], op, [offset + axis])
         else:
             tensor = _contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
         # left as a tensor: its matrix form would be a copy

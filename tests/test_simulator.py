@@ -981,17 +981,17 @@ def test_evolve_density_gate_step_equals_two_contraction_reference(circ, seed):
 
 
 def reference_contract(tensor, op, axes):
-    """The contraction ``_contract`` plans: ``np.tensordot`` then ``np.moveaxis``."""
+    """A gate or channel contraction: ``np.tensordot`` then ``np.moveaxis``."""
     k = len(axes)
     local = op.reshape(tuple(tensor.shape[a] for a in axes) * 2)
     return np.moveaxis(np.tensordot(local, tensor, axes=(range(k, 2 * k), axes)), range(k), axes)
 
 
 def reference_density_step(entries, dims, step, wires):
-    """The density step the permutation, the contraction plan and the
-    symmetrisation buffer replaced: every gate as U on its target's row axis
-    and conj(U) on its column axis within the control block, every channel
-    as one superoperator contraction, then ``(out + out^dag) / 2``."""
+    """The density step the permutation and the symmetrisation buffer
+    replaced: every gate as U on its target's row axis and conj(U) on its
+    column axis within the control block, every channel as one
+    superoperator contraction, then ``(out + out^dag) / 2``."""
     n = len(dims)
     tensor = entries.reshape(dims * 2)
     if isinstance(step, C.GateInstance):
@@ -1093,18 +1093,11 @@ def test_density_step_moves_rows_and_columns_for_a_permutation_gate(gate, monkey
     assert S.evolve_density(rho, gate).entries.tobytes() == expected.tobytes()
 
 
-def test_density_step_caches_are_bounded():
-    for cached in (S._inverse_permutation, S._contraction_plan):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 256
-
-
-def test_inverse_permutation_is_read_only_and_inverts_run_basis():
+def test_inverse_permutation_inverts_run_basis():
     dims = (2, 3, 2, 3, 2)
     digits = S.index_digits(dims, np.arange(prod(dims))).astype(np.int64)
     for gate in PERMUTATION_GATES:
         inverse = S._inverse_permutation(gate, dims)
-        assert not inverse.flags.writeable
         moved = S.run_basis(C.extend(C.new_circuit(dims), [gate]), digits)
         strides = [prod(dims[w + 1:]) for w in range(len(dims))]
         assert np.array_equal(inverse[moved @ strides], np.arange(prod(dims)))
