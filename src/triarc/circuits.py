@@ -71,9 +71,15 @@ def store_floats(obj: object, **values: object) -> None:
         object.__setattr__(obj, name, float(value))
 
 
+def _is_dim(dim: object) -> bool:
+    """A wire dimension: the integer 2 (qubit) or 3 (qutrit), an int or a
+    numpy integer; a bool or a float is not one."""
+    return _is_int(dim) and dim in (2, 3)
+
+
 def _check_dim(dim: object) -> None:
     """Refuse a wire dimension other than the integer 2 (qubit) or 3 (qutrit)."""
-    if not _is_int(dim) or dim not in (2, 3):
+    if not _is_dim(dim):
         raise ValueError(f"wire dimension must be the integer 2 or 3, got {dim!r}")
 
 

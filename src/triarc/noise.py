@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, _is_int, check_finite, check_int, check_real, layers, store_floats
+from .circuits import Circuit, _is_dim, check_finite, check_int, check_real, layers, store_floats
 from .simulator import (
     DensityMatrix,
     _density_step,
@@ -62,9 +62,9 @@ class NoiseParams:
 
 def _check_channel_dims(dims: Sequence[int]) -> None:
     """Refuse channel wires other than 1 or 2 wires of dimension 2 or 3, so a
-    local superoperator has at most 81x81 entries. A dimension is an int or
-    a numpy integer, as a circuit wire's is; a bool or a float is refused."""
-    if not 1 <= len(dims) <= 2 or not all(_is_int(d) and d in (2, 3) for d in dims):
+    local superoperator has at most 81x81 entries. A dimension passes
+    ``circuits._is_dim``, the rule a circuit wire's passes."""
+    if not 1 <= len(dims) <= 2 or not all(_is_dim(d) for d in dims):
         raise ValueError(f"a channel acts on 1 or 2 wires of dimension 2 or 3, got {tuple(dims)!r}")
 
 

@@ -157,7 +157,19 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, trace-one, positive-semidefinite matrix over the basis."""
+    """Hermitian, trace-one, positive-semidefinite matrix over the basis.
+
+    Checked on construction, in this order: Hermitian by exact equality to
+    its adjoint or else ``allclose(atol=1e-10)``, trace 1 within 1e-10, and
+    no eigenvalue below -1e-8, tested as a Cholesky factorisation of
+    ``E + 1e-8 I``. A complex128 matrix whose every off-diagonal entry is
+    +-0 (NaN counts as nonzero), as a basis-permuting circuit keeps rho
+    under Pauli and damping noise, is checked on its diagonal alone with the
+    same verdicts and messages: exact Hermitian when each diagonal entry
+    equals its conjugate, and positive semidefinite when each
+    ``Re(E_jj) + 1e-8 > 0``, the pivot test on which that factorisation
+    fails for such a matrix.
+    """
 
     dims: tuple[int, ...]
     entries: np.ndarray
@@ -167,23 +179,38 @@ class DensityMatrix:
         entries = self.entries
         if entries.shape != (size, size):
             raise ValueError(f"density matrix must be {size}x{size}")
+        diagonal = entries.diagonal()
+        # complex128 only: the shift refuses an integer matrix and the
+        # factorisation a float16 one, so other dtypes keep the full path
+        is_diagonal = entries.dtype == complex and np.count_nonzero(entries) == np.count_nonzero(diagonal)
         # exact equality first: _density_step's outputs are exactly
-        # Hermitian, so only other matrices pay for the tolerance test
-        adjoint = entries.conj().T
-        if not (np.array_equal(entries, adjoint) or np.allclose(entries, adjoint, atol=1e-10)):
-            raise ValueError("density matrix must be Hermitian within 1e-10")
+        # Hermitian, so only other matrices pay for the tolerance test; on a
+        # diagonal matrix exact equality is each entry against its conjugate
+        if not (is_diagonal and (diagonal == diagonal.conj()).all()):
+            adjoint = entries.conj().T
+            if not (np.array_equal(entries, adjoint) or np.allclose(entries, adjoint, atol=1e-10)):
+                raise ValueError("density matrix must be Hermitian within 1e-10")
         trace = complex(np.trace(entries))
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
         # the eigenvalue bound without an eigensolver: E + 1e-8 I has a
         # Cholesky factor iff lambda_min(E) > -1e-8 (up to round-off), and
-        # the factorisation reads the lower triangle, as eigvalsh does
-        shifted = entries.copy()
-        shifted.reshape(-1)[:: size + 1] += 1e-8
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise ValueError("density matrix has an eigenvalue below -1e-8") from None
+        # the factorisation reads the lower triangle, as eigvalsh does. With
+        # every off-diagonal entry zero, LAPACK's potrf fails exactly at the
+        # first pivot Re(E_jj) + 1e-8 that is <= 0 or NaN, the float sum the
+        # shifted copy holds, so a diagonal matrix is tested on that sum
+        if is_diagonal:
+            positive = (diagonal.real + 1e-8 > 0).all()
+        else:
+            shifted = entries.copy()
+            shifted.reshape(-1)[:: size + 1] += 1e-8
+            try:
+                np.linalg.cholesky(shifted)
+                positive = True
+            except np.linalg.LinAlgError:
+                positive = False
+        if not positive:
+            raise ValueError("density matrix has an eigenvalue below -1e-8")
 
 
 @dataclass(frozen=True, eq=False)

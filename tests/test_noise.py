@@ -198,6 +198,21 @@ def test_kraus_channels_compare_and_hash_by_identity():
     assert hash(shared) == hash(shared) and len({shared, fresh}) == 2
 
 
+@pytest.mark.parametrize("dim, accepted", [
+    (2, True), (3, True), (np.int64(2), True), (np.uint8(3), True),
+    (0, False), (4, False), (True, False), (2.0, False), (np.float64(3.0), False), ("2", False), (None, False),
+])
+def test_circuit_and_channel_wires_take_one_dimension_rule(dim, accepted):
+    assert C._is_dim(dim) is accepted
+    for check, message in ((C._check_dim, "wire dimension must be the integer 2 or 3"),
+                           (lambda d: N._check_channel_dims((d,)), "1 or 2 wires")):
+        if accepted:
+            check(dim)
+        else:
+            with pytest.raises(ValueError, match=message):
+                check(dim)
+
+
 def test_depolarizing_refuses_three_wires():
     with pytest.raises(ValueError, match="1 or 2 wires"):
         N.depolarizing_channel([2, 2, 2], 0.0)

@@ -431,18 +431,25 @@ def eigvalsh_rejects(entries):
     st.integers(2, 144),
     st.floats(1e-12, 1e-9),
     st.booleans(),
+    st.booleans(),
     st.integers(0, 2 ** 32 - 1),
 )
-@settings(max_examples=60, deadline=None)
-def test_cholesky_psd_verdict_equals_eigvalsh(size, margin, below, seed):
+@settings(max_examples=100, deadline=None)
+def test_cholesky_psd_verdict_equals_eigvalsh(size, margin, below, diagonal, seed):
+    """A dense state takes the Cholesky test; a diagonal one, the spectrum
+    in a random order, takes the diagonal test."""
     rng = np.random.default_rng(seed)
-    gaussian = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    unitary, _ = np.linalg.qr(gaussian)
+    if diagonal:
+        unitary = np.eye(size, dtype=complex)[rng.permutation(size)]
+    else:
+        gaussian = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        unitary, _ = np.linalg.qr(gaussian)
     low = -1e-8 - margin if below else -1e-8 + margin
     rest = rng.uniform(0.1, 1.0, size - 1)
     spectrum = np.concatenate([[low], rest * (1 - low) / rest.sum()])
     entries = (unitary * spectrum) @ unitary.conj().T
     entries = (entries + entries.conj().T) / 2
+    assert (np.count_nonzero(entries) == size) == diagonal
     assert eigvalsh_rejects(entries) == below  # round-off stays well inside the margin
     if eigvalsh_rejects(entries):
         with pytest.raises(ValueError, match="eigenvalue below -1e-8"):
@@ -1006,6 +1013,112 @@ def reference_density_step(entries, dims, step, wires):
         tensor = reference_contract(tensor, step.superoperator, wires + tuple(n + w for w in wires))
     out = tensor.reshape(entries.shape)
     return (out + out.conj().T) / 2
+
+
+def reference_density_check(dims, entries):
+    """The ``DensityMatrix`` check the diagonal path sits in front of: every
+    matrix through the full Hermitian test and the Cholesky factorisation."""
+    size = prod(dims)
+    if entries.shape != (size, size):
+        raise ValueError(f"density matrix must be {size}x{size}")
+    adjoint = entries.conj().T
+    if not (np.array_equal(entries, adjoint) or np.allclose(entries, adjoint, atol=1e-10)):
+        raise ValueError("density matrix must be Hermitian within 1e-10")
+    trace = complex(np.trace(entries))
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"density matrix trace {trace} deviates from 1")
+    shifted = entries.copy()
+    shifted.reshape(-1)[:: size + 1] += 1e-8
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix has an eigenvalue below -1e-8") from None
+
+
+def check_verdict(check, dims, entries):
+    """None when ``check`` accepts, else the type and message of what it raises."""
+    try:
+        check(dims, entries)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+# -1e-8 and its neighbouring ulps, where the shifted pivot crosses zero
+_PIVOT_EDGES = [float(np.nextafter(-1e-8, direction)) for direction in (-1.0, 1.0)]
+_DIAGONAL_REALS = [0.0, -0.0, -1e-8, *_PIVOT_EDGES, float(np.nextafter(_PIVOT_EDGES[1], 1.0)),
+                   5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan]
+# inside and outside the 1e-10 Hermitian tolerance
+_DIAGONAL_IMAGS = [0.0, -0.0, 5e-324, 5e-11, -5e-11, 2e-10, -2e-10, np.inf, np.nan]
+
+
+@st.composite
+def near_diagonal_matrices(draw):
+    """(size, entries): a trace-one positive diagonal of size 1-144 with up to
+    four entries replaced by edge values, the trace put back to 1 on an entry
+    left alone, and, when drawn, one off-diagonal pair of subnormals."""
+    size = draw(st.integers(1, 144))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.uniform(0.1, 1.0, size)
+    diagonal = (weights / weights.sum()).astype(complex)
+    imags = st.one_of(st.just(0.0), st.sampled_from(_DIAGONAL_IMAGS))
+    edits = draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(_DIAGONAL_REALS), imags),
+                          max_size=4))
+    for index, real, imag in edits:
+        diagonal[index] = complex(real, imag)
+    untouched = sorted(set(range(size)) - {index for index, _, _ in edits})
+    if untouched:
+        with np.errstate(invalid="ignore"):
+            diagonal[untouched[0]] += 1 - diagonal.real.sum()
+    entries = np.diag(diagonal)
+    if size > 1 and draw(st.booleans()):
+        row, col = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        value = draw(st.sampled_from([5e-324, -5e-324, 5e-324j, 1e-310 - 1e-310j]))
+        entries[row, col] = value
+        entries[col, row] = np.conj(value) if draw(st.booleans()) else value
+    return size, entries
+
+
+@given(near_diagonal_matrices())
+@settings(max_examples=400, deadline=None)
+def test_density_check_on_near_diagonal_matrices_equals_the_reference(matrix):
+    size, entries = matrix
+    with np.errstate(invalid="ignore"):
+        expected = check_verdict(reference_density_check, (size,), entries)
+        assert check_verdict(S.DensityMatrix, (size,), entries) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.float32, np.float64, np.complex64])
+def test_density_check_of_a_diagonal_in_another_dtype_equals_the_reference(dtype):
+    """Only complex128 takes the diagonal path; the shift refuses an integer
+    matrix and the factorisation a float16 one, as before."""
+    entries = np.diag([1, 0]).astype(dtype)
+    assert check_verdict(S.DensityMatrix, (2,), entries) == check_verdict(reference_density_check, (2,), entries)
+
+
+def test_density_check_factors_only_a_state_with_an_off_diagonal_entry(monkeypatch):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(entries):
+        factored.append(entries.shape)
+        return cholesky(entries)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    dims = (2, 2, 3, 3, 2, 2)
+    rho = S.basis_density(dims, "010201")
+    for step, wires in ((C.controlled(C.xplus1(2), 1), None), (N.depolarizing_channel((3, 3), 0.01), (2, 3)),
+                        (N.amplitude_damping_qutrit(0.1, 0.2), (3,))):
+        rho = S.evolve_density(rho, step, wires)
+    with pytest.raises(ValueError, match="eigenvalue below -1e-8"):
+        S.DensityMatrix((2,), np.diag([1 + 2e-8, -2e-8]).astype(complex))
+    assert factored == []
+    # an imaginary subnormal off the diagonal is an off-diagonal entry
+    almost = np.diag([0.5, 0.5]).astype(complex)
+    almost[0, 1], almost[1, 0] = 5e-324j, -5e-324j
+    S.DensityMatrix((2,), almost)
+    S.evolve_density(rho, C.h(0))
+    assert factored == [(2, 2), (144, 144)]
 
 
 def complex_channel(dims, seed):
