@@ -137,6 +137,17 @@ class KrausChannel:
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-10")
         return s.reshape(size * size, size * size)
 
+    @cached_property
+    def keeps_diagonal(self) -> bool:
+        """Whether the channel sends every |k><k| to a diagonal matrix, as the
+        depolarizing and damping channels do: column (k, k) of ``S`` holds
+        zeros of either sign in every row (i, j) with i != j. Then it keeps a
+        diagonal rho diagonal, and ``_density_step`` evolves such a rho on
+        its diagonal alone."""
+        size = prod(self.dims)
+        images = self.superoperator[:, :: size + 1].reshape(size, size, size)
+        return not images[~np.eye(size, dtype=bool)].any()
+
 
 @dataclass(frozen=True)
 class GateCensus:
@@ -224,12 +235,12 @@ def depolarizing_channel(wire_dims: Sequence[int], p: float) -> KrausChannel:
     return _depolarizing_channel(tuple(int(d) for d in wire_dims), float(p))
 
 
-@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
-def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
-    """Checks p here, so a cache hit pays for no check; a refusal is not cached."""
-    check_finite(p=p)
-    if p < 0:
-        raise ValueError("error probability must be non-negative")
+# one entry per valid channel wire-dims tuple: (2,), (3,) and the four pairs
+@lru_cache(maxsize=6)
+def _pauli_stack(wire_dims: tuple[int, ...]) -> np.ndarray:
+    """The generalized Paulis of a channel's wires as one read-only
+    (D, size, size) stack, the identity first; built once per wire dims,
+    since it does not depend on p."""
     size = prod(wire_dims)
     stacks = [np.array(generalized_paulis(d)) for d in wire_dims]
     paulis = stacks[0]
@@ -238,6 +249,18 @@ def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
         # product per entry, so the operators are bit-identical to it
         a, b = stacks
         paulis = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, size, size)
+    paulis.flags.writeable = False
+    return paulis
+
+
+@lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
+def _depolarizing_channel(wire_dims: tuple[int, ...], p: float) -> KrausChannel:
+    """Checks p here, so a cache hit pays for no check; a refusal is not cached."""
+    check_finite(p=p)
+    if p < 0:
+        raise ValueError("error probability must be non-negative")
+    size = prod(wire_dims)
+    paulis = _pauli_stack(wire_dims)
     d_total = len(paulis)
     if (d_total - 1) * p > 1:
         raise ValueError(f"(D-1)p = {(d_total - 1) * p} exceeds 1")

@@ -155,6 +155,21 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
 
+def _is_diagonal(entries: np.ndarray) -> bool:
+    """Whether the square ``entries`` is a complex128 matrix whose every word
+    off the diagonal is +0: its nonzero 32-bit words all lie on the
+    diagonal, so a -0 or a NaN off it counts as an entry. Other dtypes are
+    never diagonal here: the density check's shift refuses an integer matrix
+    and its factorisation a float16 one, so they keep the full path."""
+    if entries.dtype != complex:
+        return False
+    size = len(entries)
+    words = np.ascontiguousarray(entries).view(np.uint32)
+    total = np.count_nonzero(words)
+    # more nonzero words than the diagonal holds settles it with one count
+    return bool(total <= 4 * size and total == np.count_nonzero(words.reshape(size, size, 4).diagonal()))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix over the basis.
@@ -162,11 +177,11 @@ class DensityMatrix:
     Checked on construction, in this order: Hermitian by exact equality to
     its adjoint or else ``allclose(atol=1e-10)``, trace 1 within 1e-10, and
     no eigenvalue below -1e-8, tested as a Cholesky factorisation of
-    ``E + 1e-8 I``. A complex128 matrix whose every off-diagonal entry is
-    +-0 (NaN counts as nonzero), as a basis-permuting circuit keeps rho
-    under Pauli and damping noise, is checked on its diagonal alone with the
-    same verdicts and messages: exact Hermitian when each diagonal entry
-    equals its conjugate, and positive semidefinite when each
+    ``E + 1e-8 I``. A matrix that ``_is_diagonal`` accepts (complex128, every
+    off-diagonal word +0), as a basis-permuting circuit keeps rho under
+    Pauli and damping noise, is checked on its diagonal alone with the same
+    verdicts and messages: exact Hermitian when each diagonal entry equals
+    its conjugate, and positive semidefinite when each
     ``Re(E_jj) + 1e-8 > 0``, the pivot test on which that factorisation
     fails for such a matrix.
     """
@@ -180,9 +195,7 @@ class DensityMatrix:
         if entries.shape != (size, size):
             raise ValueError(f"density matrix must be {size}x{size}")
         diagonal = entries.diagonal()
-        # complex128 only: the shift refuses an integer matrix and the
-        # factorisation a float16 one, so other dtypes keep the full path
-        is_diagonal = entries.dtype == complex and np.count_nonzero(entries) == np.count_nonzero(diagonal)
+        is_diagonal = _is_diagonal(entries)
         # exact equality first: _density_step's outputs are exactly
         # Hermitian, so only other matrices pay for the tolerance test; on a
         # diagonal matrix exact equality is each entry against its conjugate
@@ -281,46 +294,49 @@ class _Action:
 
     ``rows`` lists the non-identity rows of ``kind_matrix`` as
     (row, ((col, coeff), ...)) with nonzero terms in column order, so sums
-    keep the order of a matrix-vector product. A diagonal action scales
-    each of its rows in place. ``keeps_zero`` says whether ``_apply_levels``
-    maps a column of +0 to +0 bit for bit; a -1 or -1j factor (Z, SDG)
-    writes -0.
+    keep the order of a matrix-vector product, and ``read`` the columns
+    they read, in order. A diagonal action scales each of its rows in
+    place. ``keeps_zero`` says whether ``_apply_levels`` maps a column of +0
+    to +0 bit for bit; a -1 or -1j factor (Z, SDG) writes -0.
     """
 
     rows: tuple[tuple[int, tuple[tuple[int, complex], ...]], ...]
+    read: tuple[int, ...]
     diagonal: bool
     keeps_zero: bool
 
 
-def _apply_levels(rows: tuple, diagonal: bool, level: Callable[[int], np.ndarray], dim: int) -> None:
-    """Apply an action's ``rows`` in place to the levels ``level(0..dim-1)``
-    of one target, views of one shape. A diagonal action scales its levels
-    in place; any other copies them all once, then writes each product into
-    a level that no later term reads, so none is allocated. Every product
-    keeps the scalar first (``np.multiply(coeff, a)``, bit-equal to
-    ``coeff * a`` but not to ``a *= coeff``), so amplitudes are bit-identical
-    to a plain matrix-vector product that skips zero terms and unit factors.
+def _apply_levels(action: _Action, level: Callable[[int], np.ndarray]) -> None:
+    """Apply ``action`` in place to the levels ``level(k)`` of one target,
+    views of one shape. A diagonal action scales its levels in place; any
+    other copies the levels its rows read once (so X or H on a qutrit wire
+    leaves level 2 alone), then writes each product into a level that no
+    later term reads, so none is allocated. Every product keeps the scalar
+    first (``np.multiply(coeff, a)``, bit-equal to ``coeff * a`` but not to
+    ``a *= coeff``), so amplitudes are bit-identical to a plain
+    matrix-vector product that skips zero terms and unit factors.
     """
-    if diagonal:
+    rows, read = action.rows, action.read
+    if action.diagonal:
         for r, ((_, coeff),) in rows:
             out = level(r)
             np.multiply(coeff, out, out=out)
         return
-    staged = np.array([level(c) for c in range(dim)])
+    staged = np.array([level(c) for c in read])
     for i, (r, terms) in enumerate(rows):
         out = level(r)
         for j, (c, coeff) in enumerate(terms):
             if j == 0:
                 if coeff == 1:
-                    np.copyto(out, staged[c])
+                    np.copyto(out, staged[read.index(c)])
                 else:
-                    np.multiply(coeff, staged[c], out=out)
+                    np.multiply(coeff, staged[read.index(c)], out=out)
             else:
                 # the product lands in the next row's level, not yet written,
                 # or, in the last row, in (a view of) the staged source of its
                 # first term, which no later term reads
-                spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[terms[0][0], ...]
-                np.add(out, np.multiply(coeff, staged[c], out=spare), out=out)
+                spare = level(rows[i + 1][0]) if i + 1 < len(rows) else staged[read.index(terms[0][0]), ...]
+                np.add(out, np.multiply(coeff, staged[read.index(c)], out=spare), out=out)
 
 
 def _action(kind: GateKind, dim: int) -> _Action:
@@ -330,10 +346,11 @@ def _action(kind: GateKind, dim: int) -> _Action:
         for r in range(dim)
         if not (matrix[r, r] == 1 and all(matrix[r, c] == 0 for c in range(dim) if c != r))
     )
+    read = tuple(sorted({c for _, terms in rows for c, _ in terms}))
     diagonal = all(len(terms) == 1 and terms[0][0] == r for r, terms in rows)
     column = np.zeros((dim, 1), dtype=complex)
-    _apply_levels(rows, diagonal, column.__getitem__, dim)
-    return _Action(rows, diagonal, not np.signbit(column.view(float)).any())
+    _apply_levels(_Action(rows, read, diagonal, True), column.__getitem__)
+    return _Action(rows, read, diagonal, not np.signbit(column.view(float)).any())
 
 
 _ACTIONS = {
@@ -373,7 +390,7 @@ def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) 
         index[target] = value
         return tensor[tuple(index)]
 
-    _apply_levels(action.rows, action.diagonal, level, dims[target])
+    _apply_levels(action, level)
 
 
 # The sparse start hands the state to the dense kernel once
@@ -440,7 +457,7 @@ def _apply_sparse(
         bases, slot = np.unique(idx - digit * stride, return_inverse=True)
         block = np.zeros((dim, len(bases)), dtype=complex)
         block[digit, slot] = amp
-        _apply_levels(action.rows, False, block.__getitem__, dim)
+        _apply_levels(action, block.__getitem__)
         keep = block.view(np.uint64).reshape(dim, -1, 2).any(axis=2)
         idx = (bases + stride * np.arange(dim)[:, None])[keep]
         amp = block[keep]
@@ -630,6 +647,23 @@ def _inverse_permutation(gate: GateInstance, dims: Sequence[int]) -> np.ndarray:
     return inverse
 
 
+def _channel_diagonal(diagonal: np.ndarray, dims: tuple[int, ...], superoperator: np.ndarray,
+                      wires: tuple[int, ...]) -> np.ndarray:
+    """The diagonal of a channel's contraction over ``wires`` of the diagonal
+    matrix holding ``diagonal``. Each column of the (d^2, rest) block holds
+    one basis state of the other wires, its diagonal entries in the (k, k)
+    rows and +0 elsewhere: the diagonal columns of the full contraction's
+    block, with the same operator and inner dimension, so each kept (i, i)
+    entry is the same BLAS sum."""
+    order = list(wires) + [w for w in range(len(dims)) if w not in wires]
+    local = prod(dims[w] for w in wires)
+    columns = np.zeros((local * local, len(diagonal) // local), dtype=complex)
+    # row (k, k) of the block is row k * (local + 1)
+    columns[:: local + 1] = diagonal.reshape(dims).transpose(order).reshape(local, -1)
+    kept = np.dot(superoperator, columns)[:: local + 1].reshape([dims[w] for w in order])
+    return kept.transpose(sorted(range(len(order)), key=order.__getitem__)).reshape(-1)
+
+
 def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np.ndarray:
     """Evolve a raw density matrix by a gate, or a channel on ``wires``, with
     no check, into a new array.
@@ -644,21 +678,49 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     conj(out^T), then + out, then / 2, in one buffer, the bits of
     (out + out^dag) / 2.
 
+    A rho that ``_is_diagonal`` accepts (every off-diagonal word +0) stays
+    diagonal under a basis-permuting gate and under a channel that
+    ``keeps_diagonal`` (depolarizing, damping), so those steps run on its
+    diagonal alone, in O(D) for the gate: the gate moves the diagonal by the
+    dense kernel's level copies, as it moves an amplitude vector, and the
+    channel, when every diagonal entry is finite (0 * inf would put NaN off
+    the diagonal), keeps the (i, i) rows of ``_channel_diagonal``. The same
+    symmetrisation runs on that diagonal, and the output is the zero matrix
+    holding it, the +0 words the full step writes off the diagonal.
+    Non-permuting gates (whose phases need not cancel bit for bit), other
+    channels and other states take the full step.
+
     The output is bit-identical to the reference step the tests keep (every
     gate as two ``np.tensordot`` contractions, every channel as one) on a
-    rho that holds no -0 word, as every rho triarc builds and every output
-    of this step holds none. Where a caller's rho holds -0 words, a
+    finite rho that holds no -0 word, as every rho triarc builds and every
+    output of this step holds none. Where a caller's rho holds -0 words, a
     permutation copies them where a contraction may write +0, so the values
-    are equal but some zero words may differ in sign.
+    are equal but some zero words may differ in sign; where it holds NaN or
+    infinity, some NaN words may differ in sign, as the reference adds the
+    two halves of the symmetrisation in the other order.
     """
-    if isinstance(step, GateInstance) and step.kind in _BASIS_TABLES:
+    gate = isinstance(step, GateInstance)
+    permutes = gate and step.kind in _BASIS_TABLES
+    on_diagonal = (permutes or not gate and step.keeps_diagonal) and _is_diagonal(entries)
+    if on_diagonal and not gate:
+        on_diagonal = np.isfinite(entries.diagonal()).all()
+    if on_diagonal:
+        if gate:
+            # the dense kernel only copies a permuting kind's levels, so the
+            # diagonal moves as an amplitude vector would, bit for bit
+            out = entries.diagonal().copy()
+            _apply_inplace(out.reshape(dims), step, dims)
+        else:
+            out = _channel_diagonal(entries.diagonal(), dims, step.superoperator, wires)
+        buffer = np.empty_like(out)
+    elif permutes:
         inverse = _inverse_permutation(step, dims)
         buffer = entries.take(inverse, axis=0)
         out = buffer.take(inverse, axis=1)
     else:
         n = len(dims)
         tensor = entries.reshape(dims * 2)
-        if isinstance(step, GateInstance):
+        if gate:
             target = step.target
             unitary = kind_matrix(step.kind, dims[target])
             # the target's axis within a block, once the control axes before it are fixed
@@ -672,13 +734,18 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
         # left as a tensor: its matrix form would be a copy
         out = tensor
         buffer = np.empty(out.shape, dtype=complex)
-    # out^T swaps the row axes with the column axes, of a matrix or a tensor
+    # out^T swaps the row axes with the column axes of a matrix or a tensor,
+    # and leaves a diagonal as it is
     half = out.ndim // 2
-    np.conjugate(out.transpose(tuple(range(half, 2 * half)) + tuple(range(half))), out=buffer)
+    np.conjugate(out.transpose(tuple(range(half, out.ndim)) + tuple(range(half))), out=buffer)
     buffer += out
     # a complex division, not * 0.5: the two differ in the sign of a zero word
     np.true_divide(buffer, 2, out=buffer)
-    return buffer.reshape(entries.shape)
+    if not on_diagonal:
+        return buffer.reshape(entries.shape)
+    matrix = np.zeros(entries.shape, dtype=complex)
+    matrix.reshape(-1)[:: len(matrix) + 1] = buffer
+    return matrix
 
 
 def evolve_density(

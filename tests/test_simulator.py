@@ -1,5 +1,6 @@
 """State-vector and density-matrix simulation against independent oracles."""
 import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -741,12 +742,13 @@ def assert_bit_identical(actual, expected):
 
 
 @st.composite
-def any_unitary_gate(draw, dims):
-    """A valid gate of any unitary kind on ``dims``, with up to two controls
-    of any activation value the control wire allows."""
+def any_unitary_gate(draw, dims, kinds=tuple(C.GateKind)):
+    """A valid gate of any unitary kind on ``dims`` (of one of ``kinds``, when
+    given), with up to two controls of any activation value the control
+    wire allows."""
     n = len(dims)
     kinds = [
-        k for k in C.GateKind
+        k for k in kinds
         if (k not in C.QUTRIT_ONLY_KINDS or 3 in dims)
         and (k is not C.GateKind.TOFFOLI or dims.count(2) >= 3)
     ]
@@ -1056,7 +1058,8 @@ _DIAGONAL_IMAGS = [0.0, -0.0, 5e-324, 5e-11, -5e-11, 2e-10, -2e-10, np.inf, np.n
 def near_diagonal_matrices(draw):
     """(size, entries): a trace-one positive diagonal of size 1-144 with up to
     four entries replaced by edge values, the trace put back to 1 on an entry
-    left alone, and, when drawn, one off-diagonal pair of subnormals."""
+    left alone, and, when drawn, one off-diagonal pair of subnormals, -0
+    words or NaNs."""
     size = draw(st.integers(1, 144))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     weights = rng.uniform(0.1, 1.0, size)
@@ -1073,7 +1076,8 @@ def near_diagonal_matrices(draw):
     entries = np.diag(diagonal)
     if size > 1 and draw(st.booleans()):
         row, col = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
-        value = draw(st.sampled_from([5e-324, -5e-324, 5e-324j, 1e-310 - 1e-310j]))
+        value = draw(st.sampled_from([5e-324, -5e-324, 5e-324j, 1e-310 - 1e-310j, -0.0, complex(0.0, -0.0),
+                                      complex(np.nan, 0.0), complex(0.0, np.nan)]))
         entries[row, col] = value
         entries[col, row] = np.conj(value) if draw(st.booleans()) else value
     return size, entries
@@ -1214,6 +1218,100 @@ def test_inverse_permutation_inverts_run_basis():
         moved = S.run_basis(C.extend(C.new_circuit(dims), [gate]), digits)
         strides = [prod(dims[w + 1:]) for w in range(len(dims))]
         assert np.array_equal(inverse[moved @ strides], np.arange(prod(dims)))
+
+
+@pytest.mark.parametrize("word, diagonal", [(0.0, True), (-0.0, False), (complex(0.0, -0.0), False),
+                                             (complex(np.nan, 0.0), False), (5e-324j, False)])
+def test_is_diagonal_counts_every_nonzero_word_off_the_diagonal(word, diagonal):
+    entries = np.diag([0.25, 0.0, 0.75]).astype(complex)
+    entries[2, 0] = word
+    assert S._is_diagonal(entries) is diagonal
+    assert S._is_diagonal(np.asfortranarray(entries)) is diagonal
+    assert S._is_diagonal(entries.real) is False
+
+
+@st.composite
+def diagonal_states(draw):
+    """(dims, entries): a diagonal density matrix on 1-4 mixed wires whose
+    probabilities hold zeros, with +0 in every word off the diagonal."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+    size = prod(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(size) * (rng.random(size) < draw(st.floats(0.1, 1.0)))
+    weights[rng.integers(size)] += 1.0
+    return dims, np.diag(weights / weights.sum()).astype(complex)
+
+
+@given(diagonal_states(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_diagonal_steps_are_bit_identical_to_the_reference_step(state, data):
+    """Permutation gates with 0-2 controls, then depolarizing channels on
+    every wire subset and damping on every wire, each step from the last."""
+    dims, entries = state
+    gates = [data.draw(any_unitary_gate(dims, tuple(S._BASIS_TABLES))) for _ in range(3)]
+    steps = [(gate, None) for gate in gates]
+    for wires in [w for k in (1, 2) for w in itertools.permutations(range(len(dims)), k)]:
+        wire_dims = tuple(dims[w] for w in wires)
+        steps.append((N.depolarizing_channel(wire_dims, data.draw(st.floats(0.0, 0.0125))), wires))
+        if len(wires) == 1:
+            lam = st.floats(0.0, 1.0)
+            damping = (N.amplitude_damping_qubit(data.draw(lam)) if wire_dims == (2,)
+                       else N.amplitude_damping_qutrit(data.draw(lam), data.draw(lam)))
+            steps.append((damping, wires))
+    for step, wires in steps:
+        expected = reference_density_step(entries, dims, step, wires)
+        entries = S._density_step(entries, dims, step, wires)
+        assert entries.tobytes() == expected.tobytes()
+
+
+def test_a_diagonal_state_steps_without_a_contraction(monkeypatch):
+    """The qutrit-lowered adder's 144-dim state through a permutation gate and
+    its depolarizing and damping channels, on the diagonal alone."""
+    dims = (2, 2, 3, 3, 2, 2)
+    rho = S.basis_density(dims, "010201")
+    steps = [(C.controlled(C.xplus1(2), 1), None), (N.depolarizing_channel((3, 3), 0.01), (2, 3)),
+             (N.amplitude_damping_qutrit(0.1, 0.2), (3,)), (C.toffoli(0, 1, 4), None)]
+
+    def full_step(*args):
+        raise AssertionError("a diagonal step ran a contraction or moved rows and columns")
+
+    monkeypatch.setattr(S, "_contract", full_step)
+    monkeypatch.setattr(S, "_inverse_permutation", full_step)
+    for step, wires in steps:
+        expected = reference_density_step(rho.entries, dims, step, wires)
+        rho = S.evolve_density(rho, step, wires)
+        assert rho.entries.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_complex_channel_keeps_no_diagonal_and_takes_the_full_step(seed, monkeypatch):
+    dims = (2, 3)
+    channel = complex_channel((3,), seed)
+    assert not channel.keeps_diagonal
+    entries = S.basis_density(dims, "12").entries
+
+    def no_diagonal_route(*args):
+        raise AssertionError("a channel that does not keep diagonals ran on the diagonal")
+
+    monkeypatch.setattr(S, "_channel_diagonal", no_diagonal_route)
+    out = S._density_step(entries, dims, channel, (1,))
+    assert out.tobytes() == reference_density_step(entries, dims, channel, (1,)).tobytes()
+    assert not S._is_diagonal(out)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, np.inf)])
+def test_a_channel_on_a_non_finite_diagonal_takes_the_full_step(value):
+    """0 * inf is NaN, so the contraction writes NaN off the diagonal (the
+    sign of a NaN word follows the order of the symmetrisation's sum, which
+    the reference does not share)."""
+    dims = (2, 3)
+    entries = np.diag([0.5, 0.0, 0.25, value, 0.0, 0.25]).astype(complex)
+    channel = N.depolarizing_channel((3,), 0.01)
+    with np.errstate(invalid="ignore"):
+        expected = reference_density_step(entries, dims, channel, (1,))
+        out = S._density_step(entries, dims, channel, (1,))
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert np.isnan(out[~np.eye(len(out), dtype=bool)]).any()
 
 
 def test_evolve_density_leaves_input_alone():
