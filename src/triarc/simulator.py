@@ -403,20 +403,6 @@ def _controls_hold(idx: np.ndarray, gate: GateInstance, dims: Sequence[int], str
     return np.logical_and.reduce([idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls])
 
 
-def _permute_indices(
-    idx: np.ndarray, gate: GateInstance, table: np.ndarray, dims: Sequence[int], strides: Sequence[int]
-) -> None:
-    """Move the basis indices ``idx`` in place to where the basis-permuting
-    ``gate`` sends them: an index whose controls hold shifts by its target
-    digit's move in ``table``, the gate kind's entry in ``_BASIS_TABLES``."""
-    target = gate.target
-    digit = idx // strides[target] % dims[target]
-    move = (table[digit] - digit) * strides[target]
-    if gate.controls:
-        move *= _controls_hold(idx, gate, dims, strides)
-    idx += move
-
-
 def _apply_sparse(
     idx: np.ndarray, amp: np.ndarray, gate: GateInstance, dims: Sequence[int], strides: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -426,18 +412,23 @@ def _apply_sparse(
 
     The gate's action must keep zeros, so that a base holding no entry
     stays +0 in the dense kernel too. A basis-permuting kind moves only
-    indices, by ``_permute_indices`` with the digit maps ``run_basis``
-    reads, and each amplitude, which the dense kernel copies, stays. Any
-    other non-diagonal gate runs the dense kernel's ``_apply_levels`` on a
+    indices: an index whose controls hold shifts by its target digit's move
+    in the kind's ``_BASIS_TABLES`` map, the one ``run_basis`` reads, and
+    each amplitude, which the dense kernel copies, stays. Any other
+    non-diagonal gate runs the dense kernel's ``_apply_levels`` on a
     (levels, bases) block of the bases that hold entries, and an output is
     dropped only when both its words are +0.
     """
-    table = _BASIS_TABLES.get(gate.kind)
-    if table is not None:
-        _permute_indices(idx, gate, table, dims, strides)
-        return idx, amp
     target = gate.target
     dim, stride = dims[target], strides[target]
+    table = _BASIS_TABLES.get(gate.kind)
+    if table is not None:
+        digit = idx // stride % dim
+        move = (table[digit] - digit) * stride
+        if gate.controls:
+            move *= _controls_hold(idx, gate, dims, strides)
+        idx += move
+        return idx, amp
     action = _ACTIONS[gate.kind, dim]
     if gate.controls:
         on = _controls_hold(idx, gate, dims, strides)
@@ -634,19 +625,6 @@ def _contract(tensor: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.nda
     return product.reshape(moved.shape).transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
-def _inverse_permutation(gate: GateInstance, dims: Sequence[int]) -> np.ndarray:
-    """Inverse basis permutation of a basis-permuting ``gate``: ``inverse[a]``
-    is the basis index the gate sends to ``a``, from the digit maps
-    ``run_basis`` and the sparse start read. Row and column ``a`` of
-    U rho U^dag are row and column ``inverse[a]`` of rho."""
-    size = prod(dims)
-    moved = np.arange(size)
-    _permute_indices(moved, gate, _BASIS_TABLES[gate.kind], dims, [prod(dims[w + 1:]) for w in range(len(dims))])
-    inverse = np.empty(size, dtype=np.intp)
-    inverse[moved] = np.arange(size)
-    return inverse
-
-
 def _channel_diagonal(diagonal: np.ndarray, dims: tuple[int, ...], superoperator: np.ndarray,
                       wires: tuple[int, ...]) -> np.ndarray:
     """The diagonal of a channel's contraction over ``wires`` of the diagonal
@@ -669,11 +647,15 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     no check, into a new array.
 
     A basis-permuting gate (a kind in ``_BASIS_TABLES``, with any controls)
-    takes rho's rows, then its columns, in the order of its inverse
-    permutation. Any other gate runs on the block where its controls hold
-    their values: its target unitary U on the target's row axis, then
-    conj(U) on the target's column axis. A channel runs as one contraction
-    of its local superoperator over its row and column axes together.
+    runs the dense kernel, ``_apply_inplace``, on a copy of rho: on the row
+    axes of its ``dims * 2`` tensor, then on the column axes of the same
+    copy. That kernel only copies such a kind's levels, so each entry moves
+    from (i, j) to (f(i), f(j)), f the gate's basis map, bit for bit and in
+    rho's dtype. Any other gate runs, in complex128, on the block where its
+    controls hold their values: its target unitary U on the target's row
+    axis, then conj(U) on the target's column axis. A channel runs as one
+    contraction of its local superoperator over its row and column axes
+    together.
     Round-off is symmetrized away so Hermiticity is exact on the output:
     conj(out^T), then + out, then / 2, in one buffer, the bits of
     (out + out^dag) / 2.
@@ -681,8 +663,8 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     A rho that ``_is_diagonal`` accepts (every off-diagonal word +0) stays
     diagonal under a basis-permuting gate and under a channel that
     ``keeps_diagonal`` (depolarizing, damping), so those steps run on its
-    diagonal alone, in O(D) for the gate: the gate moves the diagonal by the
-    dense kernel's level copies, as it moves an amplitude vector, and the
+    diagonal alone, in O(D) for the gate: the same kernel moves the
+    diagonal, reshaped to ``dims``, as it moves an amplitude vector, and the
     channel, when every diagonal entry is finite (0 * inf would put NaN off
     the diagonal), keeps the (i, i) rows of ``_channel_diagonal``. The same
     symmetrisation runs on that diagonal, and the output is the zero matrix
@@ -704,28 +686,27 @@ def _density_step(entries: np.ndarray, dims: tuple[int, ...], step, wires) -> np
     on_diagonal = (permutes or not gate and step.keeps_diagonal) and _is_diagonal(entries)
     if on_diagonal and not gate:
         on_diagonal = np.isfinite(entries.diagonal()).all()
-    if on_diagonal:
-        if gate:
-            # the dense kernel only copies a permuting kind's levels, so the
-            # diagonal moves as an amplitude vector would, bit for bit
-            out = entries.diagonal().copy()
-            _apply_inplace(out.reshape(dims), step, dims)
-        else:
-            out = _channel_diagonal(entries.diagonal(), dims, step.superoperator, wires)
+    n = len(dims)
+    if permutes:
+        out = (entries.diagonal() if on_diagonal else entries).copy()
+        tensor = out.reshape(dims if on_diagonal else dims * 2)
+        _apply_inplace(tensor, step, dims)
+        if not on_diagonal:
+            # column axes first; _control_index's Ellipsis spans the row axes
+            _apply_inplace(tensor.transpose(tuple(range(n, 2 * n)) + tuple(range(n))), step, dims)
         buffer = np.empty_like(out)
-    elif permutes:
-        inverse = _inverse_permutation(step, dims)
-        buffer = entries.take(inverse, axis=0)
-        out = buffer.take(inverse, axis=1)
+    elif on_diagonal:
+        out = _channel_diagonal(entries.diagonal(), dims, step.superoperator, wires)
+        buffer = np.empty_like(out)
     else:
-        n = len(dims)
         tensor = entries.reshape(dims * 2)
         if gate:
             target = step.target
             unitary = kind_matrix(step.kind, dims[target])
             # the target's axis within a block, once the control axes before it are fixed
             axis = target - sum(c.wire < target for c in step.controls)
-            tensor = tensor.copy()
+            # a complex copy, whatever rho's dtype, to hold the complex blocks written into it
+            tensor = tensor.astype(complex, order="C")
             for offset, op in ((0, unitary), (n, unitary.conj())):
                 block = tuple(_control_index(step, n, offset))
                 tensor[block] = _contract(tensor[block], op, [offset + axis])
@@ -754,7 +735,10 @@ def evolve_density(
     wires: Sequence[int] | None = None,
 ) -> DensityMatrix:
     """``_density_step`` by a unitary gate, or a Kraus channel on ``wires``,
-    with the step checked against ``rho``'s wires and the output checked."""
+    with the step checked against ``rho``'s wires and the output checked.
+
+    This is the checked public step that ``perfbench``'s noise loop and the
+    tests call; ``noise.run_noisy`` runs ``_density_step`` unchecked."""
     dims = rho.dims
     _check_density_wires(dims)
     n = len(dims)

@@ -1210,14 +1210,24 @@ def test_density_step_moves_rows_and_columns_for_a_permutation_gate(gate, monkey
     assert S.evolve_density(rho, gate).entries.tobytes() == expected.tobytes()
 
 
-def test_inverse_permutation_inverts_run_basis():
+@pytest.mark.parametrize("gate", PERMUTATION_GATES, ids=lambda g: f"{g.kind.value}{g.wires}")
+def test_density_step_moves_each_entry_by_the_run_basis_map(gate):
+    """Entry (i, j) of rho, diagonal or not, lands at (f(i), f(j)), with f
+    read from the batched basis engine over every label."""
     dims = (2, 3, 2, 3, 2)
-    digits = S.index_digits(dims, np.arange(prod(dims))).astype(np.int64)
-    for gate in PERMUTATION_GATES:
-        inverse = S._inverse_permutation(gate, dims)
-        moved = S.run_basis(C.extend(C.new_circuit(dims), [gate]), digits)
-        strides = [prod(dims[w + 1:]) for w in range(len(dims))]
-        assert np.array_equal(inverse[moved @ strides], np.arange(prod(dims)))
+    size = prod(dims)
+    digits = S.index_digits(dims, np.arange(size)).astype(np.int64)
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    f = S.run_basis(C.extend(C.new_circuit(dims), [gate]), digits) @ strides
+    i, j = np.triu_indices(size)
+    full = np.zeros((size, size), dtype=complex)
+    # distinct Hermitian entries, integers that the symmetrisation keeps exactly
+    full[i, j] = i * size + j + 1j * (j - i)
+    full[j, i] = full[i, j].conj()
+    diagonal = np.diag(np.arange(1.0, size + 1)).astype(complex)
+    for entries in (full, diagonal):
+        out = S._density_step(entries, dims, gate, None)
+        assert np.array_equal(out[np.ix_(f, f)], entries)
 
 
 @pytest.mark.parametrize("word, diagonal", [(0.0, True), (-0.0, False), (complex(0.0, -0.0), False),
@@ -1273,14 +1283,24 @@ def test_a_diagonal_state_steps_without_a_contraction(monkeypatch):
              (N.amplitude_damping_qutrit(0.1, 0.2), (3,)), (C.toffoli(0, 1, 4), None)]
 
     def full_step(*args):
-        raise AssertionError("a diagonal step ran a contraction or moved rows and columns")
+        raise AssertionError("a diagonal step ran a contraction")
+
+    apply_inplace = S._apply_inplace
+    moved = []
+
+    def on_the_diagonal(tensor, gate, gate_dims):
+        # the diagonal reshaped to dims; rho's tensor would hold twice the axes
+        assert tensor.ndim <= len(dims), "a diagonal step moved rows and columns"
+        moved.append(gate)
+        apply_inplace(tensor, gate, gate_dims)
 
     monkeypatch.setattr(S, "_contract", full_step)
-    monkeypatch.setattr(S, "_inverse_permutation", full_step)
+    monkeypatch.setattr(S, "_apply_inplace", on_the_diagonal)
     for step, wires in steps:
         expected = reference_density_step(rho.entries, dims, step, wires)
         rho = S.evolve_density(rho, step, wires)
         assert rho.entries.tobytes() == expected.tobytes()
+    assert moved == [steps[0][0], steps[3][0]]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1312,6 +1332,34 @@ def test_a_channel_on_a_non_finite_diagonal_takes_the_full_step(value):
         out = S._density_step(entries, dims, channel, (1,))
     assert np.array_equal(out, expected, equal_nan=True)
     assert np.isnan(out[~np.eye(len(out), dtype=bool)]).any()
+
+
+NON_PERMUTING_GATES = [
+    C.GateInstance(kind, controls, target)
+    for kind in C.GateKind if kind not in S._BASIS_TABLES
+    for target, controls in ((0, ()), (1, ()), (1, (C.ControlSpec(0, 1),)), (0, (C.ControlSpec(1, 2),)))
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64])
+@pytest.mark.parametrize("gate", NON_PERMUTING_GATES, ids=lambda g: f"{g.kind.value}{g.wires}")
+def test_a_non_permuting_gate_steps_any_dtype_in_complex128(gate, dtype):
+    """A real or single-precision rho keeps the imaginary parts and the
+    precision of the phases: the step equals the complex128 step in value."""
+    dims = (2, 3)
+    rng = np.random.default_rng(11)
+    factor = rng.normal(size=(6, 6))
+    if dtype is np.complex64:
+        factor = factor + 1j * rng.normal(size=(6, 6))
+    entries = (factor @ factor.conj().T / 36).astype(dtype)
+    out = S._density_step(entries, dims, gate, None)
+    assert out.dtype == complex
+    assert np.array_equal(out, S._density_step(entries.astype(complex), dims, gate, None))
+
+
+def test_a_real_density_matrix_through_a_phase_gate_keeps_its_imaginary_parts():
+    rho = S.evolve_density(S.DensityMatrix((2,), np.full((2, 2), 0.5)), C.GateInstance(C.GateKind.S, (), 0))
+    assert np.array_equal(rho.entries, [[0.5, -0.5j], [0.5j, 0.5]])
 
 
 def test_evolve_density_leaves_input_alone():
