@@ -99,10 +99,17 @@ def disc_error(setup: PricingSetup) -> float:
 
 def gaussian_target_state(spec: GaussianSpec) -> StateVector:
     """State whose squared amplitudes are the discretized N(x0, sigma)."""
-    grid = spec.grid()
-    weights = np.exp(-((grid - spec.x0) ** 2) / (2.0 * spec.sigma ** 2))
-    amplitudes = np.sqrt(weights / weights.sum()).astype(complex)
-    return StateVector((2,) * spec.n, amplitudes)
+    # exp(-((grid - x0) ** 2) / (2 sigma^2)), normalised and square-rooted:
+    # the same ufuncs in the same order, each in place on the grid array
+    weights = spec.grid()
+    np.subtract(weights, spec.x0, out=weights)
+    np.square(weights, out=weights)
+    np.negative(weights, out=weights)
+    np.true_divide(weights, 2.0 * spec.sigma ** 2, out=weights)
+    np.exp(weights, out=weights)
+    np.true_divide(weights, weights.sum(), out=weights)
+    np.sqrt(weights, out=weights)
+    return StateVector((2,) * spec.n, weights.astype(complex))
 
 
 def energy_x2(counts: Histogram | Mapping[int, float], m: float, dx: float, x0: float) -> float:
@@ -110,26 +117,50 @@ def energy_x2(counts: Histogram | Mapping[int, float], m: float, dx: float, x0: 
 
     Accepts a measured Histogram on qubit wires, checked when it was built,
     or a plain mapping from grid index j to weight (e.g. exact probabilities).
+
+    The result is, bit for bit and on every Python version, the left-to-right
+    sum from 0 of the terms ``c * (m / 2.0) * (j * dx - x0) ** 2`` in the
+    order given, in Python floats, divided by the Python ``sum`` of the
+    weights (exact for a Histogram's integer counts, which an int64 sum
+    could wrap). The terms are built as arrays: ``np.float_power(y, 2.0)``
+    calls libm ``pow``, as Python's ``** 2`` does, and ``np.cumsum`` adds in
+    order. As in Python, a finite ``j * dx - x0`` whose square overflows
+    raises OverflowError, and any other overflow gives inf or NaN, without
+    a warning.
     """
     if isinstance(counts, Histogram):
         if any(d != 2 for d in counts.dims):
             raise ValueError(f"energy_x2 reads a qubit register, got a histogram on dims {counts.dims}")
-        indices, weights = counts.indices.tolist(), counts.counts.tolist()
+        indices, weights = counts.indices, counts.counts
+        total = sum(weights.tolist())
     else:
         # the grid indices of a register of at most MAX_STATE_DIM points, as GaussianSpec.grid allows
         for j in counts:
             check_int(**{"basis index": j})
             if not 0 <= j < simulator.MAX_STATE_DIM:
                 raise ValueError(f"basis index {j} outside [0, {simulator.MAX_STATE_DIM})")
-        indices, weights = [int(j) for j in counts], [float(c) for c in counts.values()]
-        for j, c in zip(indices, weights):
+        floats = [float(c) for c in counts.values()]
+        for j, c in zip(counts, floats):
             if not (isfinite(c) and c >= 0):
                 raise ValueError(f"histogram index {j} has weight {c}; weights must be finite and >= 0")
-    if not indices:
+        indices, weights = np.array([int(j) for j in counts], dtype=np.int64), np.array(floats)
+        total = sum(floats)
+    if not len(indices):
         raise ValueError("histogram is empty")
-    total = sum(weights)
     if not isfinite(total):
         raise ValueError(f"histogram total weight {total} is not finite")
     if total <= 0:
         raise ValueError("histogram has zero total weight")
-    return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in zip(indices, weights)) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = indices * dx - x0
+        squares = np.float_power(offsets, 2.0)
+        terms = weights * (m / 2.0)
+        terms *= squares
+        # a sum from int 0, as Python's: it never ends on -0.0, even where every term is -0.0
+        numerator = 0.0 + float(np.cumsum(terms)[-1])
+        # an inf square makes every term it is in, and so the sum, inf or NaN
+        if not isfinite(numerator):
+            overflowed = np.isinf(squares) & np.isfinite(offsets)
+            if overflowed.any():
+                raise OverflowError(f"(j*dx - x0) ** 2 overflows a float at grid index {indices[overflowed][0]}")
+    return numerator / total

@@ -150,7 +150,9 @@ class StateVector:
         size = prod(self.dims)
         if self.amplitudes.shape != (size,):
             raise ValueError(f"amplitude vector must have length {size}")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        squares = np.abs(self.amplitudes)
+        squares **= 2
+        norm = float(np.sum(squares))
         if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
@@ -398,9 +400,32 @@ def _apply_inplace(tensor: np.ndarray, gate: GateInstance, dims: Sequence[int]) 
 _SWITCH_FRACTION = 16
 
 
+def _digits(idx: np.ndarray, dim: int, stride: int) -> np.ndarray:
+    """``idx // stride % dim``, the digits of the non-negative basis indices
+    ``idx`` on a wire of dimension ``dim`` and place value ``stride``: a shift
+    in place of the division where the stride is a power of two, and ``& 1``
+    in place of ``% 2`` on a qubit wire, each several times cheaper."""
+    shift = stride.bit_length() - 1
+    quotient = idx >> shift if stride == 1 << shift else idx // stride
+    return quotient & 1 if dim == 2 else quotient % dim
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for a 1-D int64 array: the
+    sorted distinct keys and the slot of each key among them, from one
+    ``argsort`` and a first-of-run mask, without ``np.unique``'s overhead."""
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return ordered[first], slot
+
+
 def _controls_hold(idx: np.ndarray, gate: GateInstance, dims: Sequence[int], strides: Sequence[int]) -> np.ndarray:
     """Mask of the basis indices ``idx`` at which every control of ``gate`` holds its value."""
-    return np.logical_and.reduce([idx // strides[c.wire] % dims[c.wire] == c.value for c in gate.controls])
+    return np.logical_and.reduce([_digits(idx, dims[c.wire], strides[c.wire]) == c.value for c in gate.controls])
 
 
 def _apply_sparse(
@@ -417,13 +442,14 @@ def _apply_sparse(
     each amplitude, which the dense kernel copies, stays. Any other
     non-diagonal gate runs the dense kernel's ``_apply_levels`` on a
     (levels, bases) block of the bases that hold entries, and an output is
-    dropped only when both its words are +0.
+    dropped only when both its words are +0. Every digit is read by
+    ``_digits`` and the bases are grouped by ``_group``.
     """
     target = gate.target
     dim, stride = dims[target], strides[target]
     table = _BASIS_TABLES.get(gate.kind)
     if table is not None:
-        digit = idx // stride % dim
+        digit = _digits(idx, dim, stride)
         move = (table[digit] - digit) * stride
         if gate.controls:
             move *= _controls_hold(idx, gate, dims, strides)
@@ -434,7 +460,7 @@ def _apply_sparse(
         on = _controls_hold(idx, gate, dims, strides)
         idle_idx, idle_amp = idx[~on], amp[~on]
         idx, amp = idx[on], amp[on]
-    digit = idx // stride % dim
+    digit = _digits(idx, dim, stride)
     if action.diagonal:
         # numpy rounds a one-element in-place complex product without fused
         # multiply-add, and every other product with it, so scale in place
@@ -445,11 +471,12 @@ def _apply_sparse(
             level = amp[at]
             amp[at] = np.multiply(coeff, level, out=level if in_place else None)
     else:
-        bases, slot = np.unique(idx - digit * stride, return_inverse=True)
+        bases, slot = _group(idx - digit * stride)
         block = np.zeros((dim, len(bases)), dtype=complex)
         block[digit, slot] = amp
         _apply_levels(action, block.__getitem__)
-        keep = block.view(np.uint64).reshape(dim, -1, 2).any(axis=2)
+        words = block.view(np.uint64)
+        keep = (words[:, 0::2] | words[:, 1::2]).astype(bool)
         idx = (bases + stride * np.arange(dim)[:, None])[keep]
         amp = block[keep]
     if gate.controls:
@@ -585,7 +612,8 @@ def measure_all(state: StateVector, shots: int, seed: int) -> Histogram:
         raise ValueError("shots must be >= 1")
     check_state_dim(shots, "shot count")
     rng = np.random.default_rng(seed)
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    probs **= 2
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]

@@ -1,4 +1,5 @@
 """Pricing-context bounds, Gaussian target states, and energy estimators."""
+import hashlib
 import math
 import re
 import sys
@@ -163,12 +164,24 @@ def test_energy_x2_accepts_histogram():
     assert P.energy_x2(hist, m=1.0, dx=1.0, x0=0.0) == pytest.approx(expected)
 
 
+def left_to_right_energy_x2(pairs, m, dx, x0):
+    """The energy_x2 reference: each ``(j, c)`` term in the order given, in
+    Python floats with ``** 2``, added left to right from 0 by an explicit
+    loop, over the plain ``sum()`` of the weights. Not a ``sum()`` of the
+    terms: from Python 3.12 on it compensates float additions, so its bits
+    depend on the Python version."""
+    pairs = list(pairs)
+    numerator = 0
+    for j, c in pairs:
+        numerator += c * (m / 2.0) * (j * dx - x0) ** 2
+    return numerator / sum(c for _, c in pairs)
+
+
 def label_path_energy_x2(label_counts, m, dx, x0):
     """energy_x2 as it was when histograms were keyed by label: each label
-    parsed back with int(label, 2), then the same sum in the same order."""
+    parsed back with int(label, 2), then the reference sum in the same order."""
     weights = {int(label, 2): float(c) for label, c in label_counts.items()}
-    total = sum(weights.values())
-    return sum(c * (m / 2.0) * (j * dx - x0) ** 2 for j, c in weights.items()) / total
+    return left_to_right_energy_x2(weights.items(), m, dx, x0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 - 1])
@@ -200,6 +213,95 @@ def test_energy_x2_of_a_histogram_is_bit_identical_to_its_mapping(spec, seed):
     mapping = dict(zip(hist.indices.tolist(), hist.counts.tolist()))
     args = spec.m, spec.dx, spec.w * spec.sigma
     assert P.energy_x2(hist, *args) == P.energy_x2(mapping, *args)
+
+
+# sha256 of gaussian_target_state(spec).amplitudes.tobytes(), and the
+# float.hex() of energy_x2 over measure_all(state, 100_000, seed)
+GAUSSIAN_GOLDENS = [
+    (GaussianSpec(n=20), "673fc3d7bf1907a29564f25fe625ef2f733c8986890d8d6dc47d6119e9f1370b",
+     {0: "0x1.fe7ab240e9eedp-3", 1: "0x1.ff5d1a0a6f828p-3"}),
+    (GaussianSpec(n=20, x0=0.3, sigma=0.7, w=3.7), "1ad5c631c744f064879d4ccb31fe08a4dc417b1a64c550892f34df9f93e5d5bf",
+     {0: "0x1.fd61b811ec065p-3", 1: "0x1.fe4c415ca4f0ap-3"}),
+]
+
+
+@pytest.mark.parametrize("spec, digest, energies", GAUSSIAN_GOLDENS, ids=["dyadic", "off_dyadic"])
+def test_gaussian_state_and_sampled_energy_match_their_goldens(spec, digest, energies):
+    state = P.gaussian_target_state(spec)
+    assert hashlib.sha256(state.amplitudes.tobytes()).hexdigest() == digest
+    args = spec.m, spec.dx, spec.w * spec.sigma
+    for seed, value in energies.items():
+        assert P.energy_x2(S.measure_all(state, 100_000, seed), *args).hex() == value, seed
+
+
+@st.composite
+def weighted_grids(draw):
+    """(counts, pairs, m, dx, x0): a Histogram on 26 qubits or a mapping,
+    and its (j, weight) pairs in index order, on an off-dyadic grid whose
+    offset puts j*dx - x0 below zero for the low indices. Weights may be
+    zero; indices reach the top of the register."""
+    indices = sorted(draw(st.sets(st.one_of(st.integers(0, 64), st.integers(0, S.MAX_STATE_DIM - 1)),
+                                  min_size=1, max_size=40)))
+    dx = draw(st.floats(1e-9, 10.0))
+    x0 = draw(st.floats(0.0, 100.0)) + 0.1
+    m = draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.one_of(st.just(0), st.integers(0, 2 ** 62)),
+                                min_size=len(indices), max_size=len(indices)))
+        assume(sum(weights) > 0)
+        counts = S.Histogram((2,) * 26, np.array(indices), np.array(weights))
+    else:
+        weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                                min_size=len(indices), max_size=len(indices)))
+        assume(sum(weights) > 0)
+        counts = dict(zip(indices, weights))
+    return counts, list(zip(indices, weights)), m, dx, x0
+
+
+@given(weighted_grids())
+@settings(max_examples=300, deadline=None)
+def test_energy_x2_is_bit_identical_to_the_left_to_right_loop(case):
+    counts, pairs, m, dx, x0 = case
+    assert P.energy_x2(counts, m, dx, x0).hex() == left_to_right_energy_x2(pairs, m, dx, x0).hex()
+
+
+def test_energy_x2_divides_by_the_exact_total_of_large_counts():
+    """The counts sum to 2^63, where an int64 sum wraps to -2^63."""
+    hist = S.Histogram((2,), np.array([0, 1]), np.array([2 ** 62, 2 ** 62]))
+    assert hist.counts.sum() < 0
+    expected = left_to_right_energy_x2([(0, 2 ** 62), (1, 2 ** 62)], 1.0, 0.3, 0.1)
+    assert P.energy_x2(hist, 1.0, 0.3, 0.1).hex() == expected.hex()
+    assert expected == pytest.approx(0.0125)
+
+
+def test_energy_x2_sums_to_plus_zero_when_every_term_is_minus_zero():
+    assert P.energy_x2({0: 0.0, 1: 2.0}, m=-2.0, dx=3.0, x0=3.0).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("as_histogram", [False, True])
+def test_energy_x2_raises_when_a_finite_square_overflows(as_histogram):
+    counts = S.Histogram((2, 2), np.array([0, 1]), np.array([1, 1])) if as_histogram else {0: 1.0, 1: 1.0}
+    with pytest.raises(OverflowError):
+        P.energy_x2(counts, m=1.0, dx=1e200, x0=0.0)
+
+
+@pytest.mark.parametrize("as_histogram", [False, True])
+@pytest.mark.parametrize("weights, dx, expected", [
+    # the weight times the square overflows
+    ((1, 10 ** 12), 1e150, math.inf),
+    # j * dx overflows, so the square is inf without an error, and a zero weight times it is NaN
+    ((1, 1), 1e308, math.inf),
+    ((0, 1), 1e308, math.inf),
+    ((1, 0), 1e308, math.nan),
+])
+def test_energy_x2_returns_a_non_finite_value_without_a_warning(as_histogram, weights, dx, expected):
+    indices = (0, 10)
+    if as_histogram:
+        counts = S.Histogram((2,) * 4, np.array(indices), np.array(weights))
+    else:
+        counts = dict(zip(indices, map(float, weights)))
+    value = P.energy_x2(counts, m=1.0, dx=dx, x0=0.0)
+    assert value == expected or math.isnan(expected) and math.isnan(value)
 
 
 def test_energy_x2_reads_numpy_integer_keys_as_python_ints():

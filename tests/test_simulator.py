@@ -850,6 +850,32 @@ def test_apply_sparse_is_bit_identical_on_a_state_with_signed_zeros(circ, seed):
         assert_bit_identical(scattered, tensor.reshape(-1))
 
 
+@pytest.mark.parametrize("dims", [(3, 2, 2, 3, 2), (2, 3, 2, 2), (2, 3, 2, 3, 2), (3, 3, 2)])
+def test_digits_equal_the_division_on_every_wire(dims):
+    """Qubit wires with strides that are and are not powers of two, and
+    qutrit wires with both, on every index of the space."""
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    idx = np.arange(prod(dims), dtype=np.int64)
+    for wire, (dim, stride) in enumerate(zip(dims, strides)):
+        digits = S._digits(idx, dim, stride)
+        assert digits.dtype == np.int64
+        assert np.array_equal(digits, idx // stride % dim), wire
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 107, 3400])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_group_equals_unique_on_random_supports(size, seed):
+    """Bases of random supports of 14 qubits, as an H step groups them:
+    each base holds one or two entries; a controlled step may group none."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(2 ** 14, size, replace=False).astype(np.int64)
+    keys = idx - S._digits(idx, 2, 2 ** 7) * 2 ** 7
+    bases, slot = S._group(keys)
+    expected_bases, expected_slot = np.unique(keys, return_inverse=True)
+    assert np.array_equal(bases, expected_bases)
+    assert np.array_equal(slot, expected_slot)
+
+
 # on dims (2, 3, 2, 3, 2): qubit targets 0, 2, 4 and qutrit targets 1, 3,
 # each kind with 0-2 controls, control values 1 and 2
 PERMUTATION_GATES = [
