@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import isfinite
 from numbers import Integral, Real
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GateKind(Enum):
@@ -32,6 +32,11 @@ class GateKind(Enum):
 
 QUTRIT_ONLY_KINDS = frozenset({GateKind.XPLUS1, GateKind.XMINUS1})
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
+# members as module globals for the hot kind tests, which compare by
+# identity: reading GateKind.T is an enum attribute lookup, and a frozenset
+# test calls the Python-level Enum.__hash__, each several times slower
+_XPLUS1, _XMINUS1, _T, _TDG, _TOFFOLI = (
+    GateKind.XPLUS1, GateKind.XMINUS1, GateKind.T, GateKind.TDG, GateKind.TOFFOLI)
 
 
 def _is_int(value: object) -> bool:
@@ -129,9 +134,10 @@ def validate_gate(gate: GateInstance, dims: Sequence[int]) -> None:
             check_int(**{"control value": c.value})
         if not (1 <= c.value < dims[c.wire]):
             raise ValueError(f"control value {c.value} invalid on wire {c.wire} of dimension {dims[c.wire]}")
-    if gate.kind in QUTRIT_ONLY_KINDS and dims[gate.target] != 3:
-        raise ValueError(f"{gate.kind.value} targets qutrit wires only")
-    if gate.kind is GateKind.TOFFOLI:
+    kind = gate.kind
+    if (kind is _XPLUS1 or kind is _XMINUS1) and dims[gate.target] != 3:
+        raise ValueError(f"{kind.value} targets qutrit wires only")
+    if kind is _TOFFOLI:
         if len(gate.controls) != 2:
             raise ValueError("TOFFOLI takes exactly two controls")
         # with every wire a qubit, the control-value check above forces value 1
@@ -259,26 +265,28 @@ def gate_count(circuit: Circuit, kind: GateKind | None = None) -> int:
     return sum(1 for g in circuit.gates if g.kind is kind)
 
 
-def _asap(circuit: Circuit) -> Iterator[tuple[GateInstance, int]]:
-    """(gate, layer) for each gate in order: ASAP greedy layering puts each
+def _asap(circuit: Circuit) -> list[int]:
+    """The layer of each gate, in gate order: ASAP greedy layering puts each
     gate in the earliest layer where none of its wires is occupied."""
     next_free = [0] * len(circuit.wires)
+    gate_layers = []
     for gate in circuit.gates:
         wires = gate.wires
         layer = 0
         for w in wires:
             if next_free[w] > layer:
                 layer = next_free[w]
-        yield gate, layer
+        gate_layers.append(layer)
         layer += 1
         for w in wires:
             next_free[w] = layer
+    return gate_layers
 
 
 def layers(circuit: Circuit) -> list[list[GateInstance]]:
     """The ASAP layers of ``circuit``."""
     layers: list[list[GateInstance]] = []
-    for gate, layer in _asap(circuit):
+    for gate, layer in zip(circuit.gates, _asap(circuit)):
         if layer == len(layers):
             layers.append([])
         layers[layer].append(gate)
@@ -287,12 +295,13 @@ def layers(circuit: Circuit) -> list[list[GateInstance]]:
 
 def depth(circuit: Circuit) -> int:
     """Number of ASAP layers."""
-    return max((layer for _, layer in _asap(circuit)), default=-1) + 1
+    return max(_asap(circuit), default=-1) + 1
 
 
 def is_qutrit_gate(gate: GateInstance, dims: Sequence[int]) -> bool:
     """True when the gate leaves the qubit-only gate set."""
-    if gate.kind in QUTRIT_ONLY_KINDS:
+    kind = gate.kind
+    if kind is _XPLUS1 or kind is _XMINUS1:
         return True
     return any(dims[w] == 3 for w in gate.wires)
 
@@ -310,8 +319,9 @@ def t_metrics(circuit: Circuit) -> tuple[int, int]:
                 raise ValueError("t_metrics is defined for qubit-only circuits")
     t_count = 0
     t_layers = set()
-    for gate, layer in _asap(circuit):
-        if gate.kind in T_KINDS:
+    for gate, layer in zip(circuit.gates, _asap(circuit)):
+        kind = gate.kind
+        if kind is _T or kind is _TDG:
             t_count += 1
             t_layers.add(layer)
     return t_count, len(t_layers)
@@ -365,6 +375,7 @@ def circuit_from_dict(data: dict) -> Circuit:
         kind = _KINDS.get(name) if type(name) is str else None
         if kind is None:
             kind = GateKind(name)
+            name = kind.value
         controls = []
         for j, c in enumerate(g.get("controls", [])):
             w = c["wire"]
@@ -381,8 +392,10 @@ def circuit_from_dict(data: dict) -> Circuit:
         if type(target) is not int:
             check_int(**{f"gates[{i}].targets[0]": target})
         # keyed only after check_int accepted every value, so a bool or a
-        # float can never pick up a cached gate of equal ints
-        key = (kind, tuple(controls), target)
+        # float can never pick up a cached gate of equal ints; keyed by the
+        # kind's JSON name, a str whose hash is cached, not by the enum,
+        # whose __hash__ runs in Python
+        key = (name, tuple(controls), target)
         gate = shared.get(key)
         if gate is None:
             gate = shared[key] = GateInstance(kind, tuple(ControlSpec(w, v) for w, v in controls), target)

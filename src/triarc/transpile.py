@@ -125,22 +125,25 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     new_gates: list[GateInstance] = []
     # every Toffoli of a Cuccaro adder appears twice (MAJ and UMA), so a
     # repeated Toffoli reuses the gate objects its first lowering built.
-    # Keying by equality is safe only because the source gates are validated.
-    lowered: dict[GateInstance, list[GateInstance]] = {}
+    # Keyed by (control, control, target) wires: the source circuit is
+    # validated, so a TOFFOLI has exactly two controls, both of value 1, and
+    # its three wires name it; an int tuple also hashes in C, where the
+    # GateInstance hashes in Python
+    lowered: dict[tuple[int, int, int], list[GateInstance]] = {}
     for gate in circuit.gates:
         if gate.kind is not GateKind.TOFFOLI:
             new_gates.append(gate)
             continue
-        network = lowered.get(gate)
+        ca, cb = gate.controls
+        a, b, tg = key = (ca.wire, cb.wire, gate.target)
+        network = lowered.get(key)
         if network is None:
-            a, b = (c.wire for c in gate.controls)
-            tg = gate.target
             if strategy is LoweringStrategy.QUTRIT:
                 new_wires[b] = 3
                 network = decompose_toffoli_qutrit(a, b, tg)
             else:
                 network = decompose_toffoli_clifford_t(a, b, tg)
-            lowered[gate] = network
+            lowered[key] = network
         new_gates.extend(network)
     return Circuit(tuple(new_wires), tuple(new_gates))
 

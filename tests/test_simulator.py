@@ -862,6 +862,21 @@ def test_digits_equal_the_division_on_every_wire(dims):
         assert np.array_equal(digits, idx // stride % dim), wire
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_digits_equal_the_division_on_random_indices_up_to_the_limit(seed):
+    """Random non-negative int64 indices below MAX_STATE_DIM, at every stride
+    of a mixed register of 10 qubits and 10 qutrits, alternating."""
+    dims = (2, 3) * 10
+    assert prod(dims) <= S.MAX_STATE_DIM
+    strides = [prod(dims[w + 1:]) for w in range(len(dims))]
+    idx = np.random.default_rng(seed).integers(0, S.MAX_STATE_DIM, 4400, dtype=np.int64)
+    idx[:2] = 0, S.MAX_STATE_DIM - 1
+    for wire, (dim, stride) in enumerate(zip(dims, strides)):
+        digits = S._digits(idx, dim, stride)
+        assert digits.dtype == np.int64
+        assert np.array_equal(digits, idx // stride % dim), wire
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, 107, 3400])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_group_equals_unique_on_random_supports(size, seed):
