@@ -59,24 +59,20 @@ def _maj(carry: int, b: int, a: int) -> list[GateInstance]:
     return [cx(a, b), cx(a, carry), toffoli(carry, b, a)]
 
 
-def _uma(maj: list[GateInstance], carry: int, b: int) -> list[GateInstance]:
-    # inverse of ``maj`` on a and carry, leaving b = a xor b xor carry_in;
-    # its Toffoli and CNOT are the MAJ's own objects, so each distinct gate
-    # of the adder is built, and validated, once
-    _, cx_a_carry, ccx = maj
-    return [ccx, cx_a_carry, cx(carry, b)]
+def _uma(carry: int, b: int, a: int) -> list[GateInstance]:
+    # inverse of _maj on a and carry, leaving b = a xor b xor carry_in
+    return [toffoli(carry, b, a), cx(a, carry), cx(carry, b)]
 
 
 def _ripple_add(a_wires: list[int], b_wires: list[int], c0: int, carry_out: int) -> list[GateInstance]:
     """In-place A + B -> B with carry into ``carry_out``; c0 and A restored."""
     gates: list[GateInstance] = []
     carries = [c0] + a_wires[:-1]
-    majs = [(_maj(c, b, a), c, b) for c, b, a in zip(carries, b_wires, a_wires)]
-    for maj, _, _ in majs:
-        gates += maj
+    for c, b, a in zip(carries, b_wires, a_wires):
+        gates += _maj(c, b, a)
     gates.append(cx(a_wires[-1], carry_out))
-    for maj, c, b in reversed(majs):
-        gates += _uma(maj, c, b)
+    for c, b, a in reversed(list(zip(carries, b_wires, a_wires))):
+        gates += _uma(c, b, a)
     return gates
 
 

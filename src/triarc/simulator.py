@@ -403,13 +403,11 @@ _SWITCH_FRACTION = 16
 def _digits(idx: np.ndarray, dim: int, stride: int) -> np.ndarray:
     """``idx // stride % dim``, the digits of the non-negative basis indices
     ``idx`` on a wire of dimension ``dim`` and place value ``stride``: a shift
-    in place of the division where the stride is a power of two, ``& 1`` in
-    place of ``% 2`` on a qubit wire, and ``q - q // 3 * 3`` in place of
-    ``q % 3`` on a qutrit wire, each several times cheaper and equal for
-    the non-negative quotients read here."""
+    in place of the division where the stride is a power of two, and ``& 1``
+    in place of ``% 2`` on a qubit wire, each several times cheaper."""
     shift = stride.bit_length() - 1
     quotient = idx >> shift if stride == 1 << shift else idx // stride
-    return quotient & 1 if dim == 2 else quotient - quotient // 3 * 3
+    return quotient & 1 if dim == 2 else quotient % dim
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -127,8 +127,8 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     # repeated Toffoli reuses the gate objects its first lowering built.
     # Keyed by (control, control, target) wires: the source circuit is
     # validated, so a TOFFOLI has exactly two controls, both of value 1, and
-    # its three wires name it; an int tuple also hashes in C, where the
-    # GateInstance hashes in Python
+    # its three wires name it; an int tuple hashes in C, where the frozen
+    # dataclass hash of a GateInstance and its ControlSpecs runs in Python
     lowered: dict[tuple[int, int, int], list[GateInstance]] = {}
     for gate in circuit.gates:
         if gate.kind is not GateKind.TOFFOLI:

@@ -48,25 +48,6 @@ def operand_digits(circuit, layout, a, b):
     return A.register_digits(circuit, [(layout.a_wires, [a]), (layout.b_wires, [b])])[0]
 
 
-@pytest.mark.parametrize(
-    "build, sizes",
-    [(A.build_adder, (n,)) for n in (1, 2, 5, 64)] + [(A.build_multiplier, (3, 2))],
-)
-def test_builders_hold_one_object_per_distinct_gate(build, sizes):
-    circ, _ = build(*sizes)
-    assert len({id(g) for g in circ.gates}) == len(set(circ.gates))
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 64])
-def test_each_uma_toffoli_is_its_maj_toffoli(n):
-    # the MAJ Toffolis run low bit to high, the UMA ones high bit to low
-    gates = A.build_adder(n)[0].gates
-    toffolis = [g for g in gates if g.kind is GateKind.TOFFOLI]
-    assert len(toffolis) == 2 * n
-    for maj, uma in zip(toffolis[:n], reversed(toffolis[n:])):
-        assert uma is maj
-
-
 def test_adder_examples_n4():
     circuit, layout = A.build_adder(4)
     # 3 + 5 = 8 with carry 0, ancilla 0: A on wires 0-3, sum on 4-7, then c0, carry
