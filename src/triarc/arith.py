@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit, GateInstance, _is_int, check_int, cx, toffoli, x
+from .simulator import check_state_dim
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,13 @@ def build_adder(n: int) -> tuple[Circuit, RegisterLayout]:
     """Ripple-carry adder on two n-bit registers.
 
     Maps (A, B, 0, 0) to (A, A+B mod 2^n, 0, carry): the sum lands in-place
-    on register B, A is untouched, and the single ancilla is restored.
+    on register B, A is untouched, and the single ancilla is restored. Its
+    6n+1 gates are refused before any is built above MAX_STATE_DIM.
     """
     check_int(n=n)
     if n < 1:
         raise ValueError("adder needs n >= 1 bits")
+    check_state_dim(6 * n + 1, "gates")
     a_wires = list(range(n))
     b_wires = list(range(n, 2 * n))
     c0, carry_out = 2 * n, 2 * n + 1
@@ -107,11 +110,13 @@ def build_multiplier(na: int, nb: int) -> tuple[Circuit, RegisterLayout]:
     j = 0 row seeds the product register through CNOTs and every later row
     is folded in with a ripple-carry adder stage at offset j. The partial
     products are then uncomputed, so for basis inputs the result register
-    reads A*B and every ancilla is back to 0.
+    reads A*B and every ancilla is back to 0. Its 2*na*nb + na +
+    (nb-1)*(6*na+1) gates are refused before any is built above MAX_STATE_DIM.
     """
     check_int(na=na, nb=nb)
     if na < 1 or nb < 1:
         raise ValueError("multiplier needs na, nb >= 1")
+    check_state_dim(2 * na * nb + na + (nb - 1) * (6 * na + 1), "gates")
     total = na + nb + na * nb + (na + nb) + 1
     a_wires = list(range(na))
     b_wires = list(range(na, na + nb))

@@ -121,18 +121,16 @@ def energy_x2(counts: Histogram | Mapping[int, float], m: float, dx: float, x0: 
     The result is, bit for bit and on every Python version, the left-to-right
     sum from 0 of the terms ``c * (m / 2.0) * (j * dx - x0) ** 2`` in the
     order given, in Python floats, divided by the Python ``sum`` of the
-    weights (exact for a Histogram's integer counts, which an int64 sum
-    could wrap). The terms are built as arrays: ``np.float_power(y, 2.0)``
-    calls libm ``pow``, as Python's ``** 2`` does, and ``np.cumsum`` adds in
-    order. As in Python, a finite ``j * dx - x0`` whose square overflows
-    raises OverflowError, and any other overflow gives inf or NaN, without
-    a warning.
+    weights (a Histogram's exact ``shots``). The terms are built as arrays:
+    ``np.float_power(y, 2.0)`` calls libm ``pow``, as Python's ``** 2`` does,
+    and ``np.cumsum`` adds in order. As in Python, a finite ``j * dx - x0``
+    whose square overflows raises OverflowError, and any other overflow
+    gives inf or NaN, without a warning.
     """
     if isinstance(counts, Histogram):
         if any(d != 2 for d in counts.dims):
             raise ValueError(f"energy_x2 reads a qubit register, got a histogram on dims {counts.dims}")
-        indices, weights = counts.indices, counts.counts
-        total = sum(weights.tolist())
+        indices, weights, total = counts.indices, counts.counts, counts.shots
     else:
         # the grid indices of a register of at most MAX_STATE_DIM points, as GaussianSpec.grid allows
         for j in counts:

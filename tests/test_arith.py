@@ -38,6 +38,33 @@ def test_builders_accept_numpy_integer_sizes():
     assert A.build_multiplier(np.int32(2), np.uint8(3)) == A.build_multiplier(2, 3)
 
 
+def test_builder_gate_counts_match_their_formulas():
+    for n in range(1, 7):
+        assert len(A.build_adder(n)[0].gates) == 6 * n + 1
+    for na in range(1, 5):
+        for nb in range(1, 5):
+            assert len(A.build_multiplier(na, nb)[0].gates) == 2 * na * nb + na + (nb - 1) * (6 * na + 1)
+
+
+@pytest.mark.parametrize("build, sizes, gates", [
+    (A.build_adder, {"n": 2}, 13),
+    (A.build_multiplier, {"na": 2, "nb": 2}, 23),
+    (A.build_multiplier, {"na": 3, "nb": 1}, 9),
+])
+def test_builders_refuse_more_gates_than_max_state_dim_before_building_any(monkeypatch, build, sizes, gates):
+    monkeypatch.setattr(S, "MAX_STATE_DIM", gates)
+    assert len(build(**sizes)[0].gates) == gates
+    monkeypatch.setattr(S, "MAX_STATE_DIM", gates - 1)
+
+    def no_gate(*args):
+        raise AssertionError("a builder built a gate beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(A, "cx", no_gate)
+    monkeypatch.setattr(A, "toffoli", no_gate)
+    with pytest.raises(ValueError, match=f"^gates {gates} exceeds MAX_STATE_DIM = {gates - 1}$"):
+        build(**sizes)
+
+
 def test_adder_uses_only_x_cx_toffoli():
     circuit, _ = A.build_adder(4)
     assert all(g.kind in (GateKind.X, GateKind.TOFFOLI) for g in circuit.gates)

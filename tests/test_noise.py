@@ -597,6 +597,24 @@ def test_run_noisy_is_bit_identical_to_evolve_density_loop_on_the_two_bit_adder(
         assert_runs_bit_identical(lowered, label, params)
 
 
+@pytest.mark.parametrize("strategy, size", [(LoweringStrategy.QUTRIT, 864),
+                                            (LoweringStrategy.CLIFFORD_T_FUNCTIONAL, 256)])
+def test_run_noisy_runs_the_three_bit_adder(strategy, size):
+    """Both lowerings of the 3-bit adder, beyond the old six-wire density
+    limit: 5 + 6 = 11 lands on B = 3 with the carry set."""
+    adder, layout = A.build_adder(3)
+    lowered = lower_toffolis(adder, strategy)
+    label, output = S.digit_labels(A.register_digits(adder, [
+        (layout.a_wires, [5, 5]), (layout.b_wires, [6, 3]), ((layout.carry_wire,), [0, 1])]))
+    params = NoiseParams(p1=1e-4, p2=1e-4, tau_gate=0.01)
+    rho = N.run_noisy(lowered, label, params)
+    assert len(rho.entries) == size
+    ideal = S.label_to_index(lowered.dims, output)
+    assert rho.entries[ideal, ideal].real > 0.5
+    if strategy is LoweringStrategy.QUTRIT:
+        assert rho.entries.tobytes() == evolve_density_loop(lowered, label, params).entries.tobytes()
+
+
 @st.composite
 def noisy_run_inputs(draw):
     """A circuit of at most 4 wires with one- and two-wire gates only, a basis

@@ -127,11 +127,16 @@ def test_lowered_toffoli_restricted_unitary_is_permutation():
 
 
 def test_subspace_guard_checks_size_before_indexing(monkeypatch):
+    # exactly MAX_STATE_DIM entries are admitted
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 64)
+    assert np.allclose(S.qubit_subspace_unitary(qutrit_lowered_toffoli()), toffoli_permutation(), atol=1e-10)
+    monkeypatch.undo()
+
     def no_indices(*args):
-        raise AssertionError("qubit_subspace_unitary built indices beyond UNITARY_DIM_GUARD")
+        raise AssertionError("qubit_subspace_unitary built indices beyond MAX_STATE_DIM")
 
     monkeypatch.setattr(S, "qubit_subspace_indices", no_indices)
-    with pytest.raises(ValueError, match="guarded"):
+    with pytest.raises(ValueError, match=f"^qubit subspace unitary entries {4 ** 33} exceeds MAX_STATE_DIM = {2 ** 26}$"):
         S.qubit_subspace_unitary(C.new_circuit([2] * 33))
 
 
@@ -142,10 +147,19 @@ def test_qubit_subspace_indices_refused_above_state_limit(monkeypatch):
         S.qubit_subspace_indices([3] * 5)
 
 
-def test_unitary_guard():
-    with pytest.raises(ValueError):
-        S.circuit_unitary(C.new_circuit([2] * 13))
-    with pytest.raises(ValueError):
+def test_unitary_guard(monkeypatch):
+    # exactly MAX_STATE_DIM entries are admitted
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
+    assert np.allclose(S.circuit_unitary(C.new_circuit([2, 2])), np.eye(4))
+    monkeypatch.undo()
+
+    def no_unitary(*args):
+        raise AssertionError("circuit_unitary built a unitary beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(S, "_unitary_on", no_unitary)
+    with pytest.raises(ValueError, match=f"^unitary entries {2 ** 28} exceeds MAX_STATE_DIM = {2 ** 26}$"):
+        S.circuit_unitary(C.new_circuit([2] * 14))
+    with pytest.raises(ValueError, match=f"^unitary entries {2 ** 128} exceeds"):
         S.circuit_unitary(C.new_circuit([2] * 64))  # 2^64 overflows int64
 
 
@@ -369,6 +383,9 @@ def test_histogram_accepts_numpy_integer_counts():
     hist = S.Histogram((2, 3), ints(0, 5), np.array([2, 0], dtype=np.uint8))
     assert counts_of(hist) == {0: 2, 5: 0}
     assert hist.shots == 2 and type(hist.shots) is int
+    # exact totals, which an int64 sum wraps to -2^63 and a uint64 sum to 0
+    assert S.Histogram((2, 3), ints(0, 5), ints(2 ** 62, 2 ** 62)).shots == 2 ** 63
+    assert S.Histogram((2, 3), ints(0, 5), np.array([2 ** 63, 2 ** 63], dtype=np.uint64)).shots == 2 ** 64
 
 
 def test_state_vector_refuses_a_nan_amplitude():
@@ -517,25 +534,40 @@ def test_evolve_density_rejects_bad_channel_wires(wires):
         S.evolve_density(rho, channel, wires=wires)
 
 
-def test_density_guard():
-    with pytest.raises(ValueError):
-        S.evolve_density(S.basis_density([2] * 7, "0" * 7), C.x(0))
+def test_density_guard(monkeypatch):
+    def no_state(*args):
+        raise AssertionError("a density matrix was built beyond MAX_STATE_DIM")
+
+    monkeypatch.setattr(S, "basis_state", no_state)
+    message = f"^density matrix entries {2 ** 28} exceeds MAX_STATE_DIM = {2 ** 26}$"
+    with pytest.raises(ValueError, match=message):
+        S.basis_density([2] * 14, "0" * 14)
+    with pytest.raises(ValueError, match=message):
+        N.run_noisy(C.new_circuit([2] * 14), "0" * 14, N.NoiseParams())
+    # an int64 square of these dims' product wraps to 0
+    with pytest.raises(ValueError, match=f"^density matrix entries {2 ** 64} exceeds"):
+        S.basis_density([np.int64(2)] * 32, "0" * 32)
 
 
 def test_basis_state_checks_state_limit(monkeypatch):
+    # an int64 product of these dims wraps to 0
+    with pytest.raises(ValueError, match=f"^state dimension {2 ** 64} exceeds MAX_STATE_DIM"):
+        S.basis_state([np.int64(2)] * 64, "0" * 64)
     monkeypatch.setattr(S, "MAX_STATE_DIM", 16)
     with pytest.raises(ValueError, match="MAX_STATE_DIM"):
         S.basis_state([2] * 5, "0" * 5)
 
 
 def test_basis_density_checks_wire_limit_before_building_state(monkeypatch):
-    def no_state(*args):
-        raise AssertionError("basis_density built a state beyond DENSITY_WIRE_GUARD")
+    monkeypatch.setattr(S, "MAX_STATE_DIM", 36)
+    assert S.basis_density([2, 3], "12").entries[5, 5] == 1
 
-    monkeypatch.setattr(S, "DENSITY_WIRE_GUARD", 1)
+    def no_state(*args):
+        raise AssertionError("basis_density built a state beyond MAX_STATE_DIM")
+
     monkeypatch.setattr(S, "basis_state", no_state)
-    with pytest.raises(ValueError, match="DENSITY_WIRE_GUARD"):
-        S.basis_density([2, 2], "00")
+    with pytest.raises(ValueError, match="^density matrix entries 64 exceeds MAX_STATE_DIM = 36$"):
+        S.basis_density([2, 2, 2], "000")
 
 
 @pytest.mark.parametrize("dims, label, bad", [((4,), "3", 4), ((np.int64(2), True), "01", True),
