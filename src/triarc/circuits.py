@@ -9,6 +9,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,6 +40,28 @@ class GateKind(Enum):
 
 QUTRIT_ONLY_KINDS = frozenset({GateKind.XPLUS1, GateKind.XMINUS1})
 T_KINDS = frozenset({GateKind.T, GateKind.TDG})
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector disabled, for a call that
+    builds a whole circuit's gates. Gates, ControlSpecs, their tuples and
+    parsed JSON containers form no cycles, so refcounting frees them and
+    every scan the collector would run meanwhile frees nothing; each scan
+    walks every live tracked object, so the saving grows with the heap the
+    process already holds. The collector is enabled again on exit only if
+    it was enabled on entry, so a caller that disabled it, or an outer
+    paused call, keeps its setting; a thread that calls ``gc.disable()``
+    while a paused call runs is overridden when that call exits."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _is_int(value: object) -> bool:
@@ -355,49 +379,81 @@ _KINDS = GateKind._value2member_map_
 
 
 def circuit_from_dict(data: dict) -> Circuit:
-    """Circuit from its ``circuit_to_dict`` form. Every wire dim, control
-    wire, control value and target must be an int, and ``targets`` a
-    one-element list. Equal gates become one shared ``GateInstance``, which
-    the ``Circuit`` constructor validates once."""
+    """Circuit from its ``circuit_to_dict`` form. Every object must be a
+    dict and every array a list, as ``json.loads`` builds them; a wrong
+    container or a missing field is refused with a ValueError naming its
+    path. Every wire dim, control wire, control value and target must be
+    an int, and ``targets`` a one-element list. Equal gates become one
+    shared ``GateInstance``, which the ``Circuit`` constructor validates
+    once."""
+    # the happy path pays only ``type(...) is`` tests: a missing field is
+    # named from its KeyError, whose key tells which object lacks it.
     # check_int only for a value that is not exactly an int, which it
     # accepts (a numpy integer) or refuses, in the order of the fields
-    wires = []
-    for i, w in enumerate(data["wires"]):
-        dim = w["dim"]
-        if type(dim) is not int:
-            check_int(**{f"wires[{i}].dim": dim})
-        _check_dim(dim)
-        wires.append(dim)
-    shared: dict[tuple, GateInstance] = {}
-    gates = []
-    for i, g in enumerate(data["gates"]):
-        # the enum's own lookup on a miss, so an unknown kind keeps its message
-        name = g["kind"]
-        kind = _KINDS.get(name) if type(name) is str else None
-        if kind is None:
-            kind = GateKind(name)
-        controls = []
-        for j, c in enumerate(g.get("controls", [])):
-            w = c["wire"]
-            if type(w) is not int:
-                check_int(**{f"gates[{i}].controls[{j}].wire": w})
-            v = c["value"]
-            if type(v) is not int:
-                check_int(**{f"gates[{i}].controls[{j}].value": v})
-            controls.append((w, v))
-        targets = g["targets"]
-        if type(targets) is not list or len(targets) != 1:
-            raise ValueError(f"{kind.value} takes exactly one target")
-        (target,) = targets
-        if type(target) is not int:
-            check_int(**{f"gates[{i}].targets[0]": target})
-        # keyed only after check_int accepted every value, so a bool or a
-        # float can never pick up a cached gate of equal ints
-        key = (kind, tuple(controls), target)
-        gate = shared.get(key)
-        if gate is None:
-            gate = shared[key] = GateInstance(kind, tuple(ControlSpec(w, v) for w, v in controls), target)
-        gates.append(gate)
+    if type(data) is not dict:
+        raise ValueError("circuit must be an object")
+    try:
+        wires_data = data["wires"]
+        if type(wires_data) is not list:
+            raise ValueError("wires must be a list")
+        wires = []
+        for i, w in enumerate(wires_data):
+            if type(w) is not dict:
+                raise ValueError(f"wires[{i}] must be an object")
+            dim = w["dim"]
+            if type(dim) is not int:
+                check_int(**{f"wires[{i}].dim": dim})
+            _check_dim(dim)
+            wires.append(dim)
+        gates_data = data["gates"]
+        if type(gates_data) is not list:
+            raise ValueError("gates must be a list")
+        shared: dict[tuple, GateInstance] = {}
+        gates = []
+        for i, g in enumerate(gates_data):
+            if type(g) is not dict:
+                raise ValueError(f"gates[{i}] must be an object")
+            # the enum's own lookup on a miss, so an unknown kind keeps its message
+            name = g["kind"]
+            kind = _KINDS.get(name) if type(name) is str else None
+            if kind is None:
+                kind = GateKind(name)
+            controls_data = g.get("controls", [])
+            if type(controls_data) is not list:
+                raise ValueError(f"gates[{i}].controls must be a list")
+            controls = []
+            for j, c in enumerate(controls_data):
+                if type(c) is not dict:
+                    raise ValueError(f"gates[{i}].controls[{j}] must be an object")
+                w = c["wire"]
+                if type(w) is not int:
+                    check_int(**{f"gates[{i}].controls[{j}].wire": w})
+                v = c["value"]
+                if type(v) is not int:
+                    check_int(**{f"gates[{i}].controls[{j}].value": v})
+                controls.append((w, v))
+            targets = g["targets"]
+            if type(targets) is not list or len(targets) != 1:
+                raise ValueError(f"{kind.value} takes exactly one target")
+            (target,) = targets
+            if type(target) is not int:
+                check_int(**{f"gates[{i}].targets[0]": target})
+            # keyed only after check_int accepted every value, so a bool or a
+            # float can never pick up a cached gate of equal ints
+            key = (kind, tuple(controls), target)
+            gate = shared.get(key)
+            if gate is None:
+                gate = shared[key] = GateInstance(kind, tuple(ControlSpec(w, v) for w, v in controls), target)
+            gates.append(gate)
+    except KeyError as error:
+        (missing,) = error.args
+        if missing in ("wires", "gates"):
+            path = "circuit"
+        elif missing in ("wire", "value"):
+            path = f"gates[{i}].controls[{j}]"
+        else:  # "dim" of wire i, "kind" or "targets" of gate i
+            path = f"{'wires' if missing == 'dim' else 'gates'}[{i}]"
+        raise ValueError(f'{path} has no "{missing}"') from None
     return Circuit(tuple(wires), tuple(gates))
 
 
@@ -442,5 +498,8 @@ def to_json(circuit: Circuit) -> str:
     return f'{{\n  "wires": {wires},\n  "gates": {gates}\n}}'
 
 
+@_gc_paused
 def from_json(text: str) -> Circuit:
+    """Circuit from its ``to_json`` text; refusals as ``circuit_from_dict``.
+    The cyclic garbage collector is paused for the call (``_gc_paused``)."""
     return circuit_from_dict(json.loads(text))

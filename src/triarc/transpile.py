@@ -26,6 +26,7 @@ from .circuits import (
     Circuit,
     GateInstance,
     GateKind,
+    _gc_paused,
     check_int,
     controlled,
     cx,
@@ -110,6 +111,7 @@ def decompose_toffoli_clifford_t(control_a: int, control_b: int, target: int) ->
     return [h_t, cx_bt, tdg_t, cx_at, t_t, cx_bt, tdg_t, cx_at, t(b), t_t, h_t, cx_ab, t(a), tdg(b), cx_ab]
 
 
+@_gc_paused
 def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     """Replace every TOFFOLI in place with its functional lowering.
 
@@ -117,6 +119,7 @@ def lower_toffolis(circuit: Circuit, strategy: LoweringStrategy) -> Circuit:
     dimension 3 (idempotent when wires are shared); other gates and the
     circuit's action on the qubit subspace are untouched. Equal Toffolis
     are replaced by the same gate objects, which the result validates once.
+    The cyclic garbage collector is paused for the call (``_gc_paused``).
     """
     check_strategy(strategy)
     if strategy is LoweringStrategy.SELINGER_COST:

@@ -1,6 +1,9 @@
 """Circuit IR: construction, validation, metrics, JSON round-trip."""
+import gc
+import inspect
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triarc
 from triarc import arith
 from triarc import circuits as C
 from triarc import transpile
@@ -335,8 +339,26 @@ def json_dim(dim):
     return dim
 
 
-def json_target(gate):
-    targets = gate["targets"]
+def json_field(obj, key, path):
+    if key not in obj:
+        raise ValueError(f'{path} has no "{key}"')
+    return obj[key]
+
+
+def json_object(value, path):
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object")
+    return value
+
+
+def json_list(value, path):
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a list")
+    return value
+
+
+def json_target(gate, path):
+    targets = json_field(gate, "targets", path)
     if not isinstance(targets, list) or len(targets) != 1:
         raise ValueError(f"{GateKind(gate['kind']).value} takes exactly one target")
     return targets[0]
@@ -344,24 +366,24 @@ def json_target(gate):
 
 def reference_from_dict(data):
     # the reader before equal gates were shared: one new gate per entry
-    wires = tuple(
-        json_dim(json_int(w["dim"], f"wires[{i}].dim")) for i, w in enumerate(data["wires"])
-    )
-    gates = tuple(
-        C.GateInstance(
-            GateKind(g["kind"]),
-            tuple(
-                C.ControlSpec(
-                    json_int(c["wire"], f"gates[{i}].controls[{j}].wire"),
-                    json_int(c["value"], f"gates[{i}].controls[{j}].value"),
-                )
-                for j, c in enumerate(g.get("controls", []))
-            ),
-            json_int(json_target(g), f"gates[{i}].targets[0]"),
-        )
-        for i, g in enumerate(data["gates"])
-    )
-    return C.Circuit(wires, gates)
+    json_object(data, "circuit")
+    wires = []
+    for i, w in enumerate(json_list(json_field(data, "wires", "circuit"), "wires")):
+        dim = json_field(json_object(w, f"wires[{i}]"), "dim", f"wires[{i}]")
+        wires.append(json_dim(json_int(dim, f"wires[{i}].dim")))
+    gates = []
+    for i, g in enumerate(json_list(json_field(data, "gates", "circuit"), "gates")):
+        path = f"gates[{i}]"
+        kind = GateKind(json_field(json_object(g, path), "kind", path))
+        controls = []
+        for j, c in enumerate(json_list(g.get("controls", []), f"{path}.controls")):
+            c = json_object(c, f"{path}.controls[{j}]")
+            wire = json_int(json_field(c, "wire", f"{path}.controls[{j}]"), f"{path}.controls[{j}].wire")
+            value = json_int(json_field(c, "value", f"{path}.controls[{j}]"), f"{path}.controls[{j}].value")
+            controls.append(C.ControlSpec(wire, value))
+        target = json_int(json_target(g, path), f"{path}.targets[0]")
+        gates.append(C.GateInstance(kind, tuple(controls), target))
+    return C.Circuit(tuple(wires), tuple(gates))
 
 
 def outcome(read, data):
@@ -376,17 +398,23 @@ BAD_VALUES = [True, False, 1.0, 0.5, "1", None, -1, 0, 1, 2, 7, [1]]
 
 @st.composite
 def damaged_dicts(draw):
-    """The dict form of a circuit with repeated gates, with a few fields
-    replaced by values of the wrong type or range, or deleted."""
+    """The dict form of a circuit with repeated gates, with a few fields,
+    gates or controls replaced by values of the wrong type or range, or
+    fields deleted."""
     data = C.circuit_to_dict(draw(wide_circuits(max_gates=8)))
     data["gates"] += [json.loads(json.dumps(g)) for g in draw(st.lists(
         st.sampled_from(data["gates"]), max_size=4))] if data["gates"] else []
     for _ in range(draw(st.integers(0, 3))):
         if not data["gates"]:
             break
-        gate = draw(st.sampled_from(data["gates"]))
-        spots = [(gate, key) for key in ("kind", "controls", "targets") if key in gate]
+        i = draw(st.integers(0, len(data["gates"]) - 1))
+        gate = data["gates"][i]
+        if not isinstance(gate, dict):
+            continue
+        spots = [(data["gates"], i)]
+        spots += [(gate, key) for key in ("kind", "controls", "targets") if key in gate]
         if isinstance(gate.get("controls"), list):
+            spots += [(gate["controls"], j) for j in range(len(gate["controls"]))]
             spots += [(c, key) for c in gate["controls"] if isinstance(c, dict)
                       for key in ("wire", "value") if key in c]
         if isinstance(gate.get("targets"), list):
@@ -407,6 +435,42 @@ def damaged_dicts(draw):
 def test_from_json_refuses_as_the_one_gate_per_entry_reader_did(data):
     # same circuit, or the same exception with the same message, first fault first
     assert outcome(C.circuit_from_dict, data) == outcome(reference_from_dict, data)
+
+
+def one_x_gate_dict():
+    return {"wires": [{"dim": 2}, {"dim": 2}],
+            "gates": [{"kind": "X", "controls": [{"wire": 1, "value": 1}], "targets": [0]}]}
+
+
+def without(obj, key):
+    del obj[key]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [d], "circuit must be an object"),
+        (lambda d: without(d, "wires"), 'circuit has no "wires"'),
+        (lambda d: without(d, "gates"), 'circuit has no "gates"'),
+        (lambda d: d.update(wires={"dim": 2}), "wires must be a list"),
+        (lambda d: d.update(gates="X"), "gates must be a list"),
+        (lambda d: d["wires"].__setitem__(1, 2), "wires[1] must be an object"),
+        (lambda d: d["gates"].__setitem__(0, "X"), "gates[0] must be an object"),
+        (lambda d: d["gates"][0]["controls"].__setitem__(0, 1), "gates[0].controls[0] must be an object"),
+        (lambda d: d["gates"][0].update(controls=None), "gates[0].controls must be a list"),
+        (lambda d: d["gates"][0].update(controls={"wire": 1, "value": 1}), "gates[0].controls must be a list"),
+        (lambda d: without(d["wires"][1], "dim"), 'wires[1] has no "dim"'),
+        (lambda d: without(d["gates"][0], "kind"), 'gates[0] has no "kind"'),
+        (lambda d: without(d["gates"][0], "targets"), 'gates[0] has no "targets"'),
+        (lambda d: without(d["gates"][0]["controls"][0], "wire"), 'gates[0].controls[0] has no "wire"'),
+        (lambda d: without(d["gates"][0]["controls"][0], "value"), 'gates[0].controls[0] has no "value"'),
+    ],
+)
+def test_from_json_names_the_path_of_a_wrong_shape(edit, message):
+    data = one_x_gate_dict()
+    data = edit(data) or data
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        C.from_json(json.dumps(data))
 
 
 # --- metrics --------------------------------------------------------------
@@ -676,3 +740,87 @@ def test_validation_is_total(gate, dims):
     except ValueError:
         return
     assert grown.gates[-1] == gate
+
+
+# --- collector pause ------------------------------------------------------
+
+PAUSED = [
+    (C, "from_json", ["text"]),
+    (transpile, "lower_toffolis", ["circuit", "strategy"]),
+    (arith, "build_adder", ["n"]),
+    (arith, "build_multiplier", ["na", "nb"]),
+]
+
+
+def collections_started_inside(call, fn):
+    """Generations of the collections that start while ``fn``'s own body is
+    on the stack during ``call()``."""
+    code = inspect.unwrap(fn).__code__
+    inside = []
+
+    def record(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not code:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
+    return inside
+
+
+def test_no_collection_starts_while_a_circuit_is_lowered_or_parsed():
+    # each call allocates far more than one gen-0 threshold of tracked objects
+    adder, _ = arith.build_adder(256)
+    text = C.to_json(transpile.lower_toffolis(adder, LoweringStrategy.CLIFFORD_T_FUNCTIONAL))
+    assert collections_started_inside(lambda: C.from_json(text), C.from_json) == []
+    lower = transpile.lower_toffolis
+    assert collections_started_inside(lambda: lower(adder, LoweringStrategy.QUTRIT), lower) == []
+
+
+# per paused function: a call that returns and a call that raises ValueError
+PAUSED_CALLS = {
+    "from_json": (lambda: C.from_json(C.to_json(C.append(C.new_circuit([2]), C.x(0)))),
+                  lambda: C.from_json("[1, 2]")),
+    "lower_toffolis": (lambda: transpile.lower_toffolis(arith.build_adder(2)[0], LoweringStrategy.QUTRIT),
+                       lambda: transpile.lower_toffolis(arith.build_adder(2)[0],
+                                                        LoweringStrategy.SELINGER_COST)),
+    "build_adder": (lambda: arith.build_adder(2), lambda: arith.build_adder(0)),
+    "build_multiplier": (lambda: arith.build_multiplier(2, 2), lambda: arith.build_multiplier(0, 1)),
+}
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", PAUSED_CALLS)
+def test_a_paused_call_leaves_the_collector_as_the_caller_set_it(name, caller_enabled):
+    returning, raising = PAUSED_CALLS[name]
+    enabled = gc.isenabled()
+    try:
+        (gc.enable if caller_enabled else gc.disable)()
+        returning()
+        assert gc.isenabled() is caller_enabled
+        with pytest.raises(ValueError):
+            raising()
+        assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("module, name, params", PAUSED, ids=[name for _, name, _ in PAUSED])
+def test_a_paused_function_keeps_its_public_identity(module, name, params):
+    fn = getattr(module, name)
+    body = fn.__wrapped__
+    assert fn is not body and fn.__name__ == body.__name__ == name
+    assert fn.__doc__ == body.__doc__ and "garbage collector is paused" in " ".join(fn.__doc__.split())
+    assert inspect.signature(fn) == inspect.signature(body)
+    assert list(inspect.signature(fn).parameters) == params
+    assert getattr(triarc, name) is fn
