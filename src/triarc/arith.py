@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, _gc_paused, _is_int, check_int, cx, toffoli, x
+from .circuits import Circuit, GateInstance, _is_int, check_int, cx, toffoli, x
 from .simulator import check_state_dim
 
 
@@ -77,14 +77,12 @@ def _ripple_add(a_wires: list[int], b_wires: list[int], c0: int, carry_out: int)
     return gates
 
 
-@_gc_paused
 def build_adder(n: int) -> tuple[Circuit, RegisterLayout]:
     """Ripple-carry adder on two n-bit registers.
 
     Maps (A, B, 0, 0) to (A, A+B mod 2^n, 0, carry): the sum lands in-place
     on register B, A is untouched, and the single ancilla is restored. Its
-    6n+1 gates are refused before any is built above MAX_STATE_DIM. The
-    cyclic garbage collector is paused for the call (``_gc_paused``).
+    6n+1 gates are refused before any is built above MAX_STATE_DIM.
     """
     check_int(n=n)
     if n < 1:
@@ -105,7 +103,6 @@ def build_adder(n: int) -> tuple[Circuit, RegisterLayout]:
     return circuit, layout
 
 
-@_gc_paused
 def build_multiplier(na: int, nb: int) -> tuple[Circuit, RegisterLayout]:
     """Shift-and-add multiplier: na-bit A times nb-bit B.
 
@@ -115,7 +112,6 @@ def build_multiplier(na: int, nb: int) -> tuple[Circuit, RegisterLayout]:
     products are then uncomputed, so for basis inputs the result register
     reads A*B and every ancilla is back to 0. Its 2*na*nb + na +
     (nb-1)*(6*na+1) gates are refused before any is built above MAX_STATE_DIM.
-    The cyclic garbage collector is paused for the call (``_gc_paused``).
     """
     check_int(na=na, nb=nb)
     if na < 1 or nb < 1:

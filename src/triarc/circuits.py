@@ -380,25 +380,27 @@ _KINDS = GateKind._value2member_map_
 
 def circuit_from_dict(data: dict) -> Circuit:
     """Circuit from its ``circuit_to_dict`` form. Every object must be a
-    dict and every array a list, as ``json.loads`` builds them; a wrong
-    container or a missing field is refused with a ValueError naming its
-    path. Every wire dim, control wire, control value and target must be
-    an int, and ``targets`` a one-element list. Equal gates become one
-    shared ``GateInstance``, which the ``Circuit`` constructor validates
-    once."""
-    # the happy path pays only ``type(...) is`` tests: a missing field is
-    # named from its KeyError, whose key tells which object lacks it.
+    dict (a subclass such as OrderedDict too) and ``wires``, ``gates`` and
+    ``controls`` a list or tuple; a wrong container or a missing field is
+    refused with a ValueError naming its path. Every wire dim, control
+    wire, control value and target must be an int, and ``targets`` a
+    one-element list. Equal gates become one shared ``GateInstance``,
+    which the ``Circuit`` constructor validates once."""
+    # the happy path, the plain dicts and lists of ``json.loads``, pays one
+    # ``type(...) is`` test per container and the isinstance fallback only
+    # runs on a subclass or a tuple; a missing field is named from its
+    # KeyError, whose key tells which object lacks it.
     # check_int only for a value that is not exactly an int, which it
     # accepts (a numpy integer) or refuses, in the order of the fields
-    if type(data) is not dict:
+    if type(data) is not dict and not isinstance(data, dict):
         raise ValueError("circuit must be an object")
     try:
         wires_data = data["wires"]
-        if type(wires_data) is not list:
+        if type(wires_data) is not list and not isinstance(wires_data, (list, tuple)):
             raise ValueError("wires must be a list")
         wires = []
         for i, w in enumerate(wires_data):
-            if type(w) is not dict:
+            if type(w) is not dict and not isinstance(w, dict):
                 raise ValueError(f"wires[{i}] must be an object")
             dim = w["dim"]
             if type(dim) is not int:
@@ -406,12 +408,12 @@ def circuit_from_dict(data: dict) -> Circuit:
             _check_dim(dim)
             wires.append(dim)
         gates_data = data["gates"]
-        if type(gates_data) is not list:
+        if type(gates_data) is not list and not isinstance(gates_data, (list, tuple)):
             raise ValueError("gates must be a list")
         shared: dict[tuple, GateInstance] = {}
         gates = []
         for i, g in enumerate(gates_data):
-            if type(g) is not dict:
+            if type(g) is not dict and not isinstance(g, dict):
                 raise ValueError(f"gates[{i}] must be an object")
             # the enum's own lookup on a miss, so an unknown kind keeps its message
             name = g["kind"]
@@ -419,11 +421,11 @@ def circuit_from_dict(data: dict) -> Circuit:
             if kind is None:
                 kind = GateKind(name)
             controls_data = g.get("controls", [])
-            if type(controls_data) is not list:
+            if type(controls_data) is not list and not isinstance(controls_data, (list, tuple)):
                 raise ValueError(f"gates[{i}].controls must be a list")
             controls = []
             for j, c in enumerate(controls_data):
-                if type(c) is not dict:
+                if type(c) is not dict and not isinstance(c, dict):
                     raise ValueError(f"gates[{i}].controls[{j}] must be an object")
                 w = c["wire"]
                 if type(w) is not int:
